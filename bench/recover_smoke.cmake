@@ -4,7 +4,10 @@
 #      report the survived failure. Under the sanitize preset this whole
 #      path — kill, detection, shrink/spare rebuild, checkpoint restore,
 #      replay — runs under ASan/UBSan.
-#   2. bench_suite produces a killed record and an inert-plan (no-fault)
+#   2. Killing the only rank of a one-rank run leaves nothing to shrink
+#      to: bfs_tool must fail loudly (exit 2, "rank failure") and still
+#      write the flight-recorder dump, for both distributions.
+#   3. bench_suite produces a killed record and an inert-plan (no-fault)
 #      record of the same configuration, and bench_diff between them must
 #      be clean: the kill only hits the first search of repetition 0, so
 #      the recovery cost must sit inside the record's own noise gate. The
@@ -53,7 +56,33 @@ foreach(pair "1d;shrink" "2d;spare")
   endif()
 endforeach()
 
-# --- 2. recovery cost must sit inside the benchmark noise gate --------
+# --- 2. an unrecoverable kill must abort with a flight dump ----------
+foreach(algo 1d 2d)
+  set(dump "${OUT_DIR}/dead_${algo}.json")
+  execute_process(
+    COMMAND "${BFS_TOOL}" --algo ${algo} --scale 8 --cores 1 --threads 1
+            --sources 1 --fault-plan kill:0@level1 --recover-policy shrink
+            --flight-out "${dump}"
+    RESULT_VARIABLE dead_rc
+    OUTPUT_VARIABLE dead_out
+    ERROR_VARIABLE dead_err)
+  if(NOT dead_rc EQUAL 2)
+    message(FATAL_ERROR "recover_smoke: --algo ${algo} killing the only "
+                        "rank should exit 2 (rc=${dead_rc})\n"
+                        "stdout:\n${dead_out}\nstderr:\n${dead_err}")
+  endif()
+  if(NOT "${dead_out}${dead_err}" MATCHES "rank failure")
+    message(FATAL_ERROR "recover_smoke: --algo ${algo} exited 2 without "
+                        "naming the rank failure\n"
+                        "stdout:\n${dead_out}\nstderr:\n${dead_err}")
+  endif()
+  if(NOT EXISTS "${dump}")
+    message(FATAL_ERROR "recover_smoke: --algo ${algo} died without "
+                        "writing the flight dump ${dump}")
+  endif()
+endforeach()
+
+# --- 3. recovery cost must sit inside the benchmark noise gate --------
 # Same plan twice, except the kill target: rank 3 exists at 64 ranks,
 # rank 999 never does (absent-rank kills are ignored by design), so the
 # second plan is enabled-but-inert.
@@ -97,5 +126,5 @@ if(NOT diff_out MATCHES "0 regression")
 endif()
 
 message(STATUS "recover_smoke passed: kills survived with validated trees "
-               "(1d/shrink, 2d/spare); killed-vs-inert TEPS within the "
-               "noise gate")
+               "(1d/shrink, 2d/spare); one-rank kills abort with a flight "
+               "dump (1d, 2d); killed-vs-inert TEPS within the noise gate")

@@ -5,9 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bfs/audit.hpp"
-#include "bfs/finalize.hpp"
 #include "bfs/frontier.hpp"
+#include "bfs/level_driver.hpp"
 #include "comm/sieve.hpp"
 #include "model/cost.hpp"
 #include "obs/comm_atlas.hpp"
@@ -31,7 +30,7 @@ const char* mode_name(CommMode mode) {
 
 }  // namespace
 
-struct Bfs1D::Impl {
+struct Bfs1D::Impl final : LevelEngine {
   Bfs1DOptions opts;
   vid_t n;
   dist::LocalGraph1D local;
@@ -41,12 +40,7 @@ struct Bfs1D::Impl {
   /// Retained only while shrink recovery is armed: rebuilding a
   /// (p-1)-rank partition needs the original edges.
   graph::EdgeList edges_keep;
-  recover::CheckpointStore store;
-  RecoverReport rec;  ///< per-run recovery accounting; reset by run()
-  SdcShadow shadow;   ///< write-time ABFT shard checksums (audit.hpp)
-  SdcReport sdc;      ///< per-run SDC accounting; reset by run()
-  bool sdc_on = false;  ///< audits armed or at-rest flips scheduled
-  vid_t source_ = 0;    ///< the run's source (rollback re-roots from it)
+  LevelDriver driver;
 
   static dist::LocalGraph1D make_local(const graph::EdgeList& edges,
                                        vid_t n, const Bfs1DOptions& opts) {
@@ -73,7 +67,8 @@ struct Bfs1D::Impl {
         n(num_vertices),
         local(make_local(edges, num_vertices, opts)),
         cluster(opts.ranks, opts.machine, opts.threads_per_rank),
-        world(static_cast<std::size_t>(opts.ranks)) {
+        world(static_cast<std::size_t>(opts.ranks)),
+        driver(*this, cluster, world, n, opts.recover, "1d-level") {
     std::iota(world.begin(), world.end(), 0);
     cluster.set_fault_plan(opts.faults);
     cluster.set_observers(opts.tracer, opts.metrics);
@@ -96,19 +91,6 @@ struct Bfs1D::Impl {
            comm::wire_sieves(opts.wire_format);
   }
 
-  /// Charge per-rank compute costs, blended toward the group mean by
-  /// opts.load_smoothing (see Bfs1DOptions::load_smoothing).
-  void charge_smoothed(const std::vector<double>& costs) {
-    double mean = 0.0;
-    for (double c : costs) mean += c;
-    mean /= static_cast<double>(costs.size());
-    const double w = opts.load_smoothing;
-    for (std::size_t r = 0; r < costs.size(); ++r) {
-      cluster.charge_compute(static_cast<int>(r),
-                             w * mean + (1.0 - w) * costs[r]);
-    }
-  }
-
   /// Sieved/compressed variant of the aggregated exchange: each sender
   /// filters its destination blocks through its visited sieve, encodes
   /// them per opts.wire_format, and the encoded bytes travel through the
@@ -121,9 +103,7 @@ struct Bfs1D::Impl {
     const auto p = static_cast<std::size_t>(opts.ranks);
     const int t = opts.threads_per_rank;
     auto wire = simmpi::FlatExchange<std::uint8_t>::sized(p);
-    comm::WireStats stats;
-    std::uint64_t pre_items = 0;
-    std::uint64_t dropped = 0;
+    WireTally wl;
     std::vector<double> codec_costs(p, 0.0);
     std::vector<Candidate> block;
     for (std::size_t i = 0; i < p; ++i) {
@@ -135,12 +115,12 @@ struct Bfs1D::Impl {
             send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
             send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
         offset += c;
-        pre_items += c;
+        wl.pre_bytes += c * sizeof(Candidate);
         // 1D owners keep the numerically largest parent at the reach
         // level (partition- and order-independent, like 2D), so the
         // in-level dedup keeps the max parent per vertex.
-        dropped += comm::sieve_and_dedup(sieve, static_cast<int>(i), block,
-                                         /*keep_max_parent=*/true);
+        wl.dropped += comm::sieve_and_dedup(sieve, static_cast<int>(i),
+                                            block, /*keep_max_parent=*/true);
         const std::size_t at = wire.data[i].size();
         comm::encode_candidates<Candidate>(block, opts.wire_format,
                                            wire.data[i], &rank_stats);
@@ -152,10 +132,10 @@ struct Bfs1D::Impl {
       codec_costs[i] = model::cost_wire_codec(
           cluster.machine(), static_cast<std::size_t>(rank_stats.raw_bytes),
           static_cast<std::size_t>(rank_stats.encoded_bytes), t);
-      stats.merge(rank_stats);
+      wl.stats.merge(rank_stats);
     }
     cluster.set_compute_phase("wire-encode");
-    charge_smoothed(codec_costs);
+    charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
 
     auto recv_wire = simmpi::checked_alltoallv(cluster, world,
                                                std::move(wire),
@@ -171,36 +151,8 @@ struct Bfs1D::Impl {
           recv_wire.data[j].size(), t);
     }
     cluster.set_compute_phase("wire-decode");
-    charge_smoothed(codec_costs);
-
-    if (opts.metrics != nullptr) {
-      const std::uint64_t before = pre_items * sizeof(Candidate);
-      opts.metrics->counter("wire.bytes_before") +=
-          static_cast<std::int64_t>(before);
-      opts.metrics->counter("wire.bytes_after") +=
-          static_cast<std::int64_t>(stats.encoded_bytes);
-      opts.metrics->counter("wire.candidates_dropped") +=
-          static_cast<std::int64_t>(dropped);
-      opts.metrics->counter("wire.blocks.items") +=
-          static_cast<std::int64_t>(stats.blocks_items);
-      opts.metrics->counter("wire.blocks.bitmap") +=
-          static_cast<std::int64_t>(stats.blocks_bitmap);
-      opts.metrics->counter("wire.blocks.varint") +=
-          static_cast<std::int64_t>(stats.blocks_varint);
-      opts.metrics->histogram("wire.level_bytes_saved")
-          .observe(static_cast<double>(before) -
-                   static_cast<double>(stats.encoded_bytes));
-    }
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("wire", "1d-exchange", cluster.clocks().max_now(), -1,
-                   cluster.current_level())
-          .set("raw_bytes", static_cast<double>(pre_items) *
-                                static_cast<double>(sizeof(Candidate)))
-          .set("encoded_bytes", static_cast<double>(stats.encoded_bytes))
-          .set("sieved", static_cast<double>(dropped))
-          .set("items", static_cast<double>(stats.items));
-    }
+    charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
+    driver.record_wire(wl, "1d-exchange");
     return recv;
   }
 
@@ -305,391 +257,31 @@ struct Bfs1D::Impl {
     return recv;
   }
 
-  /// Snapshot (parents, levels, frontier) into the replicated store.
-  /// Modeled as overlapped diskless replication: metered in bytes and
-  /// recover.* metrics, never charged to the clocks — a checkpointing
-  /// run with no failures stays bit-identical to a plain one.
-  void take_checkpoint(const BfsOutput& out,
-                       const std::vector<std::vector<vid_t>>& fs,
-                       vid_t global_frontier) {
-    recover::Checkpoint snap;
-    snap.levels_completed = static_cast<int>(out.report.levels.size());
-    snap.global_frontier = global_frontier;
-    snap.level = out.level;
-    snap.parent = out.parent;
-    for (const auto& f : fs) {
-      snap.frontier.insert(snap.frontier.end(), f.begin(), f.end());
-    }
-    std::sort(snap.frontier.begin(), snap.frontier.end());
-    const std::uint64_t bytes = store.take(std::move(snap));
-    rec.checkpoints_taken = store.checkpoints_taken();
-    rec.checkpoint_bytes = store.bytes_shipped();
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("recover.checkpoints");
-      opts.metrics->counter("recover.checkpoint_bytes") +=
-          static_cast<std::int64_t>(bytes);
-    }
-    if (opts.tracer != nullptr) {
-      const double at = cluster.clocks().max_now();
-      opts.tracer->record(0, obs::SpanKind::kCompute, "checkpoint", "", at,
-                          at);
-    }
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("checkpoint", "checkpoint", cluster.clocks().max_now(), -1,
-                   cluster.current_level())
-          .set("levels_completed",
-               static_cast<double>(out.report.levels.size()))
-          .set("bytes", static_cast<double>(bytes));
-    }
+  // ---- LevelEngine -----------------------------------------------------
+
+  /// One level of Algorithm 2 (see LevelEngine::step).
+  vid_t step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
+             level_t level, LevelStats& stats) override;
+
+  int owner(vid_t v) const override { return local.partition().owner(v); }
+
+  comm::Sieve* visited_sieve() override {
+    return wire_mode() ? &sieve : nullptr;
   }
 
-  /// Roll the live traversal state back to `ckpt` — or, for the implicit
-  /// empty snapshot, back to just the source. Rebuilds the frontier
-  /// buckets, the sender-side sieve (conservatively: every rank knows
-  /// every checkpointed-visited vertex — a superset of what each rank
-  /// had learned is safe, such candidates can never win a distance
-  /// check), and the ABFT shadow sums. Shared by the fail-stop and the
-  /// SDC-rollback paths.
-  void restore_state(const recover::Checkpoint& ckpt, BfsOutput& out,
-                     std::vector<std::vector<vid_t>>& fs,
-                     vid_t& global_frontier, level_t& level) {
-    const auto p = static_cast<std::size_t>(opts.ranks);
-    const auto& part = local.partition();
-    fs.assign(p, {});
-    if (ckpt.level.empty()) {
-      // Replay from the source: every stored replica was corrupt (or
-      // none was ever taken under this arm).
-      out.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-      out.level.assign(static_cast<std::size_t>(n), kUnreached);
-      out.parent[static_cast<std::size_t>(source_)] = source_;
-      out.level[static_cast<std::size_t>(source_)] = 0;
-      global_frontier = 1;
-      fs[static_cast<std::size_t>(part.owner(source_))].push_back(source_);
-    } else {
-      out.parent = ckpt.parent;
-      out.level = ckpt.level;
-      global_frontier = static_cast<vid_t>(ckpt.global_frontier);
-      for (vid_t v : ckpt.frontier) {
-        fs[static_cast<std::size_t>(part.owner(v))].push_back(v);
-      }
-    }
-    level = static_cast<level_t>(ckpt.levels_completed) + 1;
-    out.report.levels.resize(static_cast<std::size_t>(ckpt.levels_completed));
-    if (wire_mode()) {
-      sieve.reset(opts.ranks, n);
-      for (vid_t v = 0; v < n; ++v) {
-        if (out.level[static_cast<std::size_t>(v)] != kUnreached) {
-          sieve.mark_all(v);
-        }
-      }
-    }
-    if (sdc_on) {
-      shadow.reset(opts.ranks);
-      shadow.rebuild(out.parent, out.level,
-                     [&part](vid_t v) { return part.owner(v); });
-    }
+  std::pair<int, int> shape() const override { return {1, opts.ranks}; }
+
+  /// Drop to p-1 ranks and re-partition every vertex onto them.
+  bool shrink() override {
+    if (opts.ranks < 2) return false;
+    --opts.ranks;
+    local = make_local(edges_keep, n, opts);
+    return true;
   }
 
-  /// Handle one fail-stop death: shrink or promote, restore the newest
-  /// *clean* snapshot (verify-on-restore: stored replicas failing their
-  /// content checksum or the structural audit are skipped), and leave
-  /// the loop state positioned to replay from the checkpointed level.
-  /// Throws the original error onward when recovery is impossible
-  /// (spares exhausted or nothing to shrink to).
-  void recover_from(const simmpi::RankFailedError& dead, BfsOutput& out,
-                    std::vector<std::vector<vid_t>>& fs,
-                    vid_t& global_frontier, level_t& level) {
-    if (!store.armed()) throw dead;
-    const recover::Checkpoint& ckpt = store.newest_clean(source_);
-    const simmpi::FaultPlan& plan = cluster.faults();
-    const double detect_seconds = model::cost_failure_detection(
-        cluster.machine(), plan.max_collective_retries,
-        plan.backoff_base_seconds, plan.backoff_cap_seconds);
-    const int lost_levels =
-        static_cast<int>(out.report.levels.size()) - ckpt.levels_completed;
-    double restore_seconds = 0.0;
-    std::uint64_t restore_bytes = 0;
-
-    if (opts.recover.policy == recover::Policy::kSpare) {
-      if (rec.spares_used >= opts.recover.spare_ranks) throw dead;
-      ++rec.spares_used;
-      cluster.consume_kill(dead.rank());
-      cluster.revive_rank(dead.rank());
-      // The promoted spare restores just the dead rank's shard from the
-      // replica; the grid and partition are untouched.
-      restore_bytes = recover::shard_payload_bytes(
-          static_cast<std::uint64_t>(local.partition().size(dead.rank())));
-      cluster.clocks().seed(dead.virtual_time());
-    } else {
-      const int p_new = opts.ranks - 1;
-      if (p_new < 1) throw dead;
-      ++rec.ranks_lost;
-      cluster.consume_kill(dead.rank());
-      // Remaining kill entries apply to the rebuilt communicator's rank
-      // numbering (the plan names logical slots, not physical hosts).
-      simmpi::FaultPlan remaining = cluster.faults();
-      opts.ranks = p_new;
-      local = make_local(edges_keep, n, opts);
-      simmpi::Cluster fresh(p_new, opts.machine, opts.threads_per_rank);
-      fresh.set_fault_plan(std::move(remaining));
-      fresh.fault_counters() = cluster.fault_counters();
-      fresh.set_observers(opts.tracer, opts.metrics);
-      fresh.set_flight(opts.flight);
-      // The atlas carries across the rebuild like the meter: pair bytes
-      // recorded before the kill stay put (its matrix keeps the original
-      // dimension), so the reconciliation with the carried meter holds.
-      fresh.set_atlas(cluster.atlas());
-      if (cluster.atlas() != nullptr) cluster.atlas()->set_grid(1, p_new);
-      // Carry history forward: the meter keeps everything that ever
-      // moved (including the lost window, which will move again), and
-      // the seeded clocks keep the makespan continuous across the
-      // rebuild. Per-rank compute/comm splits restart here — the rank
-      // numbering of the survivors is new.
-      fresh.traffic() = cluster.traffic();
-      fresh.clocks().seed(dead.virtual_time());
-      fresh.set_trace_level(ckpt.levels_completed);
-      cluster = std::move(fresh);
-      world.assign(static_cast<std::size_t>(p_new), 0);
-      std::iota(world.begin(), world.end(), 0);
-      // Every survivor re-ingests its (re-partitioned) share of the
-      // snapshot.
-      restore_bytes = recover::restore_payload_bytes(ckpt);
-    }
-
-    // Roll the traversal state back to the snapshot, dropping any newer
-    // (possibly corrupt) replicas from the store so the replay can't
-    // restore past its own restart point.
-    store.rollback_to(ckpt);
-    restore_state(ckpt, out, fs, global_frontier, level);
-
-    ++rec.rank_failures;
-    rec.replayed_levels += lost_levels;
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("recover.rank_failures");
-      opts.metrics->counter("recover.replayed_levels") += lost_levels;
-      if (opts.recover.policy == recover::Policy::kSpare) {
-        ++opts.metrics->counter("recover.spare_promotions");
-      } else {
-        ++opts.metrics->counter("recover.shrinks");
-      }
-    }
-
-    // The restore itself is a priced collective over the survivors; it
-    // goes last so a second due kill fires here and unwinds to the same
-    // handler with this recovery's state already consistent.
-    const int divisor = std::max(1, opts.ranks);
-    restore_seconds = model::cost_p2p(
-        cluster.machine(),
-        static_cast<std::size_t>(restore_bytes /
-                                 static_cast<std::uint64_t>(divisor)));
-    rec.recovery_seconds += detect_seconds + restore_seconds;
-    if (opts.metrics != nullptr) {
-      opts.metrics->histogram("recover.recovery_seconds")
-          .observe(detect_seconds + restore_seconds);
-    }
-    simmpi::sync_collective(cluster, world, restore_seconds,
-                            "recover-restore", simmpi::Pattern::kPointToPoint,
-                            restore_bytes);
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("recover",
-                   opts.recover.policy == recover::Policy::kSpare
-                       ? "spare-promote"
-                       : "shrink-rebuild",
-                   cluster.clocks().max_now(), dead.rank(),
-                   ckpt.levels_completed)
-          .set("replayed_levels", static_cast<double>(lost_levels))
-          .set("restore_bytes", static_cast<double>(restore_bytes))
-          .set("restore_seconds", detect_seconds + restore_seconds);
-    }
+  vid_t shard_size(int rank) const override {
+    return local.partition().size(rank);
   }
-
-  /// Apply one deterministic at-rest corruption event to this engine's
-  /// live state. The victim entry and the flipped bit are drawn from the
-  /// plan's flip_shape so a rollback-replay re-injects the exact same
-  /// damage (and the audit catches it the exact same way) — mirrors the
-  /// in-flight corrupt_buffer idiom in simmpi/comm.cpp.
-  void apply_flip(const simmpi::MemFlip& flip, BfsOutput& out) {
-    if (flip.rank < 0 || flip.rank >= opts.ranks) return;
-    const std::uint64_t shape = cluster.faults().flip_shape(flip);
-    const auto& part = local.partition();
-    bool applied = false;
-    switch (flip.target) {
-      case simmpi::FlipTarget::kParents:
-      case simmpi::FlipTarget::kLevels: {
-        // Pick the k-th visited vertex in the victim rank's shard and
-        // flip one bit of its parent (or level) entry.
-        const vid_t lo = part.begin(flip.rank);
-        const vid_t hi = part.end(flip.rank);
-        vid_t count = 0;
-        for (vid_t v = lo; v < hi; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] != kUnreached) ++count;
-        }
-        if (count == 0) break;
-        vid_t pick = static_cast<vid_t>((shape >> 16) %
-                                        static_cast<std::uint64_t>(count));
-        vid_t victim = lo;
-        for (vid_t v = lo; v < hi; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] == kUnreached) continue;
-          if (pick == 0) {
-            victim = v;
-            break;
-          }
-          --pick;
-        }
-        if (flip.target == simmpi::FlipTarget::kParents) {
-          auto& slot = out.parent[static_cast<std::size_t>(victim)];
-          const std::size_t byte = (shape >> 40) % sizeof(slot);
-          reinterpret_cast<unsigned char*>(&slot)[byte] ^=
-              static_cast<unsigned char>(1u << ((shape >> 50) % 8));
-        } else {
-          auto& slot = out.level[static_cast<std::size_t>(victim)];
-          const std::size_t byte = (shape >> 40) % sizeof(slot);
-          reinterpret_cast<unsigned char*>(&slot)[byte] ^=
-              static_cast<unsigned char>(1u << ((shape >> 50) % 8));
-        }
-        applied = true;
-        break;
-      }
-      case simmpi::FlipTarget::kVisited: {
-        // Set a spurious bit in the victim rank's sender-side sieve —
-        // the bitmap corruption that can change the answer (it would
-        // suppress future sends of an unvisited vertex). corrupt()
-        // bypasses the sieve's mark checksum, so the auditor detects it
-        // even after the victim vertex is legitimately visited.
-        if (!wire_mode() || !sieve.active()) break;
-        vid_t count = 0;
-        for (vid_t v = 0; v < n; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] == kUnreached &&
-              !sieve.test(flip.rank, v)) {
-            ++count;
-          }
-        }
-        if (count == 0) break;
-        vid_t pick = static_cast<vid_t>((shape >> 16) %
-                                        static_cast<std::uint64_t>(count));
-        for (vid_t v = 0; v < n; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] != kUnreached ||
-              sieve.test(flip.rank, v)) {
-            continue;
-          }
-          if (pick == 0) {
-            sieve.corrupt(flip.rank, v);
-            applied = true;
-            break;
-          }
-          --pick;
-        }
-        break;
-      }
-      case simmpi::FlipTarget::kDirop:
-        // The 1D engine carries no direction-heuristic state; the event
-        // is a no-op here (the 2D hybrid engine honours it).
-        break;
-      case simmpi::FlipTarget::kCheckpoint:
-        applied = store.corrupt_latest(shape);
-        break;
-    }
-    if (!applied) return;
-    ++sdc.flips_injected;
-    if (opts.metrics != nullptr) ++opts.metrics->counter("sdc.flips_injected");
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("fault", "mem-flip", cluster.clocks().max_now(), flip.rank,
-                   cluster.current_level())
-          .set("target", static_cast<double>(static_cast<int>(flip.target)))
-          .set("at_level", static_cast<double>(flip.at_level));
-    }
-  }
-
-  /// Consume and apply every scheduled flip that is due after
-  /// `completed` levels (the simulated hardware fault firing between two
-  /// level barriers).
-  void inject_due_flips(BfsOutput& out, int completed) {
-    for (const simmpi::MemFlip& flip : cluster.take_due_flips(completed)) {
-      apply_flip(flip, out);
-    }
-  }
-
-  /// One audit barrier: scrub the checkpoint store (rejecting replicas
-  /// whose content checksum no longer matches), then run the priced ABFT
-  /// state audit. Throws AuditFailedError on any detected corruption.
-  void audit_now(BfsOutput& out) {
-    if (store.armed()) {
-      const int rejected = store.scrub();
-      if (rejected > 0) {
-        sdc.checkpoints_rejected += rejected;
-        if (opts.metrics != nullptr) {
-          opts.metrics->counter("sdc.checkpoints_rejected") += rejected;
-        }
-      }
-    }
-    const auto& part = local.partition();
-    SdcAuditInputs in;
-    in.parent = out.parent;
-    in.level = out.level;
-    in.shadow = &shadow;
-    in.owner = [&part](vid_t v) { return part.owner(v); };
-    in.source = source_;
-    in.sieve = wire_mode() ? &sieve : nullptr;
-    ++sdc.audits;
-    try {
-      const SdcAuditResult res =
-          run_sdc_audit(cluster, world, in, "sdc-audit");
-      sdc.audit_seconds += res.audit_seconds;
-    } catch (const simmpi::AuditFailedError&) {
-      ++sdc.audit_failures;
-      throw;
-    }
-  }
-
-  /// Recover from a failed audit: roll back to the newest clean snapshot
-  /// (implicit level-0 fallback = replay from the source) and leave the
-  /// loop positioned to replay. The priced restore goes last, mirroring
-  /// recover_from, so a kill due during the rollback unwinds cleanly.
-  void rollback_from(const simmpi::AuditFailedError& bad, BfsOutput& out,
-                     std::vector<std::vector<vid_t>>& fs,
-                     vid_t& global_frontier, level_t& level) {
-    if (!store.armed()) throw bad;
-    // Runaway guard: a shadow-bookkeeping bug would otherwise loop
-    // rollback→replay→fail forever. Real injected flips are consumed on
-    // first application, so legitimate runs never get near this.
-    if (sdc.rollbacks >= 32) throw bad;
-    const int completed = static_cast<int>(out.report.levels.size());
-    const recover::Checkpoint& ckpt = store.newest_clean(source_);
-    const int lost_levels = completed - ckpt.levels_completed;
-    store.rollback_to(ckpt);
-    restore_state(ckpt, out, fs, global_frontier, level);
-    ++sdc.rollbacks;
-    sdc.replayed_levels += lost_levels;
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("sdc.rollbacks");
-      opts.metrics->counter("sdc.replayed_levels") += lost_levels;
-    }
-    const std::uint64_t restore_bytes = recover::restore_payload_bytes(ckpt);
-    const int divisor = std::max(1, opts.ranks);
-    const double restore_seconds = model::cost_p2p(
-        cluster.machine(),
-        static_cast<std::size_t>(restore_bytes /
-                                 static_cast<std::uint64_t>(divisor)));
-    sdc.rollback_seconds += restore_seconds;
-    simmpi::sync_collective(cluster, world, restore_seconds, "sdc-rollback",
-                            simmpi::Pattern::kPointToPoint, restore_bytes);
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("recover", "sdc-rollback", cluster.clocks().max_now(),
-                   bad.rank(), ckpt.levels_completed)
-          .set("replayed_levels", static_cast<double>(lost_levels))
-          .set("restore_bytes", static_cast<double>(restore_bytes))
-          .set("restore_seconds", restore_seconds);
-    }
-  }
-
-  /// The level-synchronous loop (Algorithm 2), resumable: runs from the
-  /// current (fs, global_frontier, level) state to termination.
-  void traverse(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
-                vid_t& global_frontier, level_t& level, bool armed);
 };
 
 Bfs1D::Bfs1D(const graph::EdgeList& edges, vid_t n, Bfs1DOptions opts)
@@ -707,350 +299,185 @@ int Bfs1D::ranks() const { return impl_->opts.ranks; }
 
 BfsOutput Bfs1D::run(vid_t source) {
   Impl& im = *impl_;
-  const vid_t n = im.n;
-  if (source < 0 || source >= n) {
+  if (source < 0 || source >= im.n) {
     throw std::out_of_range("Bfs1D: source out of range");
   }
-  im.cluster.reset_accounting();
-  im.rec = RecoverReport{};
-  im.sdc = SdcReport{};
-  im.source_ = source;
-
-  // SDC machinery armed = an audit cadence was requested or at-rest
-  // flips are scheduled. Everything it does (shadow sums, audits, final
-  // sweep) is gated on this so a plain run stays bit-identical.
-  const bool sdc_on = im.opts.recover.audit_every > 0 ||
-                      !im.cluster.faults().mem_flips.empty();
-  im.sdc_on = sdc_on;
-  if (sdc_on) {
-    im.sdc.enabled = true;
-    im.sdc.audit_every = im.opts.recover.audit_every;
-    im.shadow.reset(im.opts.ranks);
-  }
-
-  // Recovery armed = kills still scheduled on this communicator, an
-  // explicit checkpoint cadence, or SDC resilience (audits need clean
-  // snapshots to roll back to). Armed-but-unkilled runs snapshot for
-  // free (overlapped replication), so they stay bit-identical.
-  const bool recover_armed = !im.cluster.faults().rank_kills.empty() ||
-                             im.opts.recover.checkpoint_every > 0;
-  const bool armed = recover_armed || sdc_on;
-  if (armed) im.store.arm(im.opts.recover);
-  if (recover_armed) {
-    im.rec.enabled = true;
-    im.rec.checkpoint_every = im.opts.recover.checkpoint_every;
-    im.rec.policy = recover::to_string(im.opts.recover.policy);
-  }
-
-  if (im.wire_mode()) {
-    im.sieve.enable_checksums(sdc_on);
-    im.sieve.reset(im.opts.ranks, n);
-    // Every rank knows the source is visited before the first exchange.
-    im.sieve.mark_all(source);
-  }
-
   BfsOutput out;
-  out.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-  out.level.assign(static_cast<std::size_t>(n), kUnreached);
   out.report.algorithm = std::string(im.opts.label) + "-" +
                          mode_name(im.opts.comm_mode) +
                          (im.opts.threads_per_rank > 1 ? "-hybrid" : "-flat");
-
-  // Per-rank frontier of owned vertices (global ids).
-  std::vector<std::vector<vid_t>> fs(static_cast<std::size_t>(im.opts.ranks));
-  out.parent[source] = source;
-  out.level[source] = 0;
-  fs[static_cast<std::size_t>(im.local.partition().owner(source))].push_back(
-      source);
-  if (sdc_on) {
-    im.shadow.add(im.local.partition().owner(source), source, source, 0);
-  }
-
-  out.report.has_level_breakdown = im.cluster.observing();
-
-  vid_t global_frontier = 1;
-  level_t level = 1;
-  // Implicit level-0 snapshot: with cadence 0 ("never"), recovery still
-  // has the source to replay from.
-  if (armed) im.take_checkpoint(out, fs, global_frontier);
-
-  while (true) {
-    try {
-      im.traverse(out, fs, global_frontier, level, armed);
-      break;
-    } catch (const simmpi::AuditFailedError& bad) {
-      im.rollback_from(bad, out, fs, global_frontier, level);
-    } catch (const simmpi::RankFailedError& dead) {
-      // A second death detected during the restore collective unwinds
-      // out of recover_from; keep recovering as long as each attempt
-      // consumed its kill from the plan. An unrecoverable rethrow
-      // (spares exhausted, nothing to shrink to) throws before
-      // consuming, leaves the plan untouched, and escapes here.
-      simmpi::RankFailedError cur = dead;
-      while (true) {
-        const std::size_t kills_before =
-            im.cluster.faults().rank_kills.size();
-        try {
-          im.recover_from(cur, out, fs, global_frontier, level);
-          break;
-        } catch (const simmpi::RankFailedError& next) {
-          if (im.cluster.faults().rank_kills.size() >= kills_before) throw;
-          cur = next;
-        }
-      }
-    }
-  }
-  im.cluster.set_trace_level(-1);
-
-  finalize_report(out.report, im.cluster);
-  out.report.recover = im.rec;
-  out.report.sdc = im.sdc;
+  im.driver.run(source, out);
   return out;
 }
 
-void Bfs1D::Impl::traverse(BfsOutput& out,
-                           std::vector<std::vector<vid_t>>& fs,
-                           vid_t& global_frontier, level_t& level,
-                           bool armed) {
+vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
+                        level_t level, LevelStats& stats) {
   Impl& im = *this;
   const int p = im.opts.ranks;
   const int t = im.opts.threads_per_rank;
   const auto& part = im.local.partition();
   const bool wire = im.wire_mode();
-  const bool sdc = im.sdc_on;
-  const bool observing = im.cluster.observing();
-  std::vector<double> comm_before, comp_before;
-  while (global_frontier > 0) {
-    LevelStats stats;
-    stats.level = level - 1;
-    stats.frontier = global_frontier;
-    im.cluster.set_trace_level(static_cast<int>(stats.level));
-    if (observing) {
-      comm_before = im.cluster.clocks().all_comm();
-      comp_before = im.cluster.clocks().all_compute();
-    }
-    const double wall_before = im.cluster.clocks().max_now();
-    const auto a2a_bytes_before =
-        im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
-        im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes;
+  SdcShadow* const shadow = im.driver.shadow();
+  const auto a2a_bytes_before =
+      im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
+      im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes;
 
-    // --- Phase A (Algorithm 2 lines 13-19): scan the local frontier and
-    // bucket (neighbor, parent) candidates by owner. In hybrid mode the
-    // frontier is split among t thread slots, each filling its own
-    // per-destination buffer tBuf[i][j], and the thread buffers are then
-    // merged destination-major into SendBuf — exactly the layout of
-    // Algorithm 2 lines 8-19 (the simulator runs the slots sequentially;
-    // threading is priced by the model).
-    std::vector<double> phase_costs(static_cast<std::size_t>(p), 0.0);
-    auto send = simmpi::FlatExchange<Candidate>::sized(
-        static_cast<std::size_t>(p));
-    std::vector<eid_t> edges_scanned(static_cast<std::size_t>(p), 0);
-    im.cluster.for_each_rank([&](int r) {
-      const auto ri = static_cast<std::size_t>(r);
-      auto& counts = send.counts[ri];
-      eid_t scanned = 0;
+  // --- Phase A (Algorithm 2 lines 13-19): scan the local frontier and
+  // bucket (neighbor, parent) candidates by owner. In hybrid mode the
+  // frontier is split among t thread slots, each filling its own
+  // per-destination buffer tBuf[i][j], and the thread buffers are then
+  // merged destination-major into SendBuf — exactly the layout of
+  // Algorithm 2 lines 8-19 (the simulator runs the slots sequentially;
+  // threading is priced by the model).
+  std::vector<double> phase_costs(static_cast<std::size_t>(p), 0.0);
+  auto send = simmpi::FlatExchange<Candidate>::sized(
+      static_cast<std::size_t>(p));
+  std::vector<eid_t> edges_scanned(static_cast<std::size_t>(p), 0);
+  im.cluster.for_each_rank([&](int r) {
+    const auto ri = static_cast<std::size_t>(r);
+    auto& counts = send.counts[ri];
+    eid_t scanned = 0;
 
-      if (t > 1) {
-        // tbuf[slot][dst]: thread-local per-destination stacks.
-        std::vector<std::vector<std::vector<Candidate>>> tbuf(
-            static_cast<std::size_t>(t));
-        for (auto& slot : tbuf) {
-          slot.resize(static_cast<std::size_t>(p));
-        }
-        const std::size_t per_slot =
-            (fs[ri].size() + static_cast<std::size_t>(t) - 1) /
-            static_cast<std::size_t>(t);
-        for (std::size_t i = 0; i < fs[ri].size(); ++i) {
-          auto& slot = tbuf[per_slot == 0 ? 0 : i / per_slot];
-          const vid_t u = fs[ri][i];
-          const vid_t local_u = u - part.begin(r);
-          for (vid_t v : im.local.neighbors(r, local_u)) {
-            slot[static_cast<std::size_t>(part.owner(v))].push_back(
-                Candidate{v, u});
-            ++scanned;
-          }
-        }
-
-        // Merge: SendBuf_j = concat over slots of tBuf[i][j] (lines
-        // 18-19).
-        for (int dst = 0; dst < p; ++dst) {
-          for (const auto& slot : tbuf) {
-            counts[static_cast<std::size_t>(dst)] +=
-                static_cast<std::int64_t>(
-                    slot[static_cast<std::size_t>(dst)].size());
-          }
-        }
-        send.data[ri].reserve(static_cast<std::size_t>(scanned));
-        for (int dst = 0; dst < p; ++dst) {
-          for (const auto& slot : tbuf) {
-            const auto& bucket = slot[static_cast<std::size_t>(dst)];
-            send.data[ri].insert(send.data[ri].end(), bucket.begin(),
-                                 bucket.end());
-          }
-        }
-      } else {
-        // Flat mode: two-pass counting sort straight into SendBuf (no
-        // thread buffers to merge; avoids t*p transient allocations).
-        for (vid_t u : fs[ri]) {
-          const vid_t local_u = u - part.begin(r);
-          for (vid_t v : im.local.neighbors(r, local_u)) {
-            ++counts[static_cast<std::size_t>(part.owner(v))];
-            ++scanned;
-          }
-        }
-        std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
-        std::partial_sum(counts.begin(), counts.end() - 1,
-                         cursor.begin() + 1);
-        send.data[ri].resize(static_cast<std::size_t>(scanned));
-        for (vid_t u : fs[ri]) {
-          const vid_t local_u = u - part.begin(r);
-          for (vid_t v : im.local.neighbors(r, local_u)) {
-            auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
-            send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
-          }
+    if (t > 1) {
+      // tbuf[slot][dst]: thread-local per-destination stacks.
+      std::vector<std::vector<std::vector<Candidate>>> tbuf(
+          static_cast<std::size_t>(t));
+      for (auto& slot : tbuf) {
+        slot.resize(static_cast<std::size_t>(p));
+      }
+      const std::size_t per_slot =
+          (fs[ri].size() + static_cast<std::size_t>(t) - 1) /
+          static_cast<std::size_t>(t);
+      for (std::size_t i = 0; i < fs[ri].size(); ++i) {
+        auto& slot = tbuf[per_slot == 0 ? 0 : i / per_slot];
+        const vid_t u = fs[ri][i];
+        const vid_t local_u = u - part.begin(r);
+        for (vid_t v : im.local.neighbors(r, local_u)) {
+          slot[static_cast<std::size_t>(part.owner(v))].push_back(
+              Candidate{v, u});
+          ++scanned;
         }
       }
-      edges_scanned[ri] = scanned;
 
-      model::Work1D work;
-      work.frontier_vertices = static_cast<eid_t>(fs[ri].size());
-      work.edges_scanned = scanned;
-      work.words_packed = 2 * scanned;  // Candidate = 2 words
-      work.n_local = part.size(r);
-      work.threads = t;
-      work.extra_per_edge_seconds = im.opts.extra_per_edge_seconds;
-      phase_costs[ri] = model::cost_1d_local(im.cluster.machine(), work) +
-                        model::cost_thread_barriers(im.cluster.machine(), t, 2) +
-                        static_cast<double>(p) * im.opts.per_peer_level_seconds;
-    });
-    im.cluster.set_compute_phase("1d-scan");
-    im.charge_smoothed(phase_costs);
-
-    // --- All-to-all exchange (line 21).
-    auto recv = im.exchange(std::move(send));
-
-    // --- Phase B (lines 23-28): owners apply distance checks.
-    std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
-    im.cluster.for_each_rank([&](int r) {
-      const auto ri = static_cast<std::size_t>(r);
-      fs[ri].clear();
-      if (wire) {
-        // Every received candidate's target is visited by the end of
-        // this level (it either wins now or lost earlier), so the owner
-        // can sieve any later re-send of it. Rank-private bitmap row —
-        // safe inside for_each_rank.
-        for (const Candidate& c : recv[ri]) im.sieve.mark(r, c.vertex);
-      }
-      for (const Candidate& c : recv[ri]) {
-        if (out.level[c.vertex] == kUnreached) {
-          out.level[c.vertex] = level;
-          out.parent[c.vertex] = c.parent;
-          // The write-time shadow mirrors every owner-side mutation
-          // (rank-private slot ri — safe inside for_each_rank).
-          if (sdc) im.shadow.add(r, c.vertex, c.parent, level);
-          fs[ri].push_back(c.vertex);
-        } else if (out.level[c.vertex] == level &&
-                   c.parent > out.parent[c.vertex]) {
-          // Max-parent tie-break at the reach level (same rule as 2D):
-          // the winner is a property of the level's candidate multiset,
-          // independent of partition shape and arrival order — which is
-          // what lets a replay after a shrink reproduce the fault-free
-          // parents bit-for-bit.
-          if (sdc) {
-            im.shadow.replace(r, c.vertex, out.parent[c.vertex], level,
-                              c.parent, level);
-          }
-          out.parent[c.vertex] = c.parent;
+      // Merge: SendBuf_j = concat over slots of tBuf[i][j] (lines
+      // 18-19).
+      for (int dst = 0; dst < p; ++dst) {
+        for (const auto& slot : tbuf) {
+          counts[static_cast<std::size_t>(dst)] +=
+              static_cast<std::int64_t>(
+                  slot[static_cast<std::size_t>(dst)].size());
         }
       }
-      next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
-
-      model::Work1D work;
-      work.candidates_received = static_cast<eid_t>(recv[ri].size()) * 2;
-      work.newly_visited = static_cast<vid_t>(fs[ri].size());
-      work.n_local = part.size(r);
-      work.threads = t;
-      phase_costs[ri] = model::cost_1d_local(im.cluster.machine(), work) +
-                        model::cost_thread_barriers(im.cluster.machine(), t, 2);
-      recv[ri].clear();
-      recv[ri].shrink_to_fit();
-    });
-    im.cluster.set_compute_phase("1d-update");
-    im.charge_smoothed(phase_costs);
-
-    // --- Level synchronization / termination test.
-    global_frontier = static_cast<vid_t>(simmpi::allreduce_sum<std::int64_t>(
-        im.cluster, im.world, next_sizes, "level-sync"));
-
-    stats.edges_scanned =
-        std::accumulate(edges_scanned.begin(), edges_scanned.end(), eid_t{0});
-    stats.newly_visited = global_frontier;
-    stats.a2a_bytes =
-        im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
-        im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes -
-        a2a_bytes_before;
-    stats.wall_seconds = im.cluster.clocks().max_now() - wall_before;
-    if (observing) {
-      double comm_sum = 0.0, comp_sum = 0.0;
-      for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
-        const double dcomm =
-            im.cluster.clocks().comm_time(static_cast<int>(r)) -
-            comm_before[r];
-        const double dcomp =
-            im.cluster.clocks().compute_time(static_cast<int>(r)) -
-            comp_before[r];
-        comm_sum += dcomm;
-        comp_sum += dcomp;
-        stats.comm_seconds_max = std::max(stats.comm_seconds_max, dcomm);
-        stats.comp_seconds_max = std::max(stats.comp_seconds_max, dcomp);
+      send.data[ri].reserve(static_cast<std::size_t>(scanned));
+      for (int dst = 0; dst < p; ++dst) {
+        for (const auto& slot : tbuf) {
+          const auto& bucket = slot[static_cast<std::size_t>(dst)];
+          send.data[ri].insert(send.data[ri].end(), bucket.begin(),
+                               bucket.end());
+        }
       }
-      stats.comm_seconds = comm_sum / static_cast<double>(p);
-      stats.comp_seconds = comp_sum / static_cast<double>(p);
-    }
-    if (im.opts.flight != nullptr) {
-      im.opts.flight
-          ->append("level", "1d-level", im.cluster.clocks().max_now(), -1,
-                   static_cast<int>(level) - 1)
-          .set("frontier", static_cast<double>(stats.frontier))
-          .set("newly_visited", static_cast<double>(stats.newly_visited))
-          .set("edges_scanned", static_cast<double>(stats.edges_scanned))
-          .set("wall_seconds", stats.wall_seconds);
-    }
-    if (im.opts.flight != nullptr && im.cluster.atlas() != nullptr) {
-      const obs::AtlasLevelCut cut =
-          im.cluster.atlas()->level_cut(static_cast<int>(level) - 1);
-      im.opts.flight
-          ->append("atlas", "1d-level", im.cluster.clocks().max_now(),
-                   cut.hotspot_rank, static_cast<int>(level) - 1)
-          .set("bytes", static_cast<double>(cut.total_bytes))
-          .set("network_bytes", static_cast<double>(cut.network_bytes))
-          .set("subcomm_bytes", static_cast<double>(cut.subcomm_bytes));
-    }
-    out.report.levels.push_back(stats);
-    ++level;
-    // Level barrier, in hazard order: (1) scheduled at-rest flips fire,
-    // (2) the audit (if due) sees them, (3) only then may a checkpoint
-    // snapshot the (now audited) state.
-    const int completed = static_cast<int>(out.report.levels.size());
-    if (sdc) {
-      im.inject_due_flips(out, completed);
-      if (im.opts.recover.audit_every > 0 && global_frontier > 0 &&
-          completed % im.opts.recover.audit_every == 0) {
-        im.audit_now(out);
+    } else {
+      // Flat mode: two-pass counting sort straight into SendBuf (no
+      // thread buffers to merge; avoids t*p transient allocations).
+      for (vid_t u : fs[ri]) {
+        const vid_t local_u = u - part.begin(r);
+        for (vid_t v : im.local.neighbors(r, local_u)) {
+          ++counts[static_cast<std::size_t>(part.owner(v))];
+          ++scanned;
+        }
+      }
+      std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
+      std::partial_sum(counts.begin(), counts.end() - 1,
+                       cursor.begin() + 1);
+      send.data[ri].resize(static_cast<std::size_t>(scanned));
+      for (vid_t u : fs[ri]) {
+        const vid_t local_u = u - part.begin(r);
+        for (vid_t v : im.local.neighbors(r, local_u)) {
+          auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
+          send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
+        }
       }
     }
-    if (armed && global_frontier > 0 && im.store.due(completed)) {
-      im.take_checkpoint(out, fs, global_frontier);
+    edges_scanned[ri] = scanned;
+
+    model::Work1D work;
+    work.frontier_vertices = static_cast<eid_t>(fs[ri].size());
+    work.edges_scanned = scanned;
+    work.words_packed = 2 * scanned;  // Candidate = 2 words
+    work.n_local = part.size(r);
+    work.threads = t;
+    work.extra_per_edge_seconds = im.opts.extra_per_edge_seconds;
+    phase_costs[ri] = model::cost_1d_local(im.cluster.machine(), work) +
+                      model::cost_thread_barriers(im.cluster.machine(), t, 2) +
+                      static_cast<double>(p) * im.opts.per_peer_level_seconds;
+  });
+  im.cluster.set_compute_phase("1d-scan");
+  charge_smoothed(im.cluster, im.world, phase_costs, im.opts.load_smoothing);
+
+  // --- All-to-all exchange (line 21).
+  auto recv = im.exchange(std::move(send));
+
+  // --- Phase B (lines 23-28): owners apply distance checks.
+  std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
+  im.cluster.for_each_rank([&](int r) {
+    const auto ri = static_cast<std::size_t>(r);
+    fs[ri].clear();
+    if (wire) {
+      // Every received candidate's target is visited by the end of
+      // this level (it either wins now or lost earlier), so the owner
+      // can sieve any later re-send of it. Rank-private bitmap row —
+      // safe inside for_each_rank.
+      for (const Candidate& c : recv[ri]) im.sieve.mark(r, c.vertex);
     }
-  }
-  if (sdc) {
-    // Final sweep: flips scheduled at or past the last level still fire,
-    // and a closing audit guarantees every injected corruption is either
-    // detected here or was already repaired — even with auditing off
-    // (audit_every == 0), a flip-carrying run never returns unchecked.
-    im.inject_due_flips(out, static_cast<int>(out.report.levels.size()));
-    im.audit_now(out);
-  }
+    for (const Candidate& c : recv[ri]) {
+      if (out.level[c.vertex] == kUnreached) {
+        out.level[c.vertex] = level;
+        out.parent[c.vertex] = c.parent;
+        // The write-time shadow mirrors every owner-side mutation
+        // (rank-private slot ri — safe inside for_each_rank).
+        if (shadow != nullptr) shadow->add(r, c.vertex, c.parent, level);
+        fs[ri].push_back(c.vertex);
+      } else if (out.level[c.vertex] == level &&
+                 c.parent > out.parent[c.vertex]) {
+        // Max-parent tie-break at the reach level (same rule as 2D):
+        // the winner is a property of the level's candidate multiset,
+        // independent of partition shape and arrival order — which is
+        // what lets a replay after a shrink reproduce the fault-free
+        // parents bit-for-bit.
+        if (shadow != nullptr) {
+          shadow->replace(r, c.vertex, out.parent[c.vertex], level,
+                          c.parent, level);
+        }
+        out.parent[c.vertex] = c.parent;
+      }
+    }
+    next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
+
+    model::Work1D work;
+    work.candidates_received = static_cast<eid_t>(recv[ri].size()) * 2;
+    work.newly_visited = static_cast<vid_t>(fs[ri].size());
+    work.n_local = part.size(r);
+    work.threads = t;
+    phase_costs[ri] = model::cost_1d_local(im.cluster.machine(), work) +
+                      model::cost_thread_barriers(im.cluster.machine(), t, 2);
+    recv[ri].clear();
+    recv[ri].shrink_to_fit();
+  });
+  im.cluster.set_compute_phase("1d-update");
+  charge_smoothed(im.cluster, im.world, phase_costs, im.opts.load_smoothing);
+
+  // --- Level synchronization / termination test.
+  const auto global_frontier =
+      static_cast<vid_t>(simmpi::allreduce_sum<std::int64_t>(
+          im.cluster, im.world, next_sizes, "level-sync"));
+
+  stats.edges_scanned =
+      std::accumulate(edges_scanned.begin(), edges_scanned.end(), eid_t{0});
+  stats.a2a_bytes =
+      im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
+      im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes -
+      a2a_bytes_before;
+  return global_frontier;
 }
 
 }  // namespace dbfs::bfs

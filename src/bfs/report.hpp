@@ -69,12 +69,13 @@ struct FaultReport {
   int nic_stragglers = 0;
 };
 
-/// Fail-stop recovery outcome of one run (see src/recover/). All-zero
-/// until a rank actually dies; checkpoint accounting with no failures
-/// lives only in the recover.* metrics so the plain report stays
-/// byte-identical to pre-recovery output.
+/// Fail-stop recovery outcome of one run (see src/recover/). The JSON
+/// "recover" block is emitted only once a rank actually dies; checkpoint
+/// accounting with no failures lives only in the recover.* metrics so
+/// the plain report stays byte-identical to pre-recovery output.
 struct RecoverReport {
-  bool enabled = false;          ///< a recovery-armed run (kills scheduled)
+  /// Recovery armed: kills scheduled or a checkpoint cadence set.
+  bool enabled = false;
   int checkpoint_every = 0;
   std::string policy;            ///< "shrink" | "spare"; empty when off
   std::int64_t checkpoints_taken = 0;

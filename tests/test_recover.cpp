@@ -477,6 +477,74 @@ TEST(RecoverFaultPlan, KillsForAbsentRanksAreIgnored) {
   EXPECT_EQ(out.report.recover.rank_failures, 0);
 }
 
+// Degenerate inputs through both repair paths. Every cell of {1D, 2D} x
+// {1, 4 cores} x {each flip target} x {no kill, kill:0@level0 under
+// shrink} must reproduce serial BFS — except killing the only rank,
+// which has nothing to shrink to and must rethrow the RankFailedError
+// itself (not fail while building an empty communicator).
+TEST(RecoverChaos, DegenerateInputsRecoverOrRethrowTheKill) {
+  struct Case {
+    const char* name;
+    graph::EdgeList edges;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"single-vertex", graph::EdgeList{1}});
+  graph::EdgeList isolated{6};  // source 0 sits outside the path 1-..-5
+  for (vid_t v = 1; v + 1 < 6; ++v) isolated.add(v, v + 1);
+  isolated.symmetrize();
+  cases.push_back({"isolated-source", isolated});
+  graph::EdgeList loops{6};
+  for (vid_t v = 0; v < 6; ++v) loops.add(v, v);
+  cases.push_back({"self-loops-only", loops});
+
+  const core::Algorithm algorithms[] = {core::Algorithm::kOneDFlat,
+                                        core::Algorithm::kTwoDFlat};
+  const simmpi::FlipTarget targets[] = {
+      simmpi::FlipTarget::kParents, simmpi::FlipTarget::kLevels,
+      simmpi::FlipTarget::kVisited, simmpi::FlipTarget::kDirop,
+      simmpi::FlipTarget::kCheckpoint};
+  const vid_t source = 0;
+  for (const Case& c : cases) {
+    const vid_t n = c.edges.num_vertices();
+    const auto serial =
+        bfs::serial_bfs(graph::CsrGraph::from_edges(c.edges), source);
+    for (core::Algorithm algorithm : algorithms) {
+      for (int cores : {1, 4}) {
+        for (simmpi::FlipTarget target : targets) {
+          for (bool kill : {false, true}) {
+            core::EngineOptions opts = base_options(algorithm, cores);
+            simmpi::MemFlip flip;
+            flip.rank = 0;
+            flip.at_level = 1;
+            flip.target = target;
+            opts.faults.mem_flips = {flip};
+            if (kill) opts.faults.rank_kills = {level_kill(0, 0)};
+            opts.recover.policy = recover::Policy::kShrink;
+            opts.recover.checkpoint_every = 1;
+            opts.recover.audit_every = 1;
+            const std::string label =
+                std::string(c.name) + "/" + core::to_string(algorithm) +
+                "/cores=" + std::to_string(cores) + "/" +
+                simmpi::to_string(target) + (kill ? "/kill" : "");
+            core::Engine engine{c.edges, n, opts};
+            if (kill && cores == 1) {
+              EXPECT_THROW(engine.run(source), simmpi::RankFailedError)
+                  << label;
+              continue;
+            }
+            try {
+              const auto out = engine.run(source);
+              EXPECT_EQ(out.level, serial.level) << label;
+            } catch (const std::exception& e) {
+              ADD_FAILURE() << label << ": " << e.what();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RecoverFaultPlan, PolicyParsing) {
   EXPECT_EQ(recover::parse_policy("shrink"), recover::Policy::kShrink);
   EXPECT_EQ(recover::parse_policy("spare"), recover::Policy::kSpare);

@@ -462,6 +462,64 @@ TEST(SdcChaos, FlipsForAbsentRanksAreIgnored) {
   EXPECT_EQ(out.report.sdc.rollbacks, 0);
 }
 
+// A time-triggered kill swept across a flip-carrying run's whole
+// makespan lands in every phase of it — level steps, audits, and the
+// priced restore collectives of both repair paths. Wherever it fires,
+// including inside an SDC rollback's "sdc-rollback" restore, the death
+// must reach kill recovery and the run must end with the exact answer:
+// no FaultError escapes.
+TEST(SdcChaos, KillSweptAcrossRollbacksAlwaysRecovers) {
+  const auto built = test::rmat_graph(9, 8);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+  constexpr int kInstants = 128;
+
+  const core::Algorithm algorithms[] = {core::Algorithm::kOneDFlat,
+                                        core::Algorithm::kTwoDFlat};
+  const recover::Policy policies[] = {recover::Policy::kShrink,
+                                      recover::Policy::kSpare};
+  for (core::Algorithm algorithm : algorithms) {
+    core::EngineOptions clean = base_options(algorithm, 16);
+    core::Engine clean_engine{built.edges, n, clean};
+    const auto expected = clean_engine.run(source);
+
+    core::EngineOptions flipped = clean;
+    flipped.faults.mem_flips = {
+        level_flip(1, 2, simmpi::FlipTarget::kParents)};
+    flipped.recover.checkpoint_every = 1;
+    flipped.recover.audit_every = 1;
+    core::Engine flip_engine{built.edges, n, flipped};
+    const double makespan = flip_engine.run(source).report.total_seconds;
+    ASSERT_GT(makespan, 0.0);
+
+    for (recover::Policy policy : policies) {
+      const std::string label = std::string(core::to_string(algorithm)) +
+                                "/" + recover::to_string(policy);
+      std::vector<std::string> failures;
+      for (int k = 0; k < kInstants; ++k) {
+        core::EngineOptions opts = flipped;
+        opts.recover.policy = policy;
+        simmpi::RankKill kill;
+        kill.rank = 3;
+        kill.at_time = makespan * (k + 0.5) / kInstants;
+        opts.faults.rank_kills = {kill};
+        try {
+          core::Engine engine{built.edges, n, opts};
+          const auto out = engine.run(source);
+          if (out.parent != expected.parent || out.level != expected.level) {
+            failures.push_back(std::to_string(k) + ": wrong answer");
+          }
+        } catch (const simmpi::FaultError& e) {
+          failures.push_back(std::to_string(k) + ": " + e.what());
+        }
+      }
+      EXPECT_TRUE(failures.empty())
+          << label << ": " << failures.size() << " of " << kInstants
+          << " kill instants failed; first: " << failures.front();
+    }
+  }
+}
+
 // ---- inertness and observability --------------------------------------
 
 // Auditing a clean run costs virtual time but must never change the
