@@ -7,6 +7,8 @@
 #   3. A deliberately slowed run (--slow-beta=2 doubles the per-byte
 #      network cost) must be flagged as a regression — proving the gate
 #      actually fires and is not vacuously green.
+#   4. A malformed option value (--cores=abc) must exit 2 with a
+#      "bad value" message, not abort.
 # Invoked by ctest as
 #   cmake -DBENCH_SUITE=<exe> -DBENCH_DIFF=<exe> -DBASELINE_DIR=<repo>
 #         -DOUT_DIR=<scratch> -P bench_smoke.cmake
@@ -108,6 +110,17 @@ endif()
 if(NOT slow_diff_out MATCHES "doctor: wrote .*DOCTOR_")
   message(FATAL_ERROR "bench_smoke: gate tripped but no doctor report was "
                       "generated/referenced\n${slow_diff_out}")
+endif()
+
+execute_process(
+  COMMAND "${BENCH_SUITE}" --cores=abc --list
+  RESULT_VARIABLE bad_rc
+  OUTPUT_VARIABLE bad_out
+  ERROR_VARIABLE bad_err)
+if(NOT bad_rc EQUAL 2 OR NOT bad_err MATCHES "bench_suite: bad value")
+  message(FATAL_ERROR "bench_smoke: --cores=abc should exit 2 naming the "
+                      "bad value, got rc=${bad_rc}\nstdout:\n${bad_out}\n"
+                      "stderr:\n${bad_err}")
 endif()
 
 message(STATUS "bench_smoke passed: ${nbaselines} baselines, identical-seed "

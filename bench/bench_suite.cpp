@@ -29,8 +29,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,7 +65,7 @@ struct SuiteOptions {
   bfs::DirectionMode direction = bfs::DirectionMode::kTopDown;
   double slow_beta = 1.0;
   bool list_only = false;
-  std::string fault_plan;
+  simmpi::FaultPlan faults;
   recover::RecoverOptions recover;
 };
 
@@ -80,74 +78,62 @@ core::Algorithm parse_algo(const std::string& name) {
                               "' (use 1d, 1d-hybrid, 2d, 2d-hybrid)");
 }
 
+/// Apply one argument to `opt`; false when the option is unknown. A
+/// malformed value throws (std::stoi/stod, the enum parsers, the fault
+/// plan loader).
+bool parse_option(const std::string& arg, SuiteOptions& opt) {
+  if (arg.rfind("--out-dir=", 0) == 0) {
+    opt.out_dir = arg.substr(10);
+  } else if (arg.rfind("--scales=", 0) == 0) {
+    opt.scales.clear();
+    for (const auto& s : split_csv(arg.substr(9))) {
+      opt.scales.push_back(std::stoi(s));
+    }
+  } else if (arg.rfind("--algos=", 0) == 0) {
+    opt.algos = split_csv(arg.substr(8));
+  } else if (arg.rfind("--wires=", 0) == 0) {
+    opt.wires = split_csv(arg.substr(8));
+  } else if (arg.rfind("--cores=", 0) == 0) {
+    opt.cores = std::stoi(arg.substr(8));
+  } else if (arg.rfind("--reps=", 0) == 0) {
+    opt.reps = std::stoi(arg.substr(7));
+  } else if (arg.rfind("--sources=", 0) == 0) {
+    opt.sources = std::stoi(arg.substr(10));
+  } else if (arg.rfind("--direction=", 0) == 0) {
+    opt.direction = bfs::parse_direction_mode(arg.substr(12));
+  } else if (arg.rfind("--slow-beta=", 0) == 0) {
+    opt.slow_beta = std::stod(arg.substr(12));
+  } else if (arg.rfind("--fault-plan=", 0) == 0) {
+    opt.faults = simmpi::load_fault_plan(arg.substr(13));
+  } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
+    opt.recover.checkpoint_every = std::stoi(arg.substr(19));
+  } else if (arg.rfind("--recover-policy=", 0) == 0) {
+    opt.recover.policy = recover::parse_policy(arg.substr(17));
+  } else if (arg.rfind("--audit-every=", 0) == 0) {
+    opt.recover.audit_every = std::stoi(arg.substr(14));
+  } else if (arg == "--list") {
+    opt.list_only = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   SuiteOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out-dir=", 0) == 0) {
-      opt.out_dir = arg.substr(10);
-    } else if (arg.rfind("--scales=", 0) == 0) {
-      opt.scales.clear();
-      for (const auto& s : split_csv(arg.substr(9))) {
-        opt.scales.push_back(std::stoi(s));
-      }
-    } else if (arg.rfind("--algos=", 0) == 0) {
-      opt.algos = split_csv(arg.substr(8));
-    } else if (arg.rfind("--wires=", 0) == 0) {
-      opt.wires = split_csv(arg.substr(8));
-    } else if (arg.rfind("--cores=", 0) == 0) {
-      opt.cores = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::stoi(arg.substr(7));
-    } else if (arg.rfind("--sources=", 0) == 0) {
-      opt.sources = std::stoi(arg.substr(10));
-    } else if (arg.rfind("--direction=", 0) == 0) {
-      try {
-        opt.direction = bfs::parse_direction_mode(arg.substr(12));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench_suite: %s\n", e.what());
+    try {
+      if (!parse_option(arg, opt)) {
+        std::fprintf(stderr, "bench_suite: unknown option '%s'\n",
+                     arg.c_str());
         return 2;
       }
-    } else if (arg.rfind("--slow-beta=", 0) == 0) {
-      opt.slow_beta = std::stod(arg.substr(12));
-    } else if (arg.rfind("--fault-plan=", 0) == 0) {
-      opt.fault_plan = arg.substr(13);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      opt.recover.checkpoint_every = std::stoi(arg.substr(19));
-    } else if (arg.rfind("--recover-policy=", 0) == 0) {
-      opt.recover.policy = recover::parse_policy(arg.substr(17));
-    } else if (arg.rfind("--audit-every=", 0) == 0) {
-      opt.recover.audit_every = std::stoi(arg.substr(14));
-    } else if (arg == "--list") {
-      opt.list_only = true;
-    } else {
-      std::fprintf(stderr, "bench_suite: unknown option '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-
-  simmpi::FaultPlan faults;
-  if (!opt.fault_plan.empty()) {
-    try {
-      if (opt.fault_plan.rfind("kill:", 0) == 0) {
-        faults.rank_kills = simmpi::parse_kill_specs(opt.fault_plan.substr(5));
-      } else if (opt.fault_plan.rfind("flip:", 0) == 0) {
-        faults.mem_flips = simmpi::parse_flip_specs(opt.fault_plan.substr(5));
-      } else {
-        std::ifstream plan_file(opt.fault_plan);
-        if (!plan_file) {
-          std::fprintf(stderr, "bench_suite: cannot open fault plan %s\n",
-                       opt.fault_plan.c_str());
-          return 2;
-        }
-        std::ostringstream buffer;
-        buffer << plan_file.rdbuf();
-        faults = simmpi::fault_plan_from_json(buffer.str());
-      }
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_suite: %s\n", e.what());
+      std::fprintf(stderr, "bench_suite: bad value in '%s': %s\n",
+                   arg.c_str(), e.what());
       return 2;
     }
   }
@@ -183,7 +169,7 @@ int main(int argc, char** argv) {
           spec.engine.machine.beta_net *= opt.slow_beta;
           spec.engine.wire_format = comm::parse_wire_format(wire);
           spec.engine.direction = opt.direction;
-          spec.engine.faults = faults;
+          spec.engine.faults = opt.faults;
           spec.engine.recover = opt.recover;
         } catch (const std::exception& e) {
           std::fprintf(stderr, "%s\n", e.what());

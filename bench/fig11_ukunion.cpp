@@ -16,7 +16,7 @@ int main() {
 
   const int log_n = util::bench_scale(17);
   const int diameter =
-      static_cast<int>(util::project_env_int("DIAMETER", 140));
+      static_cast<int>(util::env_int("DISTBFS_DIAMETER", 140));
   const int nsources = bench_sources(2);
 
   graph::WebcrawlParams params;

@@ -5,7 +5,7 @@
 // (slow cores, relatively strong network), and the 1D hybrid overtakes
 // flat 1D at the highest concurrencies as the NIC/bisection saturates.
 //
-// Graphs are scaled down (BFSSIM_SCALE overrides); machine latencies are
+// Graphs are scaled down (DISTBFS_SCALE overrides); machine latencies are
 // rescaled by the same factor (see scaled_machine in harness/harness.hpp).
 #include "harness/scaling.hpp"
 

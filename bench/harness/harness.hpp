@@ -46,7 +46,7 @@ Workload make_rmat_workload(int scale, int edge_factor, int nsources,
 /// whole suite runs in seconds (DISTBFS_SOURCES overrides; the paper
 /// uses >= 16).
 inline int bench_sources(int dflt = 4) {
-  return static_cast<int>(util::project_env_int("SOURCES", dflt));
+  return static_cast<int>(util::env_int("DISTBFS_SOURCES", dflt));
 }
 
 /// Mean simulated times for one engine config over the workload's

@@ -223,23 +223,9 @@ int main(int argc, char** argv) {
     faults.nic_stragglers =
         util::parse_rank_factors(args.get("degrade-nic", ""));
     const std::string fault_plan = args.get("fault-plan", "");
-    if (!fault_plan.empty()) {
-      if (fault_plan.rfind("kill:", 0) == 0) {
-        faults.rank_kills = simmpi::parse_kill_specs(fault_plan.substr(5));
-      } else if (fault_plan.rfind("flip:", 0) == 0) {
-        faults.mem_flips = simmpi::parse_flip_specs(fault_plan.substr(5));
-      } else {
-        std::ifstream plan_file(fault_plan);
-        if (!plan_file) {
-          throw std::invalid_argument("cannot open fault plan: " +
-                                      fault_plan);
-        }
-        std::ostringstream buffer;
-        buffer << plan_file.rdbuf();
-        faults = simmpi::fault_plan_from_json(buffer.str());
-      }
-    }
-    opts.faults = faults;
+    opts.faults = fault_plan.empty()
+                      ? faults
+                      : simmpi::load_fault_plan(fault_plan, faults);
     opts.recover.checkpoint_every =
         static_cast<int>(args.get_int("checkpoint-every", 0));
     opts.recover.policy =

@@ -15,6 +15,11 @@
 //             [--audit-every=K]
 //   algorithm in {1d, 1d-hybrid, 2d, 2d-hybrid}
 //
+// Flags accept both "--key=value" and "--key value"; undeclared keys
+// print a warning. Like bfs_tool, an unrecovered fault or a bad flag
+// value exits 2, and an unrecovered fault or a failed validation writes
+// the flight-recorder dump (to --flight-out, else FLIGHT_ERROR.json).
+//
 // --bench-out writes the run as a BENCH_*.json-style BenchRecord (single
 // repetition over all search keys) so ad-hoc runs can be diffed against
 // the committed baselines with bench_diff.
@@ -34,6 +39,7 @@
 #include "obs/bench_record.hpp"
 #include "obs/comm_atlas.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -47,61 +53,29 @@ dbfs::core::Algorithm parse_algorithm(const char* name) {
   return Algorithm::kTwoDHybrid;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole run; main() turns any exception into exit 2.
+int run(const dbfs::util::ArgParser& args) {
   using namespace dbfs;
 
-  std::string trace_out;
-  std::string bench_out;
-  std::string flight_out;
-  std::string atlas_out;
-  std::string metrics_format;
-  std::string fault_plan;
-  comm::WireFormat wire_format = comm::WireFormat::kRaw;
-  bfs::DirectionMode direction = bfs::DirectionMode::kTopDown;
-  double alpha = 14.0;
-  double beta = 24.0;
-  recover::RecoverOptions recover_opts;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--bench-out=", 12) == 0) {
-      bench_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--flight-out=", 13) == 0) {
-      flight_out = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--atlas-out=", 12) == 0) {
-      atlas_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--metrics-format=", 17) == 0) {
-      metrics_format = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--wire-format=", 14) == 0) {
-      wire_format = comm::parse_wire_format(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--direction=", 12) == 0) {
-      direction = bfs::parse_direction_mode(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--alpha=", 8) == 0) {
-      alpha = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--beta=", 7) == 0) {
-      beta = std::atof(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--fault-plan=", 13) == 0) {
-      fault_plan = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      recover_opts.checkpoint_every = std::atoi(argv[i] + 19);
-    } else if (std::strncmp(argv[i], "--recover-policy=", 17) == 0) {
-      recover_opts.policy = recover::parse_policy(argv[i] + 17);
-    } else if (std::strncmp(argv[i], "--audit-every=", 14) == 0) {
-      recover_opts.audit_every = std::atoi(argv[i] + 14);
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  const int scale = positional.size() > 0 ? std::atoi(positional[0]) : 14;
-  const int cores = positional.size() > 1 ? std::atoi(positional[1]) : 1024;
-  const core::Algorithm algorithm = positional.size() > 2
-                                        ? parse_algorithm(positional[2])
-                                        : core::Algorithm::kTwoDHybrid;
-  const int nsources =
-      positional.size() > 3 ? std::atoi(positional[3]) : 16;
+  const std::string trace_out = args.get("trace-out", "");
+  const std::string bench_out = args.get("bench-out", "");
+  const std::string flight_out = args.get("flight-out", "");
+  const std::string atlas_out = args.get("atlas-out", "");
+  const std::string metrics_format = args.get("metrics-format", "");
+  const std::vector<std::string>& positional = args.positional();
+  const auto arg = [&positional](std::size_t i) {
+    return i < positional.size() ? positional[i].c_str() : nullptr;
+  };
+  const int scale = arg(0) ? std::atoi(arg(0)) : 14;
+  const int cores = arg(1) ? std::atoi(arg(1)) : 1024;
+  const core::Algorithm algorithm =
+      arg(2) ? parse_algorithm(arg(2)) : core::Algorithm::kTwoDHybrid;
+  const int nsources = arg(3) ? std::atoi(arg(3)) : 16;
+
+  const comm::WireFormat wire_format =
+      comm::parse_wire_format(args.get("wire-format", "raw"));
+  const bfs::DirectionMode direction =
+      bfs::parse_direction_mode(args.get("direction", "topdown"));
 
   std::printf("=== Graph500-style run ===\n");
   std::printf("SCALE: %d  edgefactor: 16  cores: %d  algorithm: %s  "
@@ -121,26 +95,16 @@ int main(int argc, char** argv) {
   opts.machine = model::hopper();
   opts.wire_format = wire_format;
   opts.direction = direction;
-  opts.alpha = alpha;
-  opts.beta = beta;
-  if (!fault_plan.empty()) {
-    if (fault_plan.rfind("kill:", 0) == 0) {
-      opts.faults.rank_kills = simmpi::parse_kill_specs(fault_plan.substr(5));
-    } else if (fault_plan.rfind("flip:", 0) == 0) {
-      opts.faults.mem_flips = simmpi::parse_flip_specs(fault_plan.substr(5));
-    } else {
-      std::ifstream plan_file(fault_plan);
-      if (!plan_file) {
-        std::fprintf(stderr, "cannot open fault plan %s\n",
-                     fault_plan.c_str());
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << plan_file.rdbuf();
-      opts.faults = simmpi::fault_plan_from_json(buffer.str());
-    }
-  }
-  opts.recover = recover_opts;
+  opts.alpha = args.get_double("alpha", 14.0);
+  opts.beta = args.get_double("beta", 24.0);
+  const std::string fault_plan = args.get("fault-plan", "");
+  if (!fault_plan.empty()) opts.faults = simmpi::load_fault_plan(fault_plan);
+  opts.recover.checkpoint_every =
+      static_cast<int>(args.get_int("checkpoint-every", 0));
+  opts.recover.policy =
+      recover::parse_policy(args.get("recover-policy", "shrink"));
+  opts.recover.audit_every =
+      static_cast<int>(args.get_int("audit-every", 0));
   opts.trace = !trace_out.empty() || !bench_out.empty();
   opts.metrics = !bench_out.empty() || !metrics_format.empty();
   // The atlas rides along with any bench record (its summary is a
@@ -155,7 +119,26 @@ int main(int argc, char** argv) {
   const auto sources =
       graph::sample_sources(engine.csr(), comps, nsources, 2023);
 
-  const auto batch = engine.run_batch(sources, built.directed_edge_count);
+  const auto dump_flight = [&engine](const std::string& path) {
+    std::ofstream flight_file(path);
+    if (!flight_file) {
+      std::fprintf(stderr, "cannot write flight dump to %s\n", path.c_str());
+      return false;
+    }
+    engine.flight_recorder()->write_json(flight_file);
+    std::printf("wrote flight recorder dump to %s (%zu events held)\n",
+                path.c_str(), engine.flight_recorder()->size());
+    return true;
+  };
+  const std::string error_dump =
+      flight_out.empty() ? "FLIGHT_ERROR.json" : flight_out;
+  core::BatchResult batch;
+  try {
+    batch = engine.run_batch(sources, built.directed_edge_count);
+  } catch (const simmpi::FaultError&) {
+    dump_flight(error_dump);  // the black box of the unrecovered fault
+    throw;
+  }
   if (batch.failed > 0) {
     std::fprintf(stderr, "VALIDATION FAILED for %d sources: %s\n",
                  batch.failed, batch.first_error.c_str());
@@ -164,6 +147,7 @@ int main(int argc, char** argv) {
                    batch.first_error_check.c_str(),
                    static_cast<long long>(batch.first_error_vertex));
     }
+    dump_flight(error_dump);
     return 1;
   }
   std::printf("validated BFS trees: %d/%zu\n", batch.validated,
@@ -286,16 +270,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!flight_out.empty() && engine.flight_recorder() != nullptr) {
-    std::ofstream flight_file(flight_out);
-    if (!flight_file) {
-      std::fprintf(stderr, "cannot write flight dump to %s\n",
-                   flight_out.c_str());
-      return 1;
-    }
-    engine.flight_recorder()->write_json(flight_file);
-    std::printf("wrote flight recorder dump to %s (%zu events held)\n",
-                flight_out.c_str(), engine.flight_recorder()->size());
-  }
+  if (!flight_out.empty() && !dump_flight(flight_out)) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  dbfs::util::ArgParser args(argc, argv);
+  args.describe("trace-out", "Chrome trace of the first key's run")
+      .describe("bench-out", "BenchRecord JSON of the run")
+      .describe("flight-out", "flight-recorder dump after the run")
+      .describe("atlas-out", "communication atlas of the first key's run")
+      .describe("metrics-format", "dump the metrics: openmetrics | json")
+      .describe("wire-format", "raw | sieve | bitmap | varint | auto", "raw")
+      .describe("direction", "topdown | bottomup | hybrid", "topdown")
+      .describe("alpha", "bottom-up engage threshold", "14")
+      .describe("beta", "bottom-up disengage threshold", "24")
+      .describe("fault-plan", "kill:SPECS | flip:SPECS | FILE.json")
+      .describe("checkpoint-every", "checkpoint cadence in levels", "0")
+      .describe("recover-policy", "shrink | spare", "shrink")
+      .describe("audit-every", "SDC audit cadence in levels", "0");
+  for (const std::string& key : args.unknown_keys()) {
+    std::fprintf(stderr, "warning: unknown option --%s\n", key.c_str());
+  }
+  try {
+    return run(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

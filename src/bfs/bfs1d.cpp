@@ -71,15 +71,9 @@ struct Bfs1D::Impl final : LevelEngine {
         driver(*this, cluster, world, n, opts.recover, "1d-level") {
     std::iota(world.begin(), world.end(), 0);
     cluster.set_fault_plan(opts.faults);
-    cluster.set_observers(opts.tracer, opts.metrics);
-    cluster.set_flight(opts.flight);
-    if (opts.atlas != nullptr) {
-      opts.atlas->ensure_ranks(opts.ranks);
-      // 1D = a degenerate 1×p grid: the single row group is the world,
-      // so no off-diagonal pair ever classifies as subcommunicator-local.
-      opts.atlas->set_grid(1, opts.ranks);
-      cluster.set_atlas(opts.atlas);
-    }
+    // 1D = a degenerate 1×p grid: the single row group is the world, so
+    // no off-diagonal atlas pair ever classifies as subcommunicator-local.
+    cluster.attach(opts.observers, 1, opts.ranks);
     if (!opts.faults.rank_kills.empty() &&
         opts.recover.policy == recover::Policy::kShrink) {
       edges_keep = edges;
@@ -234,26 +228,19 @@ struct Bfs1D::Impl final : LevelEngine {
                                       mean_bytes * cluster.nic_factor(),
                                       opts.ranks),
         "1d-chunked");
-    simmpi::sync_collective(cluster, world, max_cost, "1d-chunked",
-                            simmpi::Pattern::kPointToPoint, network_bytes);
-    cluster.traffic().record(simmpi::Pattern::kPointToPoint, network_bytes,
-                             max_cost, opts.ranks);
-    if (obs::CommAtlas* atlas = cluster.atlas()) {
-      // Real per-pair volumes, recorded after the collective (mirroring
-      // the meter) so a kill at the barrier leaves nothing half-counted.
-      auto& sl = atlas->slice(
-          static_cast<int>(simmpi::Pattern::kPointToPoint),
-          simmpi::to_string(simmpi::Pattern::kPointToPoint), "1d-chunked",
-          cluster.current_level());
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < p; ++j) {
-          if (i == j || send.counts[i][j] == 0) continue;
-          sl.add(static_cast<int>(i), static_cast<int>(j),
-                 static_cast<std::uint64_t>(send.counts[i][j]) *
-                     sizeof(Candidate));
-        }
-      }
-    }
+    simmpi::meter_collective(
+        cluster, world, max_cost, "1d-chunked",
+        simmpi::Pattern::kPointToPoint, network_bytes,
+        [&](obs::CommAtlas::Slice& sl) {
+          for (std::size_t i = 0; i < p; ++i) {
+            for (std::size_t j = 0; j < p; ++j) {
+              if (i == j || send.counts[i][j] == 0) continue;
+              sl.add(static_cast<int>(i), static_cast<int>(j),
+                     static_cast<std::uint64_t>(send.counts[i][j]) *
+                         sizeof(Candidate));
+            }
+          }
+        });
     return recv;
   }
 

@@ -79,19 +79,10 @@ struct Bfs1DOptions {
   /// replication, so arming this without scheduling kills leaves the run
   /// and its report bit-identical.
   recover::RecoverOptions recover;
-  /// Passive observers (non-owning; see src/obs/). Null = off; attaching
-  /// them never perturbs the simulated run, it only records it and
-  /// enables the per-level comm/comp breakdown in the report.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Always-on black-box event ring (see obs/flight_recorder.hpp); like
-  /// the observers it is passive, non-owning, and null = off.
-  obs::FlightRecorder* flight = nullptr;
-  /// Per-rank-pair communication atlas (see obs/comm_atlas.hpp); passive,
-  /// non-owning, null = off. The driver installs the 1×p grid, so the
-  /// atlas's subcommunicator-locality share is 0 by construction (the
-  /// only row group IS the world — the paper's 1D contrast).
-  obs::CommAtlas* atlas = nullptr;
+  /// Passive observers (obs/observers.hpp); attaching any never perturbs
+  /// the run. The atlas gets the 1×p grid, so its subcommunicator
+  /// locality share is 0 by construction (the paper's 1D contrast).
+  obs::Observers observers;
   std::string label = "1d";
 };
 

@@ -173,15 +173,9 @@ struct Bfs2D::Impl final : LevelEngine {
         driver(*this, cluster, world, n, opts.recover, "2d-level") {
     std::iota(world.begin(), world.end(), 0);
     cluster.set_fault_plan(opts.faults);
-    cluster.set_observers(opts.tracer, opts.metrics);
-    cluster.set_flight(opts.flight);
-    if (opts.atlas != nullptr) {
-      opts.atlas->ensure_ranks(grid.ranks());
-      // The pr×pc grid lets the atlas classify expand/fold bytes as
-      // row/column-subcommunicator traffic (the 2D locality split).
-      opts.atlas->set_grid(grid.pr(), grid.pc());
-      cluster.set_atlas(opts.atlas);
-    }
+    // The pr×pc grid lets the atlas classify expand/fold bytes as
+    // row/column-subcommunicator traffic (the 2D locality split).
+    cluster.attach(opts.observers, grid.pr(), grid.pc());
     if (!opts.faults.rank_kills.empty() &&
         opts.recover.policy == recover::Policy::kShrink) {
       edges_keep = edges;
@@ -508,8 +502,8 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     im.dirop_shadow[1] = static_cast<std::uint64_t>(im.dirop_m_f);
     im.dirop_shadow[2] = bottom_up ? 1 : 0;
     im.dirop_shadow[0] -= std::min(im.dirop_shadow[0], im.dirop_shadow[1]);
-    if (im.opts.flight != nullptr) {
-      im.opts.flight
+    if (obs::FlightRecorder* flight = im.cluster.flight()) {
+      flight
           ->append("dirop", to_string(rationale),
                    im.cluster.clocks().max_now(), -1,
                    static_cast<int>(stats.level))
@@ -879,18 +873,17 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
       d.top_down_wire_raw_bytes += wire_level.pre_bytes;
       d.top_down_wire_bytes += wire_level.stats.encoded_bytes;
     }
-    if (im.opts.metrics != nullptr) {
-      obs::MetricsRegistry& m = *im.opts.metrics;
-      ++m.counter(bottom_up ? "dirop.levels.bottom_up"
-                            : "dirop.levels.top_down");
-      m.counter(bottom_up ? "dirop.edges.bottom_up"
-                          : "dirop.edges.top_down") +=
+    if (obs::MetricsRegistry* m = im.cluster.metrics()) {
+      ++m->counter(bottom_up ? "dirop.levels.bottom_up"
+                             : "dirop.levels.top_down");
+      m->counter(bottom_up ? "dirop.edges.bottom_up"
+                           : "dirop.edges.top_down") +=
           static_cast<std::int64_t>(stats.edges_scanned);
-      m.counter(bottom_up ? "dirop.wire.bottom_up_raw_bytes"
-                          : "dirop.wire.top_down_raw_bytes") +=
+      m->counter(bottom_up ? "dirop.wire.bottom_up_raw_bytes"
+                           : "dirop.wire.top_down_raw_bytes") +=
           static_cast<std::int64_t>(wire_level.pre_bytes);
-      m.counter(bottom_up ? "dirop.wire.bottom_up_bytes"
-                          : "dirop.wire.top_down_bytes") +=
+      m->counter(bottom_up ? "dirop.wire.bottom_up_bytes"
+                           : "dirop.wire.top_down_bytes") +=
           static_cast<std::int64_t>(wire_level.stats.encoded_bytes);
     }
   }

@@ -23,9 +23,7 @@
 #include "graph/edge_list.hpp"
 #include "model/cost.hpp"
 #include "model/machine.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/observers.hpp"
 #include "recover/checkpoint.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/process_grid.hpp"
@@ -87,20 +85,11 @@ struct Bfs2DOptions {
   /// must stay square for the transpose exchanges). Arming this without
   /// scheduling kills leaves the run and its report bit-identical.
   recover::RecoverOptions recover;
-  /// Passive observers (non-owning; see src/obs/). Null = off; attaching
-  /// them never perturbs the simulated run, it only records it and
-  /// enables the per-level comm/comp breakdown in the report.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Always-on black-box event ring (see obs/flight_recorder.hpp); like
-  /// the observers it is passive, non-owning, and null = off.
-  obs::FlightRecorder* flight = nullptr;
-  /// Per-rank-pair communication atlas (see obs/comm_atlas.hpp); passive,
-  /// non-owning, null = off. The driver installs the pr×pc grid so the
-  /// atlas can split bytes into row/column subcommunicator traffic
-  /// (expand, fold) versus grid-wide traffic (transpose, allreduces) —
-  /// the 2D locality contrast the paper's §6 breakdown is built on.
-  obs::CommAtlas* atlas = nullptr;
+  /// Passive observers (obs/observers.hpp); attaching any never perturbs
+  /// the run. The atlas gets the pr×pc grid, splitting row/column
+  /// subcommunicator traffic (expand, fold) from grid-wide traffic — the
+  /// 2D locality contrast of the paper's §6 breakdown.
+  obs::Observers observers;
   /// Direction optimization. kTopDown (the default) keeps every code path
   /// and report byte-identical to the pre-hybrid engine; kHybrid prices
   /// the per-level switch with Beamer's alpha-beta rule on globally

@@ -402,14 +402,11 @@ void LevelDriver::shrink_cluster(const simmpi::RankFailedError& dead,
                         cluster_.threads_per_rank());
   fresh.set_fault_plan(cluster_.faults());
   fresh.fault_counters() = cluster_.fault_counters();
-  fresh.set_observers(cluster_.tracer(), cluster_.metrics());
-  fresh.set_flight(cluster_.flight());
-  // The atlas rides across the rebuild like the meter: its matrix keeps
-  // the original dimension (pair bytes recorded before the kill stay
-  // attributed, so the reconciliation with the carried meter holds)
-  // while the locality split follows the new, smaller shape.
-  fresh.set_atlas(cluster_.atlas());
-  if (cluster_.atlas() != nullptr) cluster_.atlas()->set_grid(rows, cols);
+  // The observers ride across the rebuild like the meter: the atlas
+  // matrix keeps the original dimension (pair bytes recorded before the
+  // kill stay attributed, so the reconciliation with the carried meter
+  // holds) while the locality split follows the new, smaller shape.
+  fresh.attach(cluster_.observers(), rows, cols);
   // Carry history forward: the meter keeps everything that ever moved
   // (including the lost window, which will move again), and the seeded
   // clocks keep the makespan continuous across the rebuild. Per-rank

@@ -59,6 +59,7 @@ struct Engine::Impl {
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::FlightRecorder> flight;
   std::unique_ptr<obs::CommAtlas> atlas;
+  obs::Observers observers;  ///< the four above, as the drivers see them
 
   Impl(const graph::EdgeList& input, vid_t num_vertices, EngineOptions options)
       : opts(std::move(options)), n(num_vertices), edges(input) {
@@ -79,6 +80,7 @@ struct Engine::Impl {
       // ring the error paths can dump post mortem. It is passive, so the
       // run and its report are byte-identical with or without it.
       flight = std::make_unique<obs::FlightRecorder>();
+      observers = {tracer.get(), metrics.get(), flight.get(), atlas.get()};
     }
 
     switch (opts.algorithm) {
@@ -96,10 +98,7 @@ struct Engine::Impl {
         o.load_smoothing = opts.load_smoothing;
         o.faults = opts.faults;
         o.recover = opts.recover;
-        o.tracer = tracer.get();
-        o.metrics = metrics.get();
-        o.flight = flight.get();
-        o.atlas = atlas.get();
+        o.observers = observers;
         one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
         break;
       }
@@ -116,10 +115,7 @@ struct Engine::Impl {
         o.load_smoothing = opts.load_smoothing;
         o.faults = opts.faults;
         o.recover = opts.recover;
-        o.tracer = tracer.get();
-        o.metrics = metrics.get();
-        o.flight = flight.get();
-        o.atlas = atlas.get();
+        o.observers = observers;
         o.direction = opts.direction;
         o.alpha = opts.alpha;
         o.beta = opts.beta;
@@ -132,10 +128,7 @@ struct Engine::Impl {
         g.machine = opts.machine;
         auto o = bfs::graph500_reference_options(g);
         o.faults = opts.faults;
-        o.tracer = tracer.get();
-        o.metrics = metrics.get();
-        o.flight = flight.get();
-        o.atlas = atlas.get();
+        o.observers = observers;
         one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
         break;
       }
@@ -145,10 +138,7 @@ struct Engine::Impl {
         g.machine = opts.machine;
         auto o = bfs::pbgl_like_options(g);
         o.faults = opts.faults;
-        o.tracer = tracer.get();
-        o.metrics = metrics.get();
-        o.flight = flight.get();
-        o.atlas = atlas.get();
+        o.observers = observers;
         one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
         break;
       }

@@ -16,11 +16,12 @@
 // simulator never reads it back, recording happens strictly after the
 // clock updates and fault draws, and a run is byte-identical in its
 // report JSON whether or not an atlas is attached. Recording mirrors the
-// TrafficMeter exactly — sites the meter skips (the unpriced
-// recover-restore transfer) are skipped here too, so per-pattern pair
-// sums reconcile with the meter's totals even through shrink recovery
-// (the driver carries the atlas across the rebuilt cluster the same way
-// it carries the meter).
+// TrafficMeter by construction — both are written by the one metered
+// collective epilogue (simmpi::meter_collective), so transfers the meter
+// skips (the unpriced recover-restore and sdc-rollback restores) are
+// skipped here too, and per-pattern pair sums reconcile with the meter's
+// totals even through shrink recovery (the driver carries the atlas
+// across the rebuilt cluster the same way it carries the meter).
 //
 // Bytes land in two ledgers per bucket: add() for network bytes the
 // meter counts (off-diagonal pairs, plus the degenerate single-rank

@@ -59,7 +59,7 @@ class Tracer {
   Tracer() = default;
   explicit Tracer(int ranks) { ensure_ranks(ranks); }
 
-  /// Pre-size the per-rank buffers (Cluster::set_observers calls this so
+  /// Pre-size the per-rank buffers (Observers::prepare calls this so
   /// recording never reallocates the outer table mid-run).
   void ensure_ranks(int ranks);
   int ranks() const noexcept { return static_cast<int>(per_rank_.size()); }

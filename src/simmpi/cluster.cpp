@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "model/cost.hpp"
-#include "obs/comm_atlas.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -105,24 +104,24 @@ void Cluster::check_fail_stop(std::span<const int> group, const char* site) {
       faults_.backoff_cap_seconds);
   double detected_at = clocks_.now(victim);
   if (!survivors.empty()) {
-    if (tracer_ != nullptr) {
+    if (obs::Tracer* tracer = observers_.tracer) {
       double start = 0.0;
       for (int r : survivors) start = std::max(start, clocks_.now(r));
-      tracer_->instant(victim, "rank-killed", clocks_.now(victim), 0.0);
+      tracer->instant(victim, "rank-killed", clocks_.now(victim), 0.0);
       for (int r : survivors) {
-        tracer_->record(r, obs::SpanKind::kWait, "failure-detect", site,
+        tracer->record(r, obs::SpanKind::kWait, "failure-detect", site,
                         clocks_.now(r), start + detect);
       }
     }
     clocks_.collective(survivors, detect);
     detected_at = clocks_.now(survivors.front());
   }
-  if (metrics_ != nullptr) {
-    ++metrics_->counter("fault.rank_kills");
-    metrics_->histogram("fault.detect_seconds").observe(detect);
+  if (obs::MetricsRegistry* metrics = observers_.metrics) {
+    ++metrics->counter("fault.rank_kills");
+    metrics->histogram("fault.detect_seconds").observe(detect);
   }
-  if (flight_ != nullptr) {
-    flight_->append("fault", site, detected_at, victim, current_level_)
+  if (obs::FlightRecorder* flight = observers_.flight) {
+    flight->append("fault", site, detected_at, victim, current_level_)
         .set("detect_seconds", detect)
         .set("survivors", static_cast<double>(survivors.size()));
   }
@@ -166,10 +165,7 @@ void Cluster::reset_accounting() {
   traffic_.reset();
   fault_events_ = 0;
   fault_counters_.reset();
-  if (tracer_ != nullptr) tracer_->clear();
-  if (metrics_ != nullptr) metrics_->clear();
-  if (flight_ != nullptr) flight_->clear();
-  if (atlas_ != nullptr) atlas_->clear();
+  observers_.clear();
 }
 
 }  // namespace dbfs::simmpi

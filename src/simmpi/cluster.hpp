@@ -18,13 +18,10 @@
 #include "model/machine.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observers.hpp"
 #include "obs/trace.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/traffic.hpp"
-
-namespace dbfs::obs {
-class CommAtlas;
-}
 
 namespace dbfs::simmpi {
 
@@ -57,44 +54,28 @@ class Cluster {
   /// exactly how a slow node hurts a level-synchronous BFS.
   void charge_compute(int rank, double seconds) {
     const double charged = seconds * fault_compute_factor(rank);
-    if (tracer_ != nullptr && charged > 0.0) {
+    if (observers_.tracer != nullptr && charged > 0.0) {
       const double begin = clocks_.now(rank);
-      tracer_->record(rank, obs::SpanKind::kCompute, compute_phase_, "",
+      observers_.tracer->record(rank, obs::SpanKind::kCompute, compute_phase_, "",
                       begin, begin + charged);
     }
     clocks_.advance_compute(rank, charged);
   }
 
-  /// Attach passive observers (see src/obs/). Either may be null; the
-  /// simulated run is bit-identical with or without them — they only
-  /// record what already happens. Observer contents are cleared by
-  /// reset_accounting so each run reports its own events.
-  void set_observers(obs::Tracer* tracer,
-                     obs::MetricsRegistry* metrics) noexcept {
-    tracer_ = tracer;
-    metrics_ = metrics;
-    if (tracer_ != nullptr) tracer_->ensure_ranks(ranks_);
+  /// Attach the passive observers (obs/observers.hpp) for this cluster's
+  /// rows×cols shape (1×p for 1D) and pre-size them. Attaching any subset
+  /// leaves the simulated run bit-identical; reset_accounting clears them
+  /// so each run reports its own events.
+  void attach(const obs::Observers& observers, int rows, int cols) {
+    observers_ = observers;
+    observers_.prepare(rows, cols);
   }
-  obs::Tracer* tracer() const noexcept { return tracer_; }
-  obs::MetricsRegistry* metrics() const noexcept { return metrics_; }
-  bool observing() const noexcept {
-    return tracer_ != nullptr || metrics_ != nullptr;
-  }
-
-  /// Attach the always-on flight recorder (see obs/flight_recorder.hpp).
-  /// Like the observers it is passive and non-owning; reset_accounting
-  /// clears it so each run's dump describes that run alone.
-  void set_flight(obs::FlightRecorder* flight) noexcept { flight_ = flight; }
-  obs::FlightRecorder* flight() const noexcept { return flight_; }
-
-  /// Attach the per-rank-pair communication atlas (obs/comm_atlas.hpp).
-  /// Passive and non-owning like the other observers: the collectives
-  /// record pair volumes into it at exactly the TrafficMeter's call
-  /// sites, after the clock updates, so attaching one never perturbs a
-  /// run. reset_accounting clears its buckets so each run's atlas
-  /// describes that run alone.
-  void set_atlas(obs::CommAtlas* atlas) noexcept { atlas_ = atlas; }
-  obs::CommAtlas* atlas() const noexcept { return atlas_; }
+  const obs::Observers& observers() const noexcept { return observers_; }
+  obs::Tracer* tracer() const noexcept { return observers_.tracer; }
+  obs::MetricsRegistry* metrics() const noexcept { return observers_.metrics; }
+  obs::FlightRecorder* flight() const noexcept { return observers_.flight; }
+  obs::CommAtlas* atlas() const noexcept { return observers_.atlas; }
+  bool observing() const noexcept { return observers_.observing(); }
 
   /// Label applied to subsequent charge_compute spans ("1d-scan",
   /// "2d-spmsv", ...). Must be a static string.
@@ -106,7 +87,7 @@ class Cluster {
   /// against this, so it is tracked with or without a tracer.
   void set_trace_level(int level) noexcept {
     current_level_ = level;
-    if (tracer_ != nullptr) tracer_->set_level(level);
+    if (observers_.tracer != nullptr) observers_.tracer->set_level(level);
   }
   int current_level() const noexcept { return current_level_; }
 
@@ -201,10 +182,7 @@ class Cluster {
   model::VirtualClocks clocks_;
   TrafficMeter traffic_;
 
-  obs::Tracer* tracer_ = nullptr;            ///< non-owning; null = off
-  obs::MetricsRegistry* metrics_ = nullptr;  ///< non-owning; null = off
-  obs::FlightRecorder* flight_ = nullptr;    ///< non-owning; null = off
-  obs::CommAtlas* atlas_ = nullptr;          ///< non-owning; null = off
+  obs::Observers observers_;
   const char* compute_phase_ = "compute";
   int current_level_ = -1;
 

@@ -113,6 +113,22 @@ inline void sync_collective(Cluster& cluster, std::span<const int> group,
   }
 }
 
+/// Observer trail of a fault repaired inside a collective on `group`: a
+/// tracer instant `offset` seconds past the moment the slowest member
+/// arrives, lasting `seconds`, and one count of `counter` in the metrics.
+inline void note_repair(Cluster& cluster, std::span<const int> group,
+                        const char* name, const char* counter,
+                        double offset = 0.0, double seconds = 0.0) {
+  if (!cluster.observing()) return;
+  double at = 0.0;
+  for (int r : group) at = std::max(at, cluster.clocks().now(r));
+  if (obs::Tracer* tr = cluster.tracer()) {
+    tr->instant(group.empty() ? 0 : group.front(), name, at + offset,
+                seconds);
+  }
+  if (obs::MetricsRegistry* m = cluster.metrics()) ++m->counter(counter);
+}
+
 /// Price one collective under the cluster's fault plan: scale `base_cost`
 /// by the worst NIC degradation in `group`, then inject deterministic
 /// transient failures — each failed issue costs the full scaled transfer
@@ -137,19 +153,12 @@ inline double faulted_cost(Cluster& cluster, std::span<const int> group,
     const double pause = plan.backoff_seconds(attempt);
     counters.backoff_seconds += pause;
     counters.reissue_seconds += cost;
-    if (cluster.observing()) {
-      // The failed issue + backoff lands inside the upcoming collective
-      // window, which starts when the slowest participant arrives.
-      double at = 0.0;
-      for (int r : group) at = std::max(at, cluster.clocks().now(r));
-      if (obs::Tracer* tr = cluster.tracer()) {
-        tr->instant(group.empty() ? 0 : group.front(), "collective-failure",
-                    at + total, cost + pause);
-      }
-      if (obs::MetricsRegistry* m = cluster.metrics()) {
-        ++m->counter("fault.collective_failures");
-        m->histogram("fault.backoff_seconds").observe(pause);
-      }
+    // The failed issue + backoff lands inside the upcoming collective
+    // window, which starts when the slowest participant arrives.
+    note_repair(cluster, group, "collective-failure",
+                "fault.collective_failures", total, cost + pause);
+    if (obs::MetricsRegistry* m = cluster.metrics()) {
+      m->histogram("fault.backoff_seconds").observe(pause);
     }
     total += cost + pause;
     ++attempt;
@@ -168,6 +177,25 @@ inline double faulted_cost_rooted(Cluster& cluster, int root_rank,
   const int root[1] = {root_rank};
   return faulted_cost(cluster, std::span<const int>(root, 1), base_cost,
                       site);
+}
+
+/// The one epilogue of every metered collective, run on faulted_cost's
+/// price: synchronize the group (sync_collective), record the transfer in
+/// the TrafficMeter, and, with an atlas attached, hand `attribute` the
+/// (pattern, site, level) slice to write the per-pair bytes into — so the
+/// atlas records exactly what the meter records. The unmetered restore
+/// transfers (recover-restore, sdc-rollback) call sync_collective alone.
+template <typename Attribute>
+void meter_collective(Cluster& cluster, std::span<const int> group,
+                      double cost, const char* site, Pattern pattern,
+                      std::uint64_t network_bytes, Attribute&& attribute) {
+  sync_collective(cluster, group, cost, site, pattern, network_bytes);
+  cluster.traffic().record(pattern, network_bytes, cost,
+                           static_cast<int>(group.size()));
+  if (obs::CommAtlas* atlas = cluster.atlas()) {
+    attribute(atlas->slice(static_cast<int>(pattern), to_string(pattern),
+                           site, cluster.current_level()));
+  }
 }
 
 /// Order-independent checksum of a payload: the wrapping sum of per-item
@@ -319,30 +347,25 @@ FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
               static_cast<double>(bottleneck * sizeof(T)) *
               cluster.nic_factor())),
       site);
-  sync_collective(cluster, group, cost, site, Pattern::kAlltoallv,
-                  total_items * sizeof(T));
-  cluster.traffic().record(Pattern::kAlltoallv, total_items * sizeof(T), cost,
-                           static_cast<int>(g));
-  if (obs::CommAtlas* atlas = cluster.atlas()) {
-    auto& sl = atlas->slice(static_cast<int>(Pattern::kAlltoallv),
-                            to_string(Pattern::kAlltoallv), site,
-                            cluster.current_level());
-    for (std::size_t i = 0; i < g; ++i) {
-      for (std::size_t j = 0; j < g; ++j) {
-        const auto bytes =
-            static_cast<std::uint64_t>(recv.counts[j][i]) * sizeof(T);
-        if (bytes == 0) continue;
-        if (i == j) {
-          // Self-addressed block: unmetered, but the 1D wire codec counts
-          // its encoded bytes, so the local ledger keeps the
-          // wire.bytes_after reconciliation exact.
-          sl.add_local(group[i], bytes);
-        } else {
-          sl.add(group[i], group[j], bytes);
+  meter_collective(
+      cluster, group, cost, site, Pattern::kAlltoallv,
+      total_items * sizeof(T), [&](obs::CommAtlas::Slice& sl) {
+        for (std::size_t i = 0; i < g; ++i) {
+          for (std::size_t j = 0; j < g; ++j) {
+            const auto bytes =
+                static_cast<std::uint64_t>(recv.counts[j][i]) * sizeof(T);
+            if (bytes == 0) continue;
+            if (i == j) {
+              // Self-addressed block: unmetered, but the 1D wire codec
+              // counts its encoded bytes, so the local ledger keeps the
+              // wire.bytes_after reconciliation exact.
+              sl.add_local(group[i], bytes);
+            } else {
+              sl.add(group[i], group[j], bytes);
+            }
+          }
         }
-      }
-    }
-  }
+      });
   if (cluster.faults_enabled() && cluster.faults().payload_faults()) {
     detail::maybe_corrupt(cluster, recv.data);
   }
@@ -379,23 +402,18 @@ std::vector<T> allgatherv(Cluster& cluster, std::span<const int> group,
                                    cluster.nic_factor()),
           algo),
       site);
-  sync_collective(cluster, group, cost, site, Pattern::kAllgatherv,
-                  network_items * sizeof(T));
-  cluster.traffic().record(Pattern::kAllgatherv, network_items * sizeof(T),
-                           cost, static_cast<int>(group.size()));
-  if (obs::CommAtlas* atlas = cluster.atlas()) {
-    auto& sl = atlas->slice(static_cast<int>(Pattern::kAllgatherv),
-                            to_string(Pattern::kAllgatherv), site,
-                            cluster.current_level());
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      const auto bytes =
-          static_cast<std::uint64_t>(pieces[i].size()) * sizeof(T);
-      if (bytes == 0) continue;
-      for (std::size_t k = 0; k < group.size(); ++k) {
-        if (k != i) sl.add(group[i], group[k], bytes);
-      }
-    }
-  }
+  meter_collective(
+      cluster, group, cost, site, Pattern::kAllgatherv,
+      network_items * sizeof(T), [&](obs::CommAtlas::Slice& sl) {
+        for (std::size_t i = 0; i < pieces.size(); ++i) {
+          const auto bytes =
+              static_cast<std::uint64_t>(pieces[i].size()) * sizeof(T);
+          if (bytes == 0) continue;
+          for (std::size_t k = 0; k < group.size(); ++k) {
+            if (k != i) sl.add(group[i], group[k], bytes);
+          }
+        }
+      });
   if (cluster.faults_enabled() && cluster.faults().payload_faults()) {
     detail::maybe_corrupt_one(cluster, result);
   }
@@ -414,24 +432,18 @@ T allreduce(Cluster& cluster, std::span<const int> group,
       model::cost_allreduce(cluster.machine(),
                             static_cast<int>(group.size()), sizeof(T)),
       site);
-  sync_collective(cluster, group, cost, site, Pattern::kAllreduce,
-                  static_cast<std::uint64_t>(group.size()) * sizeof(T));
-  cluster.traffic().record(
-      Pattern::kAllreduce,
-      static_cast<std::uint64_t>(group.size()) * sizeof(T), cost,
-      static_cast<int>(group.size()));
-  if (obs::CommAtlas* atlas = cluster.atlas()) {
-    auto& sl = atlas->slice(static_cast<int>(Pattern::kAllreduce),
-                            to_string(Pattern::kAllreduce), site,
-                            cluster.current_level());
-    // Ring attribution: each member forwards one element to its
-    // neighbor, matching the meter's g·sizeof(T). A single-rank group
-    // degenerates to a metered diagonal entry.
-    const std::size_t g = group.size();
-    for (std::size_t k = 0; k < g; ++k) {
-      sl.add(group[k], group[(k + 1) % g], sizeof(T));
-    }
-  }
+  const std::size_t g = group.size();
+  meter_collective(cluster, group, cost, site, Pattern::kAllreduce,
+                   static_cast<std::uint64_t>(g) * sizeof(T),
+                   [&](obs::CommAtlas::Slice& sl) {
+                     // Ring attribution: each member forwards one element
+                     // to its neighbor, matching the meter's g·sizeof(T).
+                     // A single-rank group degenerates to a metered
+                     // diagonal entry.
+                     for (std::size_t k = 0; k < g; ++k) {
+                       sl.add(group[k], group[(k + 1) % g], sizeof(T));
+                     }
+                   });
   return acc;
 }
 
@@ -469,18 +481,13 @@ std::vector<std::vector<T>> transpose_exchange(
                             static_cast<double>(bytes) *
                             cluster.nic_factor())),
         site);
-    sync_collective(cluster, pair, cost, site, Pattern::kTranspose,
-                    static_cast<std::uint64_t>(bytes) * 2);
-    cluster.traffic().record(Pattern::kTranspose,
-                             static_cast<std::uint64_t>(bytes) * 2, cost, 2);
-    if (obs::CommAtlas* atlas = cluster.atlas()) {
-      auto& sl = atlas->slice(static_cast<int>(Pattern::kTranspose),
-                              to_string(Pattern::kTranspose), site,
-                              cluster.current_level());
-      // Metered as bytes × 2 (the pair's max volume, both directions).
-      sl.add(rank, partner, static_cast<std::uint64_t>(bytes));
-      sl.add(partner, rank, static_cast<std::uint64_t>(bytes));
-    }
+    // Metered as bytes × 2 (the pair's max volume, both directions).
+    meter_collective(cluster, pair, cost, site, Pattern::kTranspose,
+                     static_cast<std::uint64_t>(bytes) * 2,
+                     [&](obs::CommAtlas::Slice& sl) {
+                       sl.add(rank, partner, bytes);
+                       sl.add(partner, rank, bytes);
+                     });
   }
   return out;
 }
@@ -514,22 +521,17 @@ std::vector<T> gatherv(Cluster& cluster, std::span<const int> group,
                               static_cast<double>(network_items * sizeof(T)) *
                               cluster.nic_factor())),
       site);
-  sync_collective(cluster, group, transfer, site, Pattern::kGatherv,
-                  network_items * sizeof(T));
-  cluster.traffic().record(Pattern::kGatherv, network_items * sizeof(T),
-                           transfer, static_cast<int>(group.size()));
-  if (obs::CommAtlas* atlas = cluster.atlas()) {
-    auto& sl = atlas->slice(static_cast<int>(Pattern::kGatherv),
-                            to_string(Pattern::kGatherv), site,
-                            cluster.current_level());
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      const auto bytes =
-          static_cast<std::uint64_t>(pieces[i].size()) * sizeof(T);
-      if (i != root_slot && bytes > 0) {
-        sl.add(group[i], group[root_slot], bytes);
-      }
-    }
-  }
+  meter_collective(
+      cluster, group, transfer, site, Pattern::kGatherv,
+      network_items * sizeof(T), [&](obs::CommAtlas::Slice& sl) {
+        for (std::size_t i = 0; i < pieces.size(); ++i) {
+          const auto bytes =
+              static_cast<std::uint64_t>(pieces[i].size()) * sizeof(T);
+          if (i != root_slot && bytes > 0) {
+            sl.add(group[i], group[root_slot], bytes);
+          }
+        }
+      });
   return result;
 }
 
@@ -553,25 +555,15 @@ std::vector<T> broadcast(Cluster& cluster, std::span<const int> group,
                                 static_cast<double>(bytes) *
                                 cluster.nic_factor())),
       site);
-  sync_collective(cluster, group, cost, site, Pattern::kBroadcast,
-                  static_cast<std::uint64_t>(bytes) * (group.size() - 1));
-  cluster.traffic().record(
-      Pattern::kBroadcast,
-      static_cast<std::uint64_t>(bytes) * (group.size() - 1), cost,
-      static_cast<int>(group.size()));
-  if (obs::CommAtlas* atlas = cluster.atlas()) {
-    auto& sl = atlas->slice(static_cast<int>(Pattern::kBroadcast),
-                            to_string(Pattern::kBroadcast), site,
-                            cluster.current_level());
-    if (bytes > 0) {
-      for (std::size_t k = 0; k < group.size(); ++k) {
-        if (k != root_slot) {
-          sl.add(group[root_slot], group[k],
-                 static_cast<std::uint64_t>(bytes));
+  meter_collective(
+      cluster, group, cost, site, Pattern::kBroadcast,
+      static_cast<std::uint64_t>(bytes) * (group.size() - 1),
+      [&](obs::CommAtlas::Slice& sl) {
+        if (bytes == 0) return;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+          if (k != root_slot) sl.add(group[root_slot], group[k], bytes);
         }
-      }
-    }
-  }
+      });
   return payload;
 }
 
@@ -611,16 +603,7 @@ FlatExchange<T> checked_alltoallv(Cluster& cluster,
       return recv;
     }
     ++counters.payload_retries;
-    if (cluster.observing()) {
-      double at = 0.0;
-      for (int r : group) at = std::max(at, cluster.clocks().now(r));
-      if (obs::Tracer* tr = cluster.tracer()) {
-        tr->instant(group.empty() ? 0 : group.front(), "checksum-retry", at);
-      }
-      if (obs::MetricsRegistry* m = cluster.metrics()) {
-        ++m->counter("fault.checksum_retries");
-      }
-    }
+    note_repair(cluster, group, "checksum-retry", "fault.checksum_retries");
   }
   throw FaultError(site, "payload-corruption",
                    plan.max_payload_retries + 1, -1,
@@ -656,16 +639,7 @@ std::vector<T> checked_allgatherv(
         allreduce_sum<std::uint64_t>(cluster, group, piece_sums, "checksum");
     if (payload_checksum(result) == expected) return result;
     ++counters.payload_retries;
-    if (cluster.observing()) {
-      double at = 0.0;
-      for (int r : group) at = std::max(at, cluster.clocks().now(r));
-      if (obs::Tracer* tr = cluster.tracer()) {
-        tr->instant(group.empty() ? 0 : group.front(), "checksum-retry", at);
-      }
-      if (obs::MetricsRegistry* m = cluster.metrics()) {
-        ++m->counter("fault.checksum_retries");
-      }
-    }
+    note_repair(cluster, group, "checksum-retry", "fault.checksum_retries");
   }
   throw FaultError(site, "payload-corruption",
                    plan.max_payload_retries + 1, -1,

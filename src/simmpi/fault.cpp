@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "util/json.hpp"
 #include "util/prng.hpp"
@@ -371,6 +373,21 @@ FaultPlan fault_plan_from_json(const std::string& text) {
     }
   }
   return plan;
+}
+
+FaultPlan load_fault_plan(const std::string& spec, FaultPlan base) {
+  if (spec.rfind("kill:", 0) == 0) {
+    base.rank_kills = parse_kill_specs(spec.substr(5));
+  } else if (spec.rfind("flip:", 0) == 0) {
+    base.mem_flips = parse_flip_specs(spec.substr(5));
+  } else {
+    std::ifstream file(spec);
+    if (!file) throw std::invalid_argument("cannot open fault plan: " + spec);
+    std::ostringstream text;
+    text << file.rdbuf();
+    base = fault_plan_from_json(text.str());
+  }
+  return base;
 }
 
 std::vector<RankKill> parse_kill_specs(const std::string& spec) {

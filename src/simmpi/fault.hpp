@@ -245,6 +245,13 @@ std::string to_json(const FaultPlan& plan);
 /// stderr instead of being silently dropped.
 FaultPlan fault_plan_from_json(const std::string& text);
 
+/// Load a CLI --fault-plan value onto `base`: "kill:SPECS" replaces its
+/// kill schedule and "flip:SPECS" its flip schedule, keeping every other
+/// field; anything else names a fault-plan JSON file that replaces the
+/// whole plan. Throws std::invalid_argument on a malformed spec or an
+/// unreadable file (the message names the path).
+FaultPlan load_fault_plan(const std::string& spec, FaultPlan base = {});
+
 /// Parse the CLI kill syntax: comma-separated "RANK@levelL" /
 /// "RANK@tSECONDS" specs, e.g. "2@level3,0@t0.05". Throws
 /// std::invalid_argument on malformed specs.

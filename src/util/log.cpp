@@ -8,12 +8,9 @@
 namespace dbfs::util {
 
 LogLevel log_threshold() {
-  // project_env resolves DISTBFS_QUIET / DISTBFS_VERBOSE with the
-  // deprecated BFSSIM_ aliases; it warns via plain fprintf, never through
-  // log_message, so this static initialization cannot re-enter itself.
   static const LogLevel threshold = [] {
-    if (project_env_flag("QUIET")) return LogLevel::kError;
-    if (project_env_flag("VERBOSE")) return LogLevel::kDebug;
+    if (env_flag("DISTBFS_QUIET")) return LogLevel::kError;
+    if (env_flag("DISTBFS_VERBOSE")) return LogLevel::kDebug;
     return LogLevel::kInfo;
   }();
   return threshold;

@@ -1,7 +1,6 @@
 // Minimal leveled logging to stderr. Benches keep stdout clean for table
 // rows; diagnostics go through here and can be silenced with
-// DISTBFS_QUIET=1 or amplified with DISTBFS_VERBOSE=1 (the BFSSIM_
-// spellings remain as deprecated aliases).
+// DISTBFS_QUIET=1 or amplified with DISTBFS_VERBOSE=1.
 #pragma once
 
 #include <sstream>

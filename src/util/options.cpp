@@ -1,60 +1,11 @@
 #include "util/options.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 
 namespace dbfs::util {
-
-namespace {
-
-bool flag_value(const char* raw) {
-  if (raw == nullptr) return false;
-  const std::string_view v{raw};
-  return !v.empty() && v != "0" && v != "false" && v != "FALSE";
-}
-
-}  // namespace
-
-const char* project_env(const char* suffix) {
-  const std::string preferred = std::string("DISTBFS_") + suffix;
-  if (const char* raw = std::getenv(preferred.c_str())) return raw;
-  const std::string legacy = std::string("BFSSIM_") + suffix;
-  const char* raw = std::getenv(legacy.c_str());
-  if (raw != nullptr) {
-    // One warning per suffix per process. Deliberately plain fprintf, not
-    // log_message: log_threshold()'s static initializer resolves QUIET /
-    // VERBOSE through this function, and routing the warning back through
-    // the logger would re-enter that initialization.
-    static std::mutex mu;
-    static std::set<std::string>* warned = nullptr;
-    const std::lock_guard<std::mutex> lock(mu);
-    if (warned == nullptr) warned = new std::set<std::string>();
-    if (warned->insert(legacy).second) {
-      std::fprintf(stderr,
-                   "[distbfs WARN] %s is deprecated; use %s instead\n",
-                   legacy.c_str(), preferred.c_str());
-    }
-  }
-  return raw;
-}
-
-std::int64_t project_env_int(const char* suffix, std::int64_t fallback) {
-  const char* raw = project_env(suffix);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<std::int64_t>(value);
-}
-
-bool project_env_flag(const char* suffix) {
-  return flag_value(project_env(suffix));
-}
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
@@ -75,7 +26,10 @@ double env_double(const char* name, double fallback) {
 }
 
 bool env_flag(const char* name) {
-  return flag_value(std::getenv(name));
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return false;
+  const std::string_view v{raw};
+  return !v.empty() && v != "0" && v != "false" && v != "FALSE";
 }
 
 std::string env_str(const char* name, const std::string& fallback) {
@@ -84,8 +38,8 @@ std::string env_str(const char* name, const std::string& fallback) {
 }
 
 int bench_scale(int dflt) {
-  if (project_env_flag("FAST")) dflt = std::max(10, dflt - 4);
-  return static_cast<int>(project_env_int("SCALE", dflt));
+  if (env_flag("DISTBFS_FAST")) dflt = std::max(10, dflt - 4);
+  return static_cast<int>(env_int("DISTBFS_SCALE", dflt));
 }
 
 std::vector<std::pair<int, double>> parse_rank_factors(

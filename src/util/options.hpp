@@ -5,8 +5,7 @@
 //   DISTBFS_FAST=1   ctest          (shrinks everything for smoke runs)
 //
 // The project prefix is DISTBFS_ (matching the DISTBFS_SANITIZE CMake
-// option); the historical BFSSIM_ spellings are accepted as deprecated
-// aliases with a one-time warning.
+// option).
 #pragma once
 
 #include <cstdint>
@@ -28,16 +27,6 @@ bool env_flag(const char* name);
 
 /// Read a string environment variable with a fallback.
 std::string env_str(const char* name, const std::string& fallback);
-
-/// Resolve a project knob by suffix: DISTBFS_<suffix> wins; the
-/// deprecated BFSSIM_<suffix> alias is honored with a one-time stderr
-/// warning per suffix. Returns nullptr when neither is set. The pointer
-/// comes from getenv and follows its lifetime rules.
-const char* project_env(const char* suffix);
-
-/// project_env + the env_int/env_flag parsing rules.
-std::int64_t project_env_int(const char* suffix, std::int64_t fallback);
-bool project_env_flag(const char* suffix);
 
 /// Problem scale for benches: log2 of the vertex count. Honors
 /// DISTBFS_SCALE; `dflt` applies otherwise, halved-ish under

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <string>
 
 #include "core/engine.hpp"
 #include "graph/validator.hpp"
@@ -79,6 +82,78 @@ TEST(FaultPlan, BackoffIsCappedExponential) {
   EXPECT_DOUBLE_EQ(plan.backoff_seconds(2), 4e-4);
   EXPECT_DOUBLE_EQ(plan.backoff_seconds(3), 5e-4);   // capped
   EXPECT_DOUBLE_EQ(plan.backoff_seconds(60), 5e-4);  // no overflow
+}
+
+// The CLIs' --fault-plan loader: "kill:" and "flip:" specs replace only
+// their schedule on the base plan, a JSON file replaces the whole plan,
+// and an unreadable file is an error naming the path.
+TEST(FaultPlanSpec, LoadsKillFlipAndFileSpecsOntoABasePlan) {
+  FaultPlan base;
+  base.seed = 42;
+  base.collective_fail_rate = 0.25;
+  base.compute_stragglers = {{3, 2.0}};
+
+  simmpi::RankKill by_level;
+  by_level.rank = 2;
+  by_level.at_level = 3;
+  simmpi::RankKill by_time;
+  by_time.rank = 0;
+  by_time.at_time = 0.05;
+  simmpi::MemFlip flip;
+  flip.rank = 1;
+  flip.at_level = 2;
+  flip.target = simmpi::FlipTarget::kLevels;
+
+  FaultPlan kills;
+  kills.rank_kills = {by_level, by_time};
+  FaultPlan flips;
+  flips.mem_flips = {flip};
+  FaultPlan kills_on_base = base;
+  kills_on_base.rank_kills = kills.rank_kills;
+  FaultPlan flips_on_base = base;
+  flips_on_base.mem_flips = flips.mem_flips;
+
+  FaultPlan file_plan;
+  file_plan.seed = 7;
+  file_plan.corrupt_rate = 0.5;
+  file_plan.rank_kills = {by_level};
+  file_plan.mem_flips = {flip};
+  const std::string path =
+      ::testing::TempDir() + "/distbfs_fault_plan_spec.json";
+  std::ofstream(path) << simmpi::to_json(file_plan);
+
+  struct Case {
+    const char* name;
+    std::string spec;
+    FaultPlan base;
+    FaultPlan want;
+  };
+  const Case cases[] = {
+      {"kill spec", "kill:2@level3,0@t0.05", FaultPlan{}, kills},
+      {"flip spec", "flip:1@level2:levels", FaultPlan{}, flips},
+      {"json file", path, FaultPlan{}, file_plan},
+      {"kill keeps the base", "kill:2@level3,0@t0.05", base, kills_on_base},
+      {"flip keeps the base", "flip:1@level2:levels", base, flips_on_base},
+      {"json file replaces the base", path, base, file_plan},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(simmpi::to_json(simmpi::load_fault_plan(c.spec, c.base)),
+              simmpi::to_json(c.want))
+        << c.name;
+  }
+
+  const std::string missing =
+      ::testing::TempDir() + "/distbfs_no_such_fault_plan.json";
+  std::remove(missing.c_str());
+  try {
+    (void)simmpi::load_fault_plan(missing, base);
+    ADD_FAILURE() << "a missing plan file must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)simmpi::load_fault_plan("kill:zz"), std::invalid_argument);
+  std::remove(path.c_str());
 }
 
 TEST(Cluster, ComputeStragglerScalesCharges) {

@@ -66,48 +66,14 @@ TEST_F(OptionsTest, EnvStrFallback) {
   EXPECT_EQ(env_str("DISTBFS_TEST_STR", "dflt"), "hopper");
 }
 
-TEST_F(OptionsTest, ProjectEnvPrefersNewPrefix) {
-  SetEnv("DISTBFS_TESTKNOB", "new");
-  SetEnv("BFSSIM_TESTKNOB", "old");
-  EXPECT_STREQ(project_env("TESTKNOB"), "new");
-}
-
-TEST_F(OptionsTest, ProjectEnvHonorsLegacyAlias) {
-  ::unsetenv("DISTBFS_TESTKNOB");
-  SetEnv("BFSSIM_TESTKNOB", "old");
-  EXPECT_STREQ(project_env("TESTKNOB"), "old");
-}
-
-TEST_F(OptionsTest, ProjectEnvNullWhenNeitherSet) {
-  ::unsetenv("DISTBFS_TESTKNOB");
-  ::unsetenv("BFSSIM_TESTKNOB");
-  EXPECT_EQ(project_env("TESTKNOB"), nullptr);
-  EXPECT_EQ(project_env_int("TESTKNOB", 9), 9);
-  EXPECT_FALSE(project_env_flag("TESTKNOB"));
-}
-
-TEST_F(OptionsTest, ProjectEnvIntParsesEitherSpelling) {
-  ::unsetenv("DISTBFS_TESTKNOB");
-  SetEnv("BFSSIM_TESTKNOB", "21");
-  EXPECT_EQ(project_env_int("TESTKNOB", 9), 21);
-  SetEnv("DISTBFS_TESTKNOB", "33");
-  EXPECT_EQ(project_env_int("TESTKNOB", 9), 33);
-}
-
 TEST_F(OptionsTest, BenchScaleHonorsOverride) {
   ::unsetenv("DISTBFS_FAST");
-  ::unsetenv("BFSSIM_FAST");
-  ::unsetenv("DISTBFS_SCALE");
-  SetEnv("BFSSIM_SCALE", "20");  // legacy alias keeps working
-  EXPECT_EQ(bench_scale(14), 20);
   SetEnv("DISTBFS_SCALE", "18");
   EXPECT_EQ(bench_scale(14), 18);
 }
 
 TEST_F(OptionsTest, BenchScaleFastShrinks) {
   ::unsetenv("DISTBFS_SCALE");
-  ::unsetenv("BFSSIM_SCALE");
-  ::unsetenv("BFSSIM_FAST");
   SetEnv("DISTBFS_FAST", "1");
   EXPECT_EQ(bench_scale(16), 12);
   EXPECT_EQ(bench_scale(12), 10);  // floor at 10

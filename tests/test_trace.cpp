@@ -1,8 +1,8 @@
-// Observability-layer tests: the tracer and metrics primitives, the
-// invariant that attaching observers never perturbs a simulated run, and
-// the reconciliation of trace spans against the RunReport the same run
+// Observability-layer tests: the tracer and metrics primitives and the
+// reconciliation of trace spans against the RunReport the same run
 // produced (the clocks and the trace are two views of one virtual
-// timeline — they must agree to float tolerance).
+// timeline — they must agree to float tolerance). That attaching
+// observers never perturbs a run is proven in test_observers.cpp.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -144,56 +144,14 @@ TEST(Metrics, RegistrySerializationIsDeterministic) {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
-TEST(Trace, AttachingObserversDoesNotPerturbTheRun) {
-  const auto built = test::rmat_graph(9);
-  const vid_t source = test::hub_source(built.csr);
-
-  bfs::Bfs2DOptions opts;
-  opts.cores = 16;
-  bfs::Bfs2D plain{built.edges, built.csr.num_vertices(), opts};
-  const auto base = plain.run(source);
-
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  opts.tracer = &tracer;
-  opts.metrics = &metrics;
-  bfs::Bfs2D observed{built.edges, built.csr.num_vertices(), opts};
-  const auto traced = observed.run(source);
-
-  EXPECT_EQ(base.parent, traced.parent);
-  EXPECT_EQ(base.level, traced.level);
-  EXPECT_DOUBLE_EQ(base.report.total_seconds, traced.report.total_seconds);
-  EXPECT_DOUBLE_EQ(base.report.comm_seconds_mean,
-                   traced.report.comm_seconds_mean);
-  EXPECT_DOUBLE_EQ(base.report.comp_seconds_mean,
-                   traced.report.comp_seconds_mean);
-  EXPECT_EQ(base.report.per_rank_comm, traced.report.per_rank_comm);
-  EXPECT_EQ(base.report.per_rank_comp, traced.report.per_rank_comp);
-
-  // The breakdown flag is the only report difference, and it gates the
-  // extra JSON keys: an unobserved report keeps the pre-observability
-  // schema byte-for-byte.
-  EXPECT_FALSE(base.report.has_level_breakdown);
-  EXPECT_TRUE(traced.report.has_level_breakdown);
-  const std::string base_json = bfs::report_to_json(base.report);
-  EXPECT_EQ(base_json.find("\"comm_seconds\":"), std::string::npos);
-  EXPECT_EQ(base_json.find("\"comp_seconds\":"), std::string::npos);
-  const std::string traced_json = bfs::report_to_json(traced.report);
-  EXPECT_NE(traced_json.find("\"comm_seconds\":"), std::string::npos);
-  EXPECT_NE(traced_json.find("\"comp_seconds_max\":"), std::string::npos);
-
-  EXPECT_GT(tracer.total_spans(), 0u);
-  EXPECT_GT(metrics.histogram("comm.wait_seconds").count(), 0u);
-}
-
 TEST(Trace, SpansReconcileWithRunReportClocks) {
   const auto built = test::rmat_graph(9);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   bfs::Bfs2DOptions opts;
   opts.cores = 16;
-  opts.tracer = &tracer;
-  opts.metrics = &metrics;
+  opts.observers.tracer = &tracer;
+  opts.observers.metrics = &metrics;
   bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   const bfs::RunReport& r = out.report;
@@ -233,7 +191,7 @@ TEST(CriticalPath, DecompositionMatchesReportCollectiveSeconds) {
   obs::Tracer tracer;
   bfs::Bfs2DOptions opts;
   opts.cores = 16;
-  opts.tracer = &tracer;
+  opts.observers.tracer = &tracer;
   bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   const bfs::RunReport& r = out.report;
@@ -271,7 +229,7 @@ TEST(CriticalPath, FindsThePlantedStraggler) {
   opts.ranks = 8;
   opts.load_smoothing = 0.0;  // price real volumes so the slowdown shows
   opts.faults.compute_stragglers = {{3, 16.0}};
-  opts.tracer = &tracer;
+  opts.observers.tracer = &tracer;
   bfs::Bfs1D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
 
@@ -316,8 +274,8 @@ TEST(Trace, FaultEventsAreRecorded) {
   opts.cores = 16;
   opts.faults.seed = 7;
   opts.faults.collective_fail_rate = 0.05;
-  opts.tracer = &tracer;
-  opts.metrics = &metrics;
+  opts.observers.tracer = &tracer;
+  opts.observers.metrics = &metrics;
   bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
 
@@ -344,8 +302,8 @@ TEST(Trace, ReportJsonEmbedsObserverSections) {
   obs::MetricsRegistry metrics;
   bfs::Bfs2DOptions opts;
   opts.cores = 16;
-  opts.tracer = &tracer;
-  opts.metrics = &metrics;
+  opts.observers.tracer = &tracer;
+  opts.observers.metrics = &metrics;
   bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
 
