@@ -8,6 +8,24 @@
 
 namespace dbfs::recover {
 
+namespace {
+
+std::int64_t count_visited(const std::vector<level_t>& level) {
+  return static_cast<std::int64_t>(
+      std::count_if(level.begin(), level.end(),
+                    [](level_t l) { return l != kUnreached; }));
+}
+
+/// The hash a journal entry is written with.
+std::uint64_t entry_hash(vid_t vertex, vid_t parent, level_t level) noexcept {
+  std::uint64_t h = util::mix64(0x656e747279ULL ^  // "entry" seed
+                                static_cast<std::uint64_t>(vertex));
+  h = util::mix64(h ^ static_cast<std::uint64_t>(parent));
+  return util::mix64(h ^ static_cast<std::uint64_t>(level));
+}
+
+}  // namespace
+
 const char* to_string(Policy policy) {
   switch (policy) {
     case Policy::kShrink:
@@ -88,18 +106,25 @@ const char* checkpoint_defect(const Checkpoint& snapshot, vid_t source) {
 void CheckpointStore::arm(const RecoverOptions& options) {
   options_ = options;
   armed_ = true;
-  history_.clear();
-  empty_ = Checkpoint{};
+  journal_.clear();
+  snapshots_.clear();
+  base_parent_.clear();
+  base_level_.clear();
+  view_ = Checkpoint{};
+  view_index_ = kNone;
   prev_visited_ = 0;
   taken_ = 0;
   bytes_ = 0;
 }
 
 std::uint64_t CheckpointStore::take(Checkpoint snapshot) {
-  std::int64_t visited = 0;
-  for (level_t l : snapshot.level) {
-    if (l != kUnreached) ++visited;
+  const std::size_t n = snapshot.level.size();
+  if (snapshot.parent.size() != n ||
+      (!snapshots_.empty() && n != base_level_.size())) {
+    throw std::invalid_argument(
+        "checkpoint arrays must cover the store's vertex count");
   }
+  const std::int64_t visited = count_visited(snapshot.level);
   // Incremental on the wire: only entries visited since the previous
   // snapshot ship to the replica, plus the frontier list. The level-0
   // snapshot (just the source) is free by the same rule.
@@ -109,89 +134,190 @@ std::uint64_t CheckpointStore::take(Checkpoint snapshot) {
           (sizeof(vid_t) + sizeof(level_t)) +
       snapshot.frontier.size() * sizeof(vid_t);
   prev_visited_ = visited;
-  Entry entry;
-  entry.checksum = checkpoint_checksum(snapshot);
-  entry.snapshot = std::move(snapshot);
-  history_.push_back(std::move(entry));
+
+  if (snapshots_.empty()) {
+    base_parent_.assign(n, kNoVertex);
+    base_level_.assign(n, kUnreached);
+  }
+  const std::vector<vid_t> parent = std::exchange(snapshot.parent, {});
+  const std::vector<level_t> level = std::exchange(snapshot.level, {});
+  // A BFS gives a vertex only two entries, unvisited and its final one,
+  // and they differ in both fields; a flipped bit changes one field, so
+  // a rotted entry at the journal's end never matches the live arrays and
+  // is always rewritten here.
+  for (std::size_t v = 0; v < n; ++v) {
+    if (parent[v] == base_parent_[v] && level[v] == base_level_[v]) continue;
+    const auto vertex = static_cast<vid_t>(v);
+    journal_.push_back(
+        {vertex, parent[v], level[v], entry_hash(vertex, parent[v], level[v])});
+    base_parent_[v] = parent[v];
+    base_level_[v] = level[v];
+  }
+  Snapshot snap;
+  snap.checksum = checkpoint_checksum(snapshot);
+  snap.header = std::move(snapshot);
+  snap.end = journal_.size();
+  snapshots_.push_back(std::move(snap));
   ++taken_;
   bytes_ += increment;
   return increment;
 }
 
-const Checkpoint& CheckpointStore::latest() const noexcept {
-  return history_.empty() ? empty_ : history_.back().snapshot;
+std::size_t CheckpointStore::newest_live() const noexcept {
+  for (std::size_t k = snapshots_.size(); k-- > 0;) {
+    if (!snapshots_[k].rejected) return k;
+  }
+  return kNone;
 }
 
-const Checkpoint& CheckpointStore::newest_clean(vid_t source) const {
-  for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    if (checkpoint_checksum(it->snapshot) != it->checksum) continue;
-    if (checkpoint_defect(it->snapshot, source) != nullptr) continue;
-    return it->snapshot;
+std::size_t CheckpointStore::stored() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(snapshots_.begin(), snapshots_.end(),
+                    [](const Snapshot& s) { return !s.rejected; }));
+}
+
+/// One forward pass over the journal, hashing every entry once while
+/// tracking how many vertices' current entry has rotted: clean[k] says
+/// whether snapshot k is live and its header and every entry it reads
+/// still verify.
+std::vector<char> CheckpointStore::verify() const {
+  std::vector<char> rotted(base_level_.size(), 0);
+  std::size_t rotted_now = 0;
+  std::vector<char> clean(snapshots_.size(), 0);
+  std::size_t e = 0;
+  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
+    const Snapshot& s = snapshots_[k];
+    for (; e < s.end; ++e) {
+      const Entry& entry = journal_[e];
+      char& r = rotted[static_cast<std::size_t>(entry.vertex)];
+      rotted_now -= static_cast<std::size_t>(r);
+      r = entry_hash(entry.vertex, entry.parent, entry.level) != entry.hash;
+      rotted_now += static_cast<std::size_t>(r);
+    }
+    clean[k] = !s.rejected && rotted_now == 0 &&
+               checkpoint_checksum(s.header) == s.checksum;
   }
-  return empty_;
+  return clean;
+}
+
+/// Materialize the arrays the journal's first `end` entries describe.
+void CheckpointStore::replay(std::size_t end, std::vector<vid_t>& parent,
+                             std::vector<level_t>& level) const {
+  parent.assign(base_level_.size(), kNoVertex);
+  level.assign(base_level_.size(), kUnreached);
+  for (std::size_t e = 0; e < end; ++e) {
+    const auto v = static_cast<std::size_t>(journal_[e].vertex);
+    parent[v] = journal_[e].parent;
+    level[v] = journal_[e].level;
+  }
+}
+
+Checkpoint CheckpointStore::latest() const {
+  const std::size_t k = newest_live();
+  if (k == kNone) return Checkpoint{};
+  Checkpoint snapshot = snapshots_[k].header;
+  replay(snapshots_[k].end, snapshot.parent, snapshot.level);
+  return snapshot;
+}
+
+const Checkpoint& CheckpointStore::newest_clean(vid_t source) {
+  const std::vector<char> clean = verify();
+  for (std::size_t k = snapshots_.size(); k-- > 0;) {
+    if (!clean[k]) continue;
+    view_ = snapshots_[k].header;
+    replay(snapshots_[k].end, view_.parent, view_.level);
+    if (checkpoint_defect(view_, source) != nullptr) continue;
+    view_index_ = k;
+    return view_;
+  }
+  view_ = Checkpoint{};
+  view_index_ = kNone;
+  return view_;
 }
 
 void CheckpointStore::rollback_to(const Checkpoint& snapshot) {
-  if (&snapshot == &empty_) {
-    history_.clear();
-  } else {
-    while (!history_.empty() && &history_.back().snapshot != &snapshot) {
-      history_.pop_back();
-    }
-  }
+  const std::size_t keep =
+      &snapshot == &view_ && view_index_ != kNone ? view_index_ + 1 : 0;
+  if (keep == 0) view_index_ = kNone;
+  snapshots_.resize(keep);
+  journal_.resize(snapshots_.empty() ? 0 : snapshots_.back().end);
+  replay(journal_.size(), base_parent_, base_level_);
   // Reset the incremental baseline: the next take() re-ships everything
   // the discarded snapshots had already replicated.
-  std::int64_t visited = 0;
-  for (level_t l : snapshot.level) {
-    if (l != kUnreached) ++visited;
-  }
-  prev_visited_ = visited;
+  prev_visited_ = count_visited(snapshot.level);
 }
 
 bool CheckpointStore::corrupt_latest(std::uint64_t shape) {
-  if (history_.empty()) return false;
-  Checkpoint& c = history_.back().snapshot;
+  const std::size_t k = newest_live();
+  if (k == kNone) return false;
+  Snapshot& target = snapshots_[k];
+  const std::size_t n = base_level_.size();
   // Pick a non-empty array, then an item and a bit, like the wire-payload
-  // corrupter in comm.hpp — the stored checksum is deliberately left
-  // stale, which is what distinguishes rot from a legitimate rewrite.
-  struct Slot {
-    void* data;
-    std::size_t items;
-    std::size_t item_bytes;
+  // corrupter in comm.hpp, over the arrays this replica reads — the
+  // stored hashes are deliberately left stale, which is what
+  // distinguishes rot from a legitimate rewrite.
+  enum class Array { kParent, kLevel, kFrontier };
+  std::vector<Array> arrays;
+  if (n > 0) arrays = {Array::kParent, Array::kLevel};
+  if (!target.header.frontier.empty()) arrays.push_back(Array::kFrontier);
+  if (arrays.empty()) return false;
+  const Array array = arrays[(shape >> 8) % arrays.size()];
+  const auto flip = [shape](auto& item) {
+    auto* bytes = reinterpret_cast<unsigned char*>(&item);
+    bytes[(shape >> 40) % sizeof(item)] ^=
+        static_cast<unsigned char>(1u << ((shape >> 50) % 8));
   };
-  std::vector<Slot> slots;
-  if (!c.parent.empty()) slots.push_back({c.parent.data(), c.parent.size(),
-                                          sizeof(vid_t)});
-  if (!c.level.empty()) slots.push_back({c.level.data(), c.level.size(),
-                                         sizeof(level_t)});
-  if (!c.frontier.empty()) slots.push_back({c.frontier.data(),
-                                            c.frontier.size(),
-                                            sizeof(vid_t)});
-  if (slots.empty()) return false;
-  const Slot& slot = slots[(shape >> 8) % slots.size()];
-  auto* bytes = static_cast<unsigned char*>(slot.data);
-  const std::size_t item = (shape >> 16) % slot.items;
-  const std::size_t byte = (shape >> 40) % slot.item_bytes;
-  bytes[item * slot.item_bytes + byte] ^=
-      static_cast<unsigned char>(1u << ((shape >> 50) % 8));
+  if (array == Array::kFrontier) {
+    flip(target.header.frontier[(shape >> 16) % target.header.frontier.size()]);
+    return true;
+  }
+
+  const auto v = static_cast<vid_t>((shape >> 16) % n);
+  const std::size_t begin = k == 0 ? 0 : snapshots_[k - 1].end;
+  std::size_t at = target.end;  // one past the entry this replica reads
+  while (at > 0 && journal_[at - 1].vertex != v) --at;
+  if (at <= begin) {
+    // Written by an older snapshot (or never): journal a copy under the
+    // original hash into this replica's range, for the flip to land on.
+    const Entry original =
+        at > 0 ? journal_[at - 1]
+               : Entry{v, kNoVertex, kUnreached,
+                       entry_hash(v, kNoVertex, kUnreached)};
+    at = target.end + 1;
+    journal_.insert(journal_.begin() + static_cast<std::ptrdiff_t>(at - 1),
+                    original);
+    for (std::size_t j = k; j < snapshots_.size(); ++j) ++snapshots_[j].end;
+  }
+  Entry& entry = journal_[at - 1];
+  if (array == Array::kParent) {
+    flip(entry.parent);
+  } else {
+    flip(entry.level);
+  }
+  // Keep the diff base equal to the journal's end state.
+  const bool shadowed = std::any_of(
+      journal_.begin() + static_cast<std::ptrdiff_t>(at), journal_.end(),
+      [v](const Entry& e) { return e.vertex == v; });
+  if (!shadowed) {
+    base_parent_[static_cast<std::size_t>(v)] = entry.parent;
+    base_level_[static_cast<std::size_t>(v)] = entry.level;
+  }
   return true;
 }
 
 int CheckpointStore::scrub() {
-  const auto first = std::remove_if(
-      history_.begin(), history_.end(), [](const Entry& e) {
-        return checkpoint_checksum(e.snapshot) != e.checksum;
-      });
-  const int rejected = static_cast<int>(history_.end() - first);
-  history_.erase(first, history_.end());
+  const std::vector<char> clean = verify();
+  int rejected = 0;
+  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
+    if (snapshots_[k].rejected || clean[k]) continue;
+    snapshots_[k].rejected = true;
+    ++rejected;
+  }
   return rejected;
 }
 
 std::uint64_t restore_payload_bytes(const Checkpoint& snapshot) {
-  std::int64_t visited = 0;
-  for (level_t l : snapshot.level) {
-    if (l != kUnreached) ++visited;
-  }
+  const std::int64_t visited = count_visited(snapshot.level);
   return static_cast<std::uint64_t>(visited > 0 ? visited : 0) *
              (sizeof(vid_t) + sizeof(level_t)) +
          snapshot.frontier.size() * sizeof(vid_t);

@@ -72,8 +72,9 @@ struct Checkpoint {
 };
 
 /// Deterministic digest of a snapshot's full contents (header scalars,
-/// arrays, frontier, dirop state). Stored next to each replica at take()
-/// time and recomputed on restore, so an at-rest flip in the stored copy
+/// arrays, frontier, dirop state). The store keeps this checksum for
+/// each snapshot's header (the snapshot with its arrays left empty) and
+/// recomputes it at every scrub, so an at-rest flip in a stored frontier
 /// is caught before it is ever replayed from.
 std::uint64_t checkpoint_checksum(const Checkpoint& snapshot) noexcept;
 
@@ -85,12 +86,18 @@ std::uint64_t checkpoint_checksum(const Checkpoint& snapshot) noexcept;
 /// snapshot (replay from source) is always clean.
 const char* checkpoint_defect(const Checkpoint& snapshot, vid_t source);
 
-/// Holds the replicated snapshot history plus byte/count accounting.
-/// Snapshots are incremental on the wire: a vertex's (parent, level)
-/// entry is shipped to the replica only when it became visited since the
-/// previous snapshot, plus the frontier list itself. Every stored
-/// snapshot carries its content checksum so restores can verify it and
-/// rollback can skip past corrupted replicas to the newest clean one.
+/// Holds the replicated snapshot history plus byte/count accounting, as
+/// an append-only journal of what the incremental snapshots ship. take()
+/// journals one (vertex, parent, level) entry, hashed on its own, for
+/// every vertex whose entry differs from the journal's end state, plus a
+/// header (levels completed, frontier list, dirop state) checksummed with
+/// checkpoint_checksum(). A snapshot's contents are the journal up to its
+/// own take, the latest entry per vertex winning. A scrub hashes every
+/// stored entry once, so verifying every replica at every audit costs
+/// O(n + journal) instead of O(snapshots x n), and the store holds
+/// O(n + total frontier size) entries per run. All stored snapshots must
+/// cover the same vertex count; take() throws std::invalid_argument
+/// otherwise.
 class CheckpointStore {
  public:
   void arm(const RecoverOptions& options);
@@ -105,51 +112,84 @@ class CheckpointStore {
            levels_completed % options_.checkpoint_every == 0;
   }
 
-  /// Store a snapshot; returns the incremental replicated bytes.
+  /// Store a snapshot; returns the incremental replicated bytes. Entries
+  /// an at-rest flip rotted at the journal's end differ from the live
+  /// arrays, so they are journaled afresh and the new snapshot is clean.
   std::uint64_t take(Checkpoint snapshot);
 
   /// Newest stored snapshot, unverified. Empty (replay from source) until
   /// the first take().
-  const Checkpoint& latest() const noexcept;
+  Checkpoint latest() const;
 
-  /// Newest stored snapshot that passes both its stored checksum and the
-  /// structural defect check. Falls back to the implicit empty snapshot
-  /// (replay from source) when every stored replica is corrupt — recovery
-  /// never dead-ends, it just replays more levels.
-  const Checkpoint& newest_clean(vid_t source) const;
+  /// Newest stored snapshot that passes verification (its header
+  /// checksum and the hash of every entry it reads) and the structural
+  /// defect check. Falls back to the implicit empty snapshot (replay from
+  /// source) when every stored replica is corrupt — recovery never
+  /// dead-ends, it just replays more levels. Returns a store-owned copy,
+  /// valid until the next call.
+  const Checkpoint& newest_clean(vid_t source);
 
-  /// Make `snapshot` (a reference returned by latest()/newest_clean())
-  /// the newest entry again: discard everything stored after it and reset
-  /// the incremental baseline so post-rollback takes re-ship what the
-  /// discarded snapshots had. Passing the implicit empty snapshot clears
-  /// the history.
+  /// Make `snapshot` (the reference newest_clean() returned) the newest
+  /// entry again: truncate the journal after it and reset the
+  /// incremental baseline so post-rollback takes re-ship what the
+  /// discarded snapshots had. Passing the implicit empty snapshot — or
+  /// any other reference — clears the history.
   void rollback_to(const Checkpoint& snapshot);
 
   /// Fault-injection hook: flip one bit of the newest stored replica
-  /// (shape picks the array, item, and bit) without touching its stored
-  /// checksum — exactly what an at-rest memory error does. Returns false
-  /// when nothing is stored to corrupt.
+  /// (shape picks the array, item, and bit) without touching any stored
+  /// hash — exactly what an at-rest memory error does. An entry that
+  /// replica wrote itself flips in place; one it reads from an older
+  /// snapshot is journaled again, flipped but under its original hash,
+  /// into the replica's own range, so older replicas stay clean. Returns
+  /// false when nothing is stored to corrupt.
   bool corrupt_latest(std::uint64_t shape);
 
-  /// Audit-time scrub: drop stored snapshots whose contents no longer
-  /// match their stored checksum; returns how many were rejected
-  /// (sdc.checkpoints_rejected).
+  /// Audit-time scrub: reject stored snapshots whose header or any entry
+  /// they read no longer matches its stored hash; returns how many were
+  /// rejected (sdc.checkpoints_rejected). A rejected snapshot's entries
+  /// stay in the journal for the snapshots after it, but it is never
+  /// restored from, counted again, or included in stored().
   int scrub();
 
   std::int64_t checkpoints_taken() const noexcept { return taken_; }
   std::uint64_t bytes_shipped() const noexcept { return bytes_; }
-  std::size_t stored() const noexcept { return history_.size(); }
+  std::size_t stored() const noexcept;
 
  private:
+  /// One journaled entry and the hash it was written with; an at-rest
+  /// flip changes the values, never the hash.
   struct Entry {
-    Checkpoint snapshot;
-    std::uint64_t checksum = 0;
+    vid_t vertex = 0;
+    vid_t parent = kNoVertex;
+    level_t level = kUnreached;
+    std::uint64_t hash = 0;
   };
+  /// One snapshot: its journal range runs from the previous snapshot's
+  /// `end` to its own.
+  struct Snapshot {
+    Checkpoint header;  ///< everything but the parent/level arrays
+    std::uint64_t checksum = 0;
+    std::size_t end = 0;
+    bool rejected = false;  ///< failed a scrub
+  };
+
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  std::size_t newest_live() const noexcept;
+  std::vector<char> verify() const;
+  void replay(std::size_t end, std::vector<vid_t>& parent,
+              std::vector<level_t>& level) const;
 
   RecoverOptions options_;
   bool armed_ = false;
-  std::vector<Entry> history_;  ///< oldest first; back() is the newest
-  Checkpoint empty_;            ///< the implicit replay-from-source snapshot
+  std::vector<Entry> journal_;
+  std::vector<Snapshot> snapshots_;  ///< oldest first
+  /// The journal's end state, rotted entries included: take()'s diff base.
+  std::vector<vid_t> base_parent_;
+  std::vector<level_t> base_level_;
+  Checkpoint view_;  ///< what newest_clean() last returned
+  std::size_t view_index_ = kNone;  ///< its snapshot; kNone when empty
   std::int64_t prev_visited_ = 0;
   std::int64_t taken_ = 0;
   std::uint64_t bytes_ = 0;

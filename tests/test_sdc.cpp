@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "recover/checkpoint.hpp"
 #include "simmpi/fault.hpp"
 #include "test_helpers.hpp"
+#include "util/prng.hpp"
 
 namespace dbfs {
 namespace {
@@ -276,6 +278,209 @@ TEST(SdcCheckpointStore, RollbackToTruncatesHistory) {
   EXPECT_EQ(store.stored(), 1u);
 }
 
+// The full-copy store the journal replaced, kept as its reference model:
+// every replica is an independent copy of the whole snapshot under one
+// content checksum.
+class FullCopyStore {
+ public:
+  std::uint64_t take(recover::Checkpoint snapshot) {
+    const std::int64_t visited = count_visited(snapshot);
+    const std::int64_t fresh = std::max<std::int64_t>(visited - prev_, 0);
+    prev_ = visited;
+    const std::uint64_t checksum = recover::checkpoint_checksum(snapshot);
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(fresh) * (sizeof(vid_t) + sizeof(level_t)) +
+        snapshot.frontier.size() * sizeof(vid_t);
+    history_.push_back({std::move(snapshot), checksum});
+    return bytes;
+  }
+  const recover::Checkpoint& latest() const {
+    return history_.empty() ? empty_ : history_.back().snapshot;
+  }
+  const recover::Checkpoint& newest_clean(vid_t source) const {
+    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
+      if (recover::checkpoint_checksum(it->snapshot) == it->checksum &&
+          recover::checkpoint_defect(it->snapshot, source) == nullptr) {
+        return it->snapshot;
+      }
+    }
+    return empty_;
+  }
+  void rollback_to(const recover::Checkpoint& snapshot) {
+    while (!history_.empty() && &history_.back().snapshot != &snapshot) {
+      history_.pop_back();
+    }
+    prev_ = count_visited(snapshot);
+  }
+  bool corrupt_latest(std::uint64_t shape) {
+    if (history_.empty()) return false;
+    recover::Checkpoint& c = history_.back().snapshot;
+    // vid_t and level_t are both std::int64_t.
+    std::vector<std::vector<std::int64_t>*> arrays;
+    for (auto* a : {&c.parent, &c.level, &c.frontier}) {
+      if (!a->empty()) arrays.push_back(a);
+    }
+    if (arrays.empty()) return false;
+    std::vector<std::int64_t>& a = *arrays[(shape >> 8) % arrays.size()];
+    auto* bytes =
+        reinterpret_cast<unsigned char*>(&a[(shape >> 16) % a.size()]);
+    bytes[(shape >> 40) % sizeof(std::int64_t)] ^=
+        static_cast<unsigned char>(1u << ((shape >> 50) % 8));
+    return true;
+  }
+  int scrub() {
+    const auto rotted = std::remove_if(
+        history_.begin(), history_.end(), [](const Replica& r) {
+          return recover::checkpoint_checksum(r.snapshot) != r.checksum;
+        });
+    const int rejected = static_cast<int>(history_.end() - rotted);
+    history_.erase(rotted, history_.end());
+    return rejected;
+  }
+  std::size_t stored() const { return history_.size(); }
+
+ private:
+  struct Replica {
+    recover::Checkpoint snapshot;
+    std::uint64_t checksum = 0;
+  };
+  static std::int64_t count_visited(const recover::Checkpoint& c) {
+    return std::count_if(c.level.begin(), c.level.end(),
+                         [](level_t l) { return l != kUnreached; });
+  }
+
+  std::vector<Replica> history_;
+  recover::Checkpoint empty_;
+  std::int64_t prev_ = 0;
+};
+
+// The BFS snapshot after `levels` completed levels of a traversal from 0
+// over the tree given by (parent, depth); unreachable vertices have depth
+// kUnreached.
+recover::Checkpoint tree_snapshot(const std::vector<vid_t>& parent,
+                                  const std::vector<level_t>& depth,
+                                  int levels, util::Xoshiro256& rng) {
+  recover::Checkpoint c;
+  c.levels_completed = levels;
+  c.parent.assign(parent.size(), kNoVertex);
+  c.level.assign(parent.size(), kUnreached);
+  for (std::size_t v = 0; v < parent.size(); ++v) {
+    if (depth[v] == kUnreached || depth[v] > levels) continue;
+    c.parent[v] = parent[v];
+    c.level[v] = depth[v];
+    if (depth[v] == levels) c.frontier.push_back(static_cast<vid_t>(v));
+  }
+  c.global_frontier = static_cast<std::int64_t>(c.frontier.size());
+  c.dirop_frontier_edges = static_cast<eid_t>(rng.next_below(64));
+  c.dirop_unexplored_edges = static_cast<eid_t>(rng.next_below(1024));
+  c.dirop_bottom_up = (rng() & 1) != 0;
+  return c;
+}
+
+bool same_snapshot(const recover::Checkpoint& a, const recover::Checkpoint& b) {
+  return a.levels_completed == b.levels_completed &&
+         a.global_frontier == b.global_frontier && a.level == b.level &&
+         a.parent == b.parent && a.frontier == b.frontier &&
+         a.dirop_frontier_edges == b.dirop_frontier_edges &&
+         a.dirop_unexplored_edges == b.dirop_unexplored_edges &&
+         a.dirop_bottom_up == b.dirop_bottom_up;
+}
+
+// The journal must be observably the full-copy store: seeded random
+// sequences of every store operation over BFS snapshots of random trees
+// (n = 1..40, some vertices unreachable), with at-rest flips landing in
+// replicas that newer snapshots are stacked on, must agree on every
+// return value, every stored() count and the full content of every
+// snapshot either store hands out.
+TEST(SdcCheckpointStore, JournalMatchesFullCopyReplicas) {
+  constexpr int kSeeds = 3000;
+  constexpr int kOps = 60;
+  recover::RecoverOptions options;
+  options.checkpoint_every = 1;
+  std::int64_t checks = 0;
+  std::int64_t failures = 0;
+  std::string first_failure;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+    const auto n = static_cast<std::size_t>(1 + rng.next_below(40));
+    // Vertex 0 roots the tree; every other vertex, in a random order,
+    // hangs off an earlier tree vertex or (one in five) stays unreachable.
+    std::vector<vid_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin() + 1, order.end(), rng);
+    std::vector<vid_t> parent(n, kNoVertex);
+    std::vector<level_t> depth(n, kUnreached);
+    parent[0] = 0;
+    depth[0] = 0;
+    level_t height = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (rng.next_below(5) == 0) continue;
+      const vid_t up = order[rng.next_below(i)];
+      if (depth[static_cast<std::size_t>(up)] == kUnreached) continue;
+      const auto v = static_cast<std::size_t>(order[i]);
+      parent[v] = up;
+      depth[v] = depth[static_cast<std::size_t>(up)] + 1;
+      height = std::max(height, depth[v]);
+    }
+
+    FullCopyStore reference;
+    recover::CheckpointStore journal;
+    journal.arm(options);
+    for (int op = 0; op < kOps; ++op) {
+      const auto check = [&](bool ok, const char* what) {
+        ++checks;
+        if (ok) return;
+        if (failures++ == 0) {
+          first_failure = "seed " + std::to_string(seed) + " op " +
+                          std::to_string(op) + ": " + what;
+        }
+      };
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+        case 2: {
+          const auto levels = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(height) + 2));
+          const recover::Checkpoint snap =
+              tree_snapshot(parent, depth, levels, rng);
+          check(journal.take(snap) == reference.take(snap), "take bytes");
+          break;
+        }
+        case 3: {
+          const std::uint64_t shape = rng();
+          check(journal.corrupt_latest(shape) ==
+                    reference.corrupt_latest(shape),
+                "corrupt_latest");
+          break;
+        }
+        case 4:
+          check(journal.scrub() == reference.scrub(), "scrub count");
+          break;
+        case 5:
+          check(same_snapshot(journal.latest(), reference.latest()),
+                "latest content");
+          break;
+        default: {
+          const vid_t source = rng.next_below(2) == 0
+                                   ? 0
+                                   : static_cast<vid_t>(rng.next_below(n));
+          const recover::Checkpoint& mine = journal.newest_clean(source);
+          const recover::Checkpoint& theirs = reference.newest_clean(source);
+          check(same_snapshot(mine, theirs), "newest_clean content");
+          if (rng.next_below(2) == 0) {
+            journal.rollback_to(mine);
+            reference.rollback_to(theirs);
+          }
+          break;
+        }
+      }
+      check(journal.stored() == reference.stored(), "stored");
+    }
+  }
+  EXPECT_EQ(failures, 0) << failures << " of " << checks
+                         << " checks failed; first: " << first_failure;
+}
+
 // ---- the differential matrix ------------------------------------------
 
 // Flips against live (parent, level) shards for every distributed
@@ -400,6 +605,65 @@ TEST(SdcChaos, CorruptedCheckpointReplicaIsRejectedNotRestored) {
   EXPECT_GE(out.report.sdc.checkpoints_rejected, 1);
   EXPECT_EQ(out.report.sdc.rollbacks, 0);
   EXPECT_EQ(out.report.sdc.audit_failures, 0);
+}
+
+// A replica flipped between audits gets newer snapshots stacked on it
+// before the next scrub looks: that scrub must reject the flipped replica
+// alone. A kill before that audit (level 3) or after it (level 5) must
+// restore from the clean newest snapshot and replay nothing; the live
+// traversal is unharmed, so no rollback fires. Fault seeds 0, 1 and 3
+// land the flip in the replica's frontier, level and parent arrays.
+TEST(SdcChaos, ReplicaFlipBetweenAuditsRejectsOnlyThatReplica) {
+  graph::WebcrawlParams params;
+  params.num_vertices = vid_t{1} << 10;
+  params.target_diameter = 40;
+  const auto built = graph::build_graph(graph::generate_webcrawl(params));
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+
+  const core::Algorithm algorithms[] = {core::Algorithm::kOneDFlat,
+                                        core::Algorithm::kTwoDFlat};
+  const recover::Policy policies[] = {recover::Policy::kShrink,
+                                      recover::Policy::kSpare};
+  for (core::Algorithm algorithm : algorithms) {
+    core::EngineOptions clean = base_options(algorithm, 16);
+    core::Engine clean_engine{built.edges, n, clean};
+    const auto expected = clean_engine.run(source);
+    ASSERT_GE(expected.report.levels.size(), 8u);
+
+    for (recover::Policy policy : policies) {
+      for (int kill_level : {3, 5}) {
+        for (std::uint64_t fault_seed : {0, 1, 3}) {
+          core::EngineOptions opts = clean;
+          opts.faults.seed = fault_seed;
+          opts.faults.mem_flips = {
+              level_flip(1, 2, simmpi::FlipTarget::kCheckpoint)};
+          simmpi::RankKill kill;
+          kill.rank = 2;
+          kill.at_level = kill_level;
+          opts.faults.rank_kills = {kill};
+          opts.recover.policy = policy;
+          opts.recover.checkpoint_every = 1;
+          opts.recover.audit_every = 4;
+          core::Engine engine{built.edges, n, opts};
+          const auto out = engine.run(source);
+
+          const std::string label =
+              std::string(core::to_string(algorithm)) + "/" +
+              recover::to_string(policy) + "/kill@level" +
+              std::to_string(kill_level) + "/seed" +
+              std::to_string(fault_seed);
+          EXPECT_EQ(out.parent, expected.parent) << label;
+          EXPECT_EQ(out.level, expected.level) << label;
+          EXPECT_EQ(out.report.recover.rank_failures, 1) << label;
+          EXPECT_EQ(out.report.sdc.flips_injected, 1) << label;
+          EXPECT_EQ(out.report.sdc.checkpoints_rejected, 1) << label;
+          EXPECT_EQ(out.report.recover.replayed_levels, 0) << label;
+          EXPECT_EQ(out.report.sdc.rollbacks, 0) << label;
+        }
+      }
+    }
+  }
 }
 
 // Fail-stop and silent corruption compose: a kill and a flip in the same
