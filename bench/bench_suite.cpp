@@ -7,12 +7,12 @@
 //
 //   bench_suite [--out-dir=DIR] [--scales=14,15,16] [--algos=1d,2d]
 //               [--wires=raw,auto] [--cores=N] [--reps=N] [--sources=N]
-//               [--direction=topdown|bottomup|hybrid] [--slow-beta=X] [--list]
-//               [--fault-plan=kill:RANK@levelL[,...] |
-//                --fault-plan=flip:RANK@levelL:target[,...] |
-//                --fault-plan=FILE.json]
-//               [--checkpoint-every=K] [--recover-policy=shrink|spare]
-//               [--audit-every=K]
+//               [--slow-beta=X] [--list] [engine flags]
+//
+// The engine flags are bfs_tool's (core/engine_flags.hpp); --help lists
+// them all. Flags accept both "--key=value" and "--key value". The
+// records are committed baselines, so an unknown flag or a bad value
+// exits 2 before any run instead of running the default matrix.
 //
 // A fault plan applies to every configuration in the matrix. A scheduled
 // kill fires once per record (the engine consumes it on the first
@@ -27,12 +27,13 @@
 // cost — the bench_smoke ctest uses it to prove the regression gate
 // actually fires.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "core/engine_flags.hpp"
 #include "harness/harness.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -55,87 +56,112 @@ std::vector<std::string> split_csv(const std::string& csv) {
 }
 
 struct SuiteOptions {
-  std::string out_dir = ".";
-  std::vector<int> scales{14, 15, 16};
-  std::vector<std::string> algos{"1d", "2d"};
-  std::vector<std::string> wires{"raw", "auto"};
-  int cores = 64;
-  int reps = 5;
-  int sources = 2;
-  bfs::DirectionMode direction = bfs::DirectionMode::kTopDown;
+  std::string out_dir;
+  std::vector<int> scales;
+  std::vector<std::string> algos;
+  std::vector<std::string> wires;
+  int cores = 0;
+  int reps = 0;
+  int sources = 0;
   double slow_beta = 1.0;
   bool list_only = false;
-  simmpi::FaultPlan faults;
-  recover::RecoverOptions recover;
+  core::EngineOptions engine;  ///< the engine flags on the Hopper model
 };
 
-core::Algorithm parse_algo(const std::string& name) {
-  if (name == "1d") return core::Algorithm::kOneDFlat;
-  if (name == "1d-hybrid") return core::Algorithm::kOneDHybrid;
-  if (name == "2d") return core::Algorithm::kTwoDFlat;
-  if (name == "2d-hybrid") return core::Algorithm::kTwoDHybrid;
-  throw std::invalid_argument("bench_suite: unknown algorithm '" + name +
-                              "' (use 1d, 1d-hybrid, 2d, 2d-hybrid)");
+SuiteOptions parse_options(const util::ArgParser& args) {
+  SuiteOptions opt;
+  opt.out_dir = args.get("out-dir", ".");
+  for (const std::string& s : split_csv(args.get("scales", "14,15,16"))) {
+    opt.scales.push_back(util::parse_number<int>(s, "--scales"));
+  }
+  opt.algos = split_csv(args.get("algos", "1d,2d"));
+  opt.wires = split_csv(args.get("wires", "raw,auto"));
+  opt.cores = static_cast<int>(args.get_int("cores", 64));
+  opt.reps = static_cast<int>(args.get_int("reps", 5));
+  opt.sources = static_cast<int>(args.get_int("sources", 2));
+  opt.slow_beta = args.get_double("slow-beta", 1.0);
+  opt.list_only = args.get_flag("list");
+  core::EngineOptions base;
+  base.machine = model::hopper();
+  opt.engine = core::apply_engine_flags(args, base);
+  return opt;
 }
 
-/// Apply one argument to `opt`; false when the option is unknown. A
-/// malformed value throws (std::stoi/stod, the enum parsers, the fault
-/// plan loader).
-bool parse_option(const std::string& arg, SuiteOptions& opt) {
-  if (arg.rfind("--out-dir=", 0) == 0) {
-    opt.out_dir = arg.substr(10);
-  } else if (arg.rfind("--scales=", 0) == 0) {
-    opt.scales.clear();
-    for (const auto& s : split_csv(arg.substr(9))) {
-      opt.scales.push_back(std::stoi(s));
+/// One spec per record, in run order; an unknown algorithm or wire
+/// format throws before any record runs.
+std::vector<BenchSpec> plan_records(const SuiteOptions& opt) {
+  std::vector<BenchSpec> specs;
+  for (int scale : opt.scales) {
+    for (const std::string& algo : opt.algos) {
+      for (const std::string& wire : opt.wires) {
+        BenchSpec spec;
+        // Direction-optimized points replace the wire tag with the
+        // direction tag (BENCH_rmat14_2d_hybrid_c64.json): run them with
+        // a single --wires value or the names collide. Names keep the
+        // command-line algorithm spelling.
+        const bfs::DirectionMode direction = opt.engine.direction;
+        spec.name = "rmat" + std::to_string(scale) + "_" + algo + "_" +
+                    (direction != bfs::DirectionMode::kTopDown
+                         ? bfs::to_string(direction)
+                         : wire) +
+                    "_c" + std::to_string(opt.cores);
+        spec.created_by = "bench_suite";
+        spec.scale = scale;
+        spec.edge_factor = 16;
+        spec.sources = opt.sources;
+        spec.repetitions = opt.reps;
+        spec.paper_log2_edges = 33.0;  // the scale-29, ef-16 paper runs
+        spec.engine = opt.engine;
+        spec.engine.algorithm = core::parse_paper_algorithm(algo);
+        spec.engine.cores = opt.cores;
+        spec.engine.machine.beta_net *= opt.slow_beta;
+        spec.engine.wire_format = comm::parse_wire_format(wire);
+        specs.push_back(std::move(spec));
+      }
     }
-  } else if (arg.rfind("--algos=", 0) == 0) {
-    opt.algos = split_csv(arg.substr(8));
-  } else if (arg.rfind("--wires=", 0) == 0) {
-    opt.wires = split_csv(arg.substr(8));
-  } else if (arg.rfind("--cores=", 0) == 0) {
-    opt.cores = std::stoi(arg.substr(8));
-  } else if (arg.rfind("--reps=", 0) == 0) {
-    opt.reps = std::stoi(arg.substr(7));
-  } else if (arg.rfind("--sources=", 0) == 0) {
-    opt.sources = std::stoi(arg.substr(10));
-  } else if (arg.rfind("--direction=", 0) == 0) {
-    opt.direction = bfs::parse_direction_mode(arg.substr(12));
-  } else if (arg.rfind("--slow-beta=", 0) == 0) {
-    opt.slow_beta = std::stod(arg.substr(12));
-  } else if (arg.rfind("--fault-plan=", 0) == 0) {
-    opt.faults = simmpi::load_fault_plan(arg.substr(13));
-  } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-    opt.recover.checkpoint_every = std::stoi(arg.substr(19));
-  } else if (arg.rfind("--recover-policy=", 0) == 0) {
-    opt.recover.policy = recover::parse_policy(arg.substr(17));
-  } else if (arg.rfind("--audit-every=", 0) == 0) {
-    opt.recover.audit_every = std::stoi(arg.substr(14));
-  } else if (arg == "--list") {
-    opt.list_only = true;
-  } else {
-    return false;
   }
-  return true;
+  return specs;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("out-dir", "directory the BENCH_*.json records go to", ".")
+      .describe("scales", "comma-separated R-MAT scales", "14,15,16")
+      .describe("algos", "comma-separated 1d | 1d-hybrid | 2d | 2d-hybrid",
+                "1d,2d")
+      .describe("wires", "comma-separated raw | sieve | bitmap | varint | auto",
+                "raw,auto")
+      .describe("cores", "simulated core count", "64")
+      .describe("reps", "virtual-seed repetitions per record", "5")
+      .describe("sources", "BFS sources per repetition", "2")
+      .describe("slow-beta", "multiply the machine's per-byte network cost",
+                "1")
+      .describe("list", "print the record names without running them");
+  core::describe_engine_flags(args);
+  args.describe("help", "print this message");
+  if (args.get_flag("help")) {
+    std::fputs(args.usage().c_str(), stdout);
+    return 0;
+  }
+  for (const std::string& key : args.unknown_keys()) {
+    std::fprintf(stderr, "bench_suite: unknown option '--%s'\n", key.c_str());
+    return 2;
+  }
+  if (!args.positional().empty()) {
+    std::fprintf(stderr, "bench_suite: unknown option '%s'\n",
+                 args.positional().front().c_str());
+    return 2;
+  }
   SuiteOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (!parse_option(arg, opt)) {
-        std::fprintf(stderr, "bench_suite: unknown option '%s'\n",
-                     arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_suite: bad value in '%s': %s\n",
-                   arg.c_str(), e.what());
-      return 2;
-    }
+  std::vector<BenchSpec> specs;
+  try {
+    opt = parse_options(args);
+    specs = plan_records(opt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_suite: bad value: %s\n", e.what());
+    return 2;
   }
 
   std::printf("bench_suite: %zu scale(s) x %zu algo(s) x %zu wire(s), "
@@ -145,78 +171,43 @@ int main(int argc, char** argv) {
               opt.slow_beta != 1.0 ? "  [SLOWED beta]" : "");
 
   int written = 0;
-  for (int scale : opt.scales) {
-    for (const std::string& algo : opt.algos) {
-      for (const std::string& wire : opt.wires) {
-        BenchSpec spec;
-        // Direction-optimized points replace the wire tag with the
-        // direction tag (BENCH_rmat14_2d_hybrid_c64.json): run them with
-        // a single --wires value or the names collide.
-        const bool dirop = opt.direction != bfs::DirectionMode::kTopDown;
-        spec.name = "rmat" + std::to_string(scale) + "_" + algo + "_" +
-                    (dirop ? bfs::to_string(opt.direction) : wire) + "_c" +
-                    std::to_string(opt.cores);
-        spec.created_by = "bench_suite";
-        spec.scale = scale;
-        spec.edge_factor = 16;
-        spec.sources = opt.sources;
-        spec.repetitions = opt.reps;
-        spec.paper_log2_edges = 33.0;  // the scale-29, ef-16 paper runs
-        try {
-          spec.engine.algorithm = parse_algo(algo);
-          spec.engine.cores = opt.cores;
-          spec.engine.machine = model::hopper();
-          spec.engine.machine.beta_net *= opt.slow_beta;
-          spec.engine.wire_format = comm::parse_wire_format(wire);
-          spec.engine.direction = opt.direction;
-          spec.engine.faults = opt.faults;
-          spec.engine.recover = opt.recover;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "%s\n", e.what());
-          return 2;
-        }
-
-        if (opt.list_only) {
-          std::printf("  %s\n", spec.name.c_str());
-          continue;
-        }
-        try {
-          const obs::BenchRecord record = run_bench_record(spec);
-          const std::string path =
-              opt.out_dir + "/" + obs::bench_record_filename(record.name);
-          obs::save_bench_record(path, record);
-          std::printf("  %s\n", describe_bench_record(record).c_str());
-          if (dirop) {
-            // Per-direction shipped-bytes ratios from the profile run's
-            // dirop.wire.* counters (also stored in the record).
-            const auto counter = [&record](const char* key) {
-              const auto it = record.counters.find(key);
-              return it == record.counters.end() ? 0.0
-                                                 : static_cast<double>(
-                                                       it->second);
-            };
-            const double td_raw = counter("dirop.wire.top_down_raw_bytes");
-            const double bu_raw = counter("dirop.wire.bottom_up_raw_bytes");
-            std::printf(
-                "    dirop: %lld top-down / %lld bottom-up level(s), "
-                "wire ratio td=%.3f bu=%.3f\n",
-                static_cast<long long>(
-                    counter("dirop.levels.top_down")),
-                static_cast<long long>(
-                    counter("dirop.levels.bottom_up")),
-                td_raw > 0.0 ? counter("dirop.wire.top_down_bytes") / td_raw
-                             : 0.0,
-                bu_raw > 0.0
-                    ? counter("dirop.wire.bottom_up_bytes") / bu_raw
-                    : 0.0);
-          }
-          ++written;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "bench_suite: %s failed: %s\n",
-                       spec.name.c_str(), e.what());
-          return 1;
-        }
+  for (const BenchSpec& spec : specs) {
+    if (opt.list_only) {
+      std::printf("  %s\n", spec.name.c_str());
+      continue;
+    }
+    try {
+      const obs::BenchRecord record = run_bench_record(spec);
+      const std::string path =
+          opt.out_dir + "/" + obs::bench_record_filename(record.name);
+      obs::save_bench_record(path, record);
+      std::printf("  %s\n", describe_bench_record(record).c_str());
+      if (spec.engine.direction != bfs::DirectionMode::kTopDown) {
+        // Per-direction shipped-bytes ratios from the profile run's
+        // dirop.wire.* counters (also stored in the record).
+        const auto counter = [&record](const char* key) {
+          const auto it = record.counters.find(key);
+          return it == record.counters.end()
+                     ? 0.0
+                     : static_cast<double>(it->second);
+        };
+        const double td_raw = counter("dirop.wire.top_down_raw_bytes");
+        const double bu_raw = counter("dirop.wire.bottom_up_raw_bytes");
+        std::printf(
+            "    dirop: %lld top-down / %lld bottom-up level(s), "
+            "wire ratio td=%.3f bu=%.3f\n",
+            static_cast<long long>(counter("dirop.levels.top_down")),
+            static_cast<long long>(counter("dirop.levels.bottom_up")),
+            td_raw > 0.0 ? counter("dirop.wire.top_down_bytes") / td_raw
+                         : 0.0,
+            bu_raw > 0.0 ? counter("dirop.wire.bottom_up_bytes") / bu_raw
+                         : 0.0);
       }
+      ++written;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_suite: %s failed: %s\n",
+                   spec.name.c_str(), e.what());
+      return 1;
     }
   }
   if (!opt.list_only) {

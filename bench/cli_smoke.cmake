@@ -1,0 +1,91 @@
+# cli_smoke: the three drivers parse through one engine-flag binding and
+# check every argument before any work.
+#   1. bfs_tool rejects a malformed number (--cores abc): exit 2, and the
+#      error names the flag.
+#   2. graph500_runner rejects an algorithm it does not run (2D): exit 2.
+#   3. graph500_runner --help prints usage and exits 0 without running.
+#   4. graph500_runner takes every engine flag, --spare-ranks included:
+#      a kill with no spare left exits 2, names the rank failure and
+#      writes the flight dump.
+#   5. bench_suite takes the engine flags in "--key value" form.
+#   6. bench_suite rejects a malformed list entry (--scales=14x): exit 2
+#      with "bench_suite: bad value".
+# Invoked by ctest as
+#   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
+#         -DOUT_DIR=<scratch> -P cli_smoke.cmake
+foreach(var BFS_TOOL GRAPH500_RUNNER BENCH_SUITE OUT_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_smoke: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(REMOVE_RECURSE "${OUT_DIR}")
+file(MAKE_DIRECTORY "${OUT_DIR}")
+
+# run(<step> <expected rc> <command...>): run the command, require the
+# exit code, and leave its output in <step>_out / <step>_err.
+function(run step want_rc)
+  execute_process(
+    COMMAND ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL want_rc)
+    message(FATAL_ERROR "cli_smoke: step ${step} should exit ${want_rc} "
+                        "(rc=${rc})\ncommand: ${ARGN}\nstdout:\n${out}\n"
+                        "stderr:\n${err}")
+  endif()
+  set(${step}_out "${out}" PARENT_SCOPE)
+  set(${step}_err "${err}" PARENT_SCOPE)
+endfunction()
+
+# --- 1. a malformed number is an error naming the flag -----------------
+run(s1 2 "${BFS_TOOL}" --algo 2d --scale 8 --cores abc --sources 1)
+if(NOT s1_err MATCHES "--cores")
+  message(FATAL_ERROR "cli_smoke: --cores abc exited 2 without naming "
+                      "--cores\nstderr:\n${s1_err}")
+endif()
+
+# --- 2. an unknown algorithm is an error, not a fallback ----------------
+run(s2 2 "${GRAPH500_RUNNER}" 10 16 2D 1)
+
+# --- 3. --help prints usage and runs nothing ----------------------------
+run(s3 0 "${GRAPH500_RUNNER}" --help)
+if(NOT s3_out MATCHES "usage:" OR s3_out MATCHES "Graph500-style run")
+  message(FATAL_ERROR "cli_smoke: graph500_runner --help should print "
+                      "usage and run nothing\nstdout:\n${s3_out}")
+endif()
+
+# --- 4. --spare-ranks reaches graph500_runner's engine ------------------
+set(dump "${OUT_DIR}/dead.json")
+run(s4 2 "${GRAPH500_RUNNER}" 10 16 1d 2 --fault-plan=kill:2@level3
+    --checkpoint-every=1 --recover-policy=spare --spare-ranks=0
+    "--flight-out=${dump}")
+if(NOT "${s4_out}${s4_err}" MATCHES "rank failure")
+  message(FATAL_ERROR "cli_smoke: the unrecovered kill exited 2 without "
+                      "naming the rank failure\nstdout:\n${s4_out}\n"
+                      "stderr:\n${s4_err}")
+endif()
+if(NOT EXISTS "${dump}")
+  message(FATAL_ERROR "cli_smoke: the unrecovered kill wrote no flight "
+                      "dump ${dump}")
+endif()
+
+# --- 5. bench_suite takes engine flags in both spellings ----------------
+run(s5 0 "${BENCH_SUITE}" --cores 64 --direction hybrid --alpha 8
+    --algos=2d --wires=auto --scales=14 --list)
+if(NOT s5_out MATCHES "rmat14_2d_hybrid_c64")
+  message(FATAL_ERROR "cli_smoke: bench_suite --list did not name "
+                      "rmat14_2d_hybrid_c64\nstdout:\n${s5_out}")
+endif()
+
+# --- 6. a malformed list entry is a bad value ---------------------------
+run(s6 2 "${BENCH_SUITE}" --scales=14x --list)
+if(NOT s6_err MATCHES "bench_suite: bad value")
+  message(FATAL_ERROR "cli_smoke: --scales=14x exited 2 without "
+                      "\"bench_suite: bad value\"\nstderr:\n${s6_err}")
+endif()
+
+message(STATUS "cli_smoke passed: malformed numbers and unknown algorithms "
+               "exit 2, --help runs nothing, engine flags reach "
+               "graph500_runner and bench_suite in both spellings")

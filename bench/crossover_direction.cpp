@@ -81,11 +81,12 @@ ScaleResult run_scale(int scale) {
           ? static_cast<double>(total.hybrid) /
                 static_cast<double>(total.top_down)
           : 0.0;
-  std::printf("%5s %12s %16lld %16lld %9.3f  (%d bottom-up level(s), "
+  std::printf("%5s %12s %16lld %16lld %9.3f  (%lld bottom-up level(s), "
               "%.1f%% of edges cut)\n",
               "total", "", static_cast<long long>(total.top_down),
               static_cast<long long>(total.hybrid), ratio,
-              hy.report.dirop.bottom_up_levels, 100.0 * (1.0 - ratio));
+              static_cast<long long>(hy.report.dirop.bottom_up_levels),
+              100.0 * (1.0 - ratio));
   return total;
 }
 

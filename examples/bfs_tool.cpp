@@ -13,6 +13,7 @@
 
 #include "core/engine.hpp"
 #include "bfs/report_json.hpp"
+#include "core/engine_flags.hpp"
 #include "core/teps.hpp"
 #include "obs/comm_atlas.hpp"
 #include "obs/critical_path.hpp"
@@ -21,23 +22,10 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "util/cli.hpp"
-#include "util/options.hpp"
 
 namespace {
 
 using namespace dbfs;
-
-core::Algorithm parse_algorithm(const std::string& name) {
-  if (name == "serial") return core::Algorithm::kSerial;
-  if (name == "shared") return core::Algorithm::kShared;
-  if (name == "1d") return core::Algorithm::kOneDFlat;
-  if (name == "1d-hybrid") return core::Algorithm::kOneDHybrid;
-  if (name == "2d") return core::Algorithm::kTwoDFlat;
-  if (name == "2d-hybrid") return core::Algorithm::kTwoDHybrid;
-  if (name == "graph500-ref") return core::Algorithm::kGraph500Ref;
-  if (name == "pbgl") return core::Algorithm::kPbglLike;
-  throw std::invalid_argument("unknown algorithm: " + name);
-}
 
 graph::EdgeList load_or_generate(const util::ArgParser& args) {
   const std::string input = args.get("input", "");
@@ -95,27 +83,10 @@ int main(int argc, char** argv) {
                 "graph500-ref | pbgl",
                 "2d-hybrid")
       .describe("cores", "simulated core count", "1024")
-      .describe("threads", "threads per rank (0 = machine default)", "0")
-      .describe("machine", "franklin | hopper | carver | generic", "hopper")
-      .describe("backend", "spmsv back end: auto | spa | heap", "auto")
-      .describe("triangular", "store only the upper triangle (2D only)")
       .describe("wire-format",
                 "exchange payload encoding: raw | sieve | bitmap | varint "
                 "| auto (sender-side visited sieve + compressed blocks)",
                 "raw")
-      .describe("direction",
-                "2D traversal direction: topdown | bottomup | hybrid "
-                "(hybrid prices the per-level Beamer switch on the "
-                "machine model)",
-                "topdown")
-      .describe("alpha",
-                "bottom-up engage threshold: switch when m_f > m_u/alpha "
-                "(<= 0 derives it from the machine model)",
-                "14")
-      .describe("beta",
-                "bottom-up disengage threshold: return when frontier < "
-                "n/beta (<= 0 derives it from the machine model)",
-                "24")
       .describe("sources", "number of BFS sources (Graph500 style)", "4")
       .describe("no-shuffle", "skip the random vertex relabeling")
       .describe("save", "write the prepared graph to this file and exit")
@@ -127,7 +98,7 @@ int main(int argc, char** argv) {
                 "collect the metrics registry; prints a summary and is "
                 "embedded in --json output")
       .describe("metrics-format",
-                "with --metrics, also dump the full registry to stdout "
+                "collect the metrics and dump the full registry to stdout "
                 "as: openmetrics | json")
       .describe("atlas-out",
                 "attach the communication atlas and write its per-rank-pair "
@@ -135,36 +106,9 @@ int main(int argc, char** argv) {
       .describe("flight-out",
                 "write the always-on flight recorder's event ring as "
                 "JSON to this path after the run (written there "
-                "automatically if the run dies)")
-      .describe("fault-seed", "seed for deterministic fault injection", "0")
-      .describe("straggler",
-                "compute stragglers as rank:factor[,rank:factor...]")
-      .describe("degrade-nic",
-                "degraded links as rank:factor[,rank:factor...]")
-      .describe("fail-rate",
-                "transient collective failure probability (0..1)", "0")
-      .describe("corrupt-rate",
-                "payload corruption probability per exchange (0..1)", "0")
-      .describe("corrupt-mode", "bitflip | drop | dup | mix", "mix")
-      .describe("fault-plan",
-                "kill:RANK@levelL[,RANK@tSECONDS...] for fail-stop rank "
-                "kills, flip:RANK@levelL:target[,...] for at-rest memory "
-                "corruption (target: parents | levels | visited | dirop | "
-                "checkpoint), or a path to a fault-plan JSON file "
-                "(replaces the other fault flags)")
-      .describe("checkpoint-every",
-                "checkpoint cadence in levels for fail-stop recovery "
-                "(0 = source-only replay)",
-                "0")
-      .describe("audit-every",
-                "SDC state-audit cadence in levels (0 = only audit when "
-                "a fault plan injects memory flips)",
-                "0")
-      .describe("recover-policy",
-                "what replaces a dead rank: shrink | spare", "shrink")
-      .describe("spare-ranks", "hot spares available to the spare policy",
-                "1")
-      .describe("help", "print this message");
+                "automatically if the run dies)");
+  core::describe_engine_flags(args);
+  args.describe("help", "print this message");
 
   if (args.get_flag("help")) {
     std::fputs(args.usage().c_str(), stdout);
@@ -175,10 +119,32 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Every flag is parsed and checked before the graph is generated.
+    core::EngineOptions base;
+    base.algorithm = core::parse_algorithm(args.get("algo", "2d-hybrid"));
+    base.cores = static_cast<int>(args.get_int("cores", 1024));
+    base.machine = model::hopper();
+    base.wire_format =
+        comm::parse_wire_format(args.get("wire-format", "raw"));
+    core::EngineOptions opts = core::apply_engine_flags(args, base);
+    const std::string trace_out = args.get("trace-out", "");
+    opts.trace = !trace_out.empty();
+    const std::string metrics_format = args.get("metrics-format", "");
+    if (args.has("metrics-format") && metrics_format != "openmetrics" &&
+        metrics_format != "json") {
+      throw std::invalid_argument("unknown --metrics-format '" +
+                                  metrics_format + "'");
+    }
+    opts.metrics = args.get_flag("metrics") || args.has("metrics-format");
+    const std::string atlas_out = args.get("atlas-out", "");
+    opts.atlas = !atlas_out.empty();
+    const std::string flight_out = args.get("flight-out", "");
+    const int nsources = static_cast<int>(args.get_int("sources", 4));
+    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+
     graph::BuildOptions build;
     build.shuffle = !args.get_flag("no-shuffle");
-    build.shuffle_seed = static_cast<std::uint64_t>(args.get_int("seed", 1)) +
-                         0x5eed;
+    build.shuffle_seed = seed + 0x5eed;
     auto built = graph::build_graph(load_or_generate(args), build);
     const vid_t n = built.csr.num_vertices();
     std::printf("graph: n=%lld m=%lld (directed input %lld)\n",
@@ -197,50 +163,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    core::EngineOptions opts;
-    opts.algorithm = parse_algorithm(args.get("algo", "2d-hybrid"));
-    opts.cores = static_cast<int>(args.get_int("cores", 1024));
-    opts.threads_per_rank = static_cast<int>(args.get_int("threads", 0));
-    opts.machine = model::preset(args.get("machine", "hopper"));
-    opts.triangular_storage = args.get_flag("triangular");
-    opts.wire_format = comm::parse_wire_format(args.get("wire-format", "raw"));
-    opts.direction = bfs::parse_direction_mode(args.get("direction", "topdown"));
-    opts.alpha = args.get_double("alpha", 14.0);
-    opts.beta = args.get_double("beta", 24.0);
-    const std::string backend = args.get("backend", "auto");
-    opts.backend = backend == "spa"    ? sparse::SpmsvBackend::kSpa
-                   : backend == "heap" ? sparse::SpmsvBackend::kHeap
-                                       : sparse::SpmsvBackend::kAuto;
-
-    simmpi::FaultPlan faults;
-    faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0));
-    faults.collective_fail_rate = args.get_double("fail-rate", 0.0);
-    faults.corrupt_rate = args.get_double("corrupt-rate", 0.0);
-    faults.corrupt_kind =
-        simmpi::parse_corrupt_kind(args.get("corrupt-mode", "mix"));
-    faults.compute_stragglers =
-        util::parse_rank_factors(args.get("straggler", ""));
-    faults.nic_stragglers =
-        util::parse_rank_factors(args.get("degrade-nic", ""));
-    const std::string fault_plan = args.get("fault-plan", "");
-    opts.faults = fault_plan.empty()
-                      ? faults
-                      : simmpi::load_fault_plan(fault_plan, faults);
-    opts.recover.checkpoint_every =
-        static_cast<int>(args.get_int("checkpoint-every", 0));
-    opts.recover.policy =
-        recover::parse_policy(args.get("recover-policy", "shrink"));
-    opts.recover.spare_ranks =
-        static_cast<int>(args.get_int("spare-ranks", 1));
-    opts.recover.audit_every =
-        static_cast<int>(args.get_int("audit-every", 0));
-
-    const std::string trace_out = args.get("trace-out", "");
-    opts.trace = !trace_out.empty();
-    opts.metrics = args.get_flag("metrics");
-    const std::string atlas_out = args.get("atlas-out", "");
-    opts.atlas = !atlas_out.empty();
-
     core::Engine engine{built.edges, n, opts};
     std::printf("engine: %s on %s, %d cores used\n",
                 core::to_string(opts.algorithm), opts.machine.name.c_str(),
@@ -248,7 +170,6 @@ int main(int argc, char** argv) {
 
     // Black-box dump: on demand via --flight-out, or forced to that path
     // (default FLIGHT_ERROR.json) when the run dies.
-    const std::string flight_out = args.get("flight-out", "");
     const auto dump_flight = [&engine](const std::string& path) {
       const obs::FlightRecorder* flight = engine.flight_recorder();
       if (flight == nullptr || path.empty()) return;
@@ -266,9 +187,8 @@ int main(int argc, char** argv) {
     };
 
     const auto comps = graph::connected_components(engine.csr());
-    const auto sources = graph::sample_sources(
-        engine.csr(), comps, static_cast<int>(args.get_int("sources", 4)),
-        static_cast<std::uint64_t>(args.get_int("seed", 1)) + 99);
+    const auto sources =
+        graph::sample_sources(engine.csr(), comps, nsources, seed + 99);
     if (sources.empty()) {
       std::fprintf(stderr, "no usable BFS source in the largest component\n");
       return 1;
@@ -372,17 +292,12 @@ int main(int argc, char** argv) {
           "p95 %.3e s, p99 %.3e s\n",
           static_cast<unsigned long long>(wait.count()), wait.mean(),
           wait.quantile(0.95), wait.quantile(0.99));
-      const std::string metrics_format = args.get("metrics-format", "");
       if (metrics_format == "openmetrics") {
         std::ostringstream exposition;
         engine.metrics()->write_openmetrics(exposition);
         std::fputs(exposition.str().c_str(), stdout);
       } else if (metrics_format == "json") {
         std::printf("%s\n", engine.metrics()->to_json().c_str());
-      } else if (!metrics_format.empty()) {
-        std::fprintf(stderr, "error: unknown --metrics-format '%s'\n",
-                     metrics_format.c_str());
-        return 2;
       }
     }
     if (engine.comm_atlas() != nullptr) {

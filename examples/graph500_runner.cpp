@@ -6,32 +6,26 @@
 //   ./examples/graph500_runner [scale] [cores] [algorithm] [nsources]
 //             [--trace-out=PATH] [--bench-out=PATH] [--flight-out=PATH]
 //             [--atlas-out=PATH] [--metrics-format=openmetrics|json]
-//             [--wire-format=raw|sieve|bitmap|varint|auto]
-//             [--direction=topdown|bottomup|hybrid] [--alpha=A] [--beta=B]
-//             [--fault-plan=kill:RANK@levelL[,...] |
-//              --fault-plan=flip:RANK@levelL:target[,...] |
-//              --fault-plan=FILE.json]
-//             [--checkpoint-every=K] [--recover-policy=shrink|spare]
-//             [--audit-every=K]
+//             [--wire-format=raw|sieve|bitmap|varint|auto] [engine flags]
 //   algorithm in {1d, 1d-hybrid, 2d, 2d-hybrid}
 //
-// Flags accept both "--key=value" and "--key value"; undeclared keys
-// print a warning. Like bfs_tool, an unrecovered fault or a bad flag
-// value exits 2, and an unrecovered fault or a failed validation writes
+// The engine flags are bfs_tool's (core/engine_flags.hpp); --help lists
+// them all. Flags accept both "--key=value" and "--key value"; undeclared
+// keys print a warning. Like bfs_tool, a bad argument or an unrecovered
+// fault exits 2, and an unrecovered fault or a failed validation writes
 // the flight-recorder dump (to --flight-out, else FLIGHT_ERROR.json).
 //
 // --bench-out writes the run as a BENCH_*.json-style BenchRecord (single
 // repetition over all search keys) so ad-hoc runs can be diffed against
 // the committed baselines with bench_diff.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/engine_flags.hpp"
 #include "core/teps.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
@@ -43,73 +37,56 @@
 
 namespace {
 
-dbfs::core::Algorithm parse_algorithm(const char* name) {
-  using dbfs::core::Algorithm;
-  if (std::strcmp(name, "1d") == 0) return Algorithm::kOneDFlat;
-  if (std::strcmp(name, "1d-hybrid") == 0) return Algorithm::kOneDHybrid;
-  if (std::strcmp(name, "2d") == 0) return Algorithm::kTwoDFlat;
-  if (std::strcmp(name, "2d-hybrid") == 0) return Algorithm::kTwoDHybrid;
-  std::fprintf(stderr, "unknown algorithm '%s', using 2d-hybrid\n", name);
-  return Algorithm::kTwoDHybrid;
-}
-
 /// The whole run; main() turns any exception into exit 2.
 int run(const dbfs::util::ArgParser& args) {
   using namespace dbfs;
 
+  // Every argument is parsed and checked before the graph is generated.
   const std::string trace_out = args.get("trace-out", "");
   const std::string bench_out = args.get("bench-out", "");
   const std::string flight_out = args.get("flight-out", "");
   const std::string atlas_out = args.get("atlas-out", "");
   const std::string metrics_format = args.get("metrics-format", "");
+  if (args.has("metrics-format") && metrics_format != "openmetrics" &&
+      metrics_format != "json") {
+    throw std::invalid_argument("unknown --metrics-format '" +
+                                metrics_format + "'");
+  }
   const std::vector<std::string>& positional = args.positional();
-  const auto arg = [&positional](std::size_t i) {
-    return i < positional.size() ? positional[i].c_str() : nullptr;
+  const auto number = [&positional](std::size_t i, const char* name,
+                                    int fallback) {
+    return i < positional.size() ? util::parse_number<int>(positional[i], name)
+                                 : fallback;
   };
-  const int scale = arg(0) ? std::atoi(arg(0)) : 14;
-  const int cores = arg(1) ? std::atoi(arg(1)) : 1024;
-  const core::Algorithm algorithm =
-      arg(2) ? parse_algorithm(arg(2)) : core::Algorithm::kTwoDHybrid;
-  const int nsources = arg(3) ? std::atoi(arg(3)) : 16;
+  const int scale = number(0, "scale", 14);
+  const int nsources = number(3, "nsources", 16);
 
-  const comm::WireFormat wire_format =
-      comm::parse_wire_format(args.get("wire-format", "raw"));
-  const bfs::DirectionMode direction =
-      bfs::parse_direction_mode(args.get("direction", "topdown"));
+  core::EngineOptions base;
+  base.algorithm = positional.size() > 2
+                       ? core::parse_paper_algorithm(positional[2])
+                       : core::Algorithm::kTwoDHybrid;
+  base.cores = number(1, "cores", 1024);
+  base.machine = model::hopper();
+  base.wire_format = comm::parse_wire_format(args.get("wire-format", "raw"));
+  core::EngineOptions opts = core::apply_engine_flags(args, base);
+  opts.trace = !trace_out.empty() || !bench_out.empty();
+  opts.metrics = !bench_out.empty() || args.has("metrics-format");
+  // The atlas rides along with any bench record (its summary is a
+  // schema-additive block) or on explicit request.
+  opts.atlas = !atlas_out.empty() || !bench_out.empty();
 
   std::printf("=== Graph500-style run ===\n");
   std::printf("SCALE: %d  edgefactor: 16  cores: %d  algorithm: %s  "
               "wire-format: %s  direction: %s\n",
-              scale, cores, core::to_string(algorithm),
-              comm::to_string(wire_format), bfs::to_string(direction));
+              scale, opts.cores, core::to_string(opts.algorithm),
+              comm::to_string(opts.wire_format),
+              bfs::to_string(opts.direction));
 
   graph::RmatParams params;
   params.scale = scale;
   params.edge_factor = 16;
   auto built = graph::build_graph(graph::generate_rmat(params));
   const vid_t n = built.csr.num_vertices();
-
-  core::EngineOptions opts;
-  opts.algorithm = algorithm;
-  opts.cores = cores;
-  opts.machine = model::hopper();
-  opts.wire_format = wire_format;
-  opts.direction = direction;
-  opts.alpha = args.get_double("alpha", 14.0);
-  opts.beta = args.get_double("beta", 24.0);
-  const std::string fault_plan = args.get("fault-plan", "");
-  if (!fault_plan.empty()) opts.faults = simmpi::load_fault_plan(fault_plan);
-  opts.recover.checkpoint_every =
-      static_cast<int>(args.get_int("checkpoint-every", 0));
-  opts.recover.policy =
-      recover::parse_policy(args.get("recover-policy", "shrink"));
-  opts.recover.audit_every =
-      static_cast<int>(args.get_int("audit-every", 0));
-  opts.trace = !trace_out.empty() || !bench_out.empty();
-  opts.metrics = !bench_out.empty() || !metrics_format.empty();
-  // The atlas rides along with any bench record (its summary is a
-  // schema-additive block) or on explicit request.
-  opts.atlas = !atlas_out.empty() || !bench_out.empty();
   core::Engine engine{built.edges, n, opts};
 
   const auto comps = graph::connected_components(engine.csr());
@@ -214,16 +191,16 @@ int run(const dbfs::util::ArgParser& args) {
       obs::BenchRecordBuilder builder;
       obs::BenchRecord& record = builder.record();
       record.name = "graph500_s" + std::to_string(scale) + "_" +
-                    core::to_string(algorithm) + "_c" +
+                    core::to_string(opts.algorithm) + "_c" +
                     std::to_string(engine.cores_used());
       record.created_by = "graph500_runner";
       record.config.generator = "rmat";
       record.config.scale = scale;
       record.config.edge_factor = 16;
       record.config.graph_seed = params.seed;
-      record.config.algorithm = core::to_string(algorithm);
+      record.config.algorithm = core::to_string(opts.algorithm);
       record.config.machine = opts.machine.name;
-      record.config.wire_format = comm::to_string(wire_format);
+      record.config.wire_format = comm::to_string(opts.wire_format);
       record.config.cores = engine.cores_used();
       record.config.ranks = ranks;
       record.config.threads_per_rank = threads;
@@ -256,17 +233,13 @@ int run(const dbfs::util::ArgParser& args) {
     }
   }
 
-  if (!metrics_format.empty() && engine.metrics() != nullptr) {
+  if (engine.metrics() != nullptr) {
     if (metrics_format == "openmetrics") {
       std::ostringstream exposition;
       engine.metrics()->write_openmetrics(exposition);
       std::fputs(exposition.str().c_str(), stdout);
     } else if (metrics_format == "json") {
       std::printf("%s\n", engine.metrics()->to_json().c_str());
-    } else {
-      std::fprintf(stderr, "unknown --metrics-format '%s'\n",
-                   metrics_format.c_str());
-      return 1;
     }
   }
 
@@ -283,14 +256,16 @@ int main(int argc, char** argv) {
       .describe("flight-out", "flight-recorder dump after the run")
       .describe("atlas-out", "communication atlas of the first key's run")
       .describe("metrics-format", "dump the metrics: openmetrics | json")
-      .describe("wire-format", "raw | sieve | bitmap | varint | auto", "raw")
-      .describe("direction", "topdown | bottomup | hybrid", "topdown")
-      .describe("alpha", "bottom-up engage threshold", "14")
-      .describe("beta", "bottom-up disengage threshold", "24")
-      .describe("fault-plan", "kill:SPECS | flip:SPECS | FILE.json")
-      .describe("checkpoint-every", "checkpoint cadence in levels", "0")
-      .describe("recover-policy", "shrink | spare", "shrink")
-      .describe("audit-every", "SDC audit cadence in levels", "0");
+      .describe("wire-format", "raw | sieve | bitmap | varint | auto", "raw");
+  dbfs::core::describe_engine_flags(args);
+  args.describe("help", "print this message");
+  if (args.get_flag("help")) {
+    std::printf("%s  positional: [scale=14] [cores=1024] "
+                "[algorithm=2d-hybrid: 1d | 1d-hybrid | 2d | 2d-hybrid] "
+                "[nsources=16]\n",
+                args.usage().c_str());
+    return 0;
+  }
   for (const std::string& key : args.unknown_keys()) {
     std::fprintf(stderr, "warning: unknown option --%s\n", key.c_str());
   }

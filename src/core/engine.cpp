@@ -36,6 +36,18 @@ const char* to_string(Algorithm a) {
   return "?";
 }
 
+Algorithm parse_algorithm(const std::string& name) {
+  if (name == "serial") return Algorithm::kSerial;
+  if (name == "shared") return Algorithm::kShared;
+  if (name == "1d") return Algorithm::kOneDFlat;
+  if (name == "1d-hybrid") return Algorithm::kOneDHybrid;
+  if (name == "2d") return Algorithm::kTwoDFlat;
+  if (name == "2d-hybrid") return Algorithm::kTwoDHybrid;
+  if (name == "graph500-ref") return Algorithm::kGraph500Ref;
+  if (name == "pbgl") return Algorithm::kPbglLike;
+  throw std::invalid_argument("unknown algorithm: " + name);
+}
+
 bool is_distributed(Algorithm a) {
   return a != Algorithm::kSerial && a != Algorithm::kShared;
 }

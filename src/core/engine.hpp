@@ -45,6 +45,10 @@ enum class Algorithm {
 };
 
 const char* to_string(Algorithm a);
+/// The algorithm a command line names: serial, shared, 1d, 1d-hybrid, 2d,
+/// 2d-hybrid, graph500-ref or pbgl. Throws std::invalid_argument on any
+/// other name.
+Algorithm parse_algorithm(const std::string& name);
 bool is_distributed(Algorithm a);
 
 struct EngineOptions {

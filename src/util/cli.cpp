@@ -1,10 +1,33 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 namespace dbfs::util {
+
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(
+        (what.empty() ? "" : what + ": ") + "expected " +
+        (std::is_integral_v<T> ? "an integer" : "a number") + ", got '" +
+        text + "'");
+  }
+  return value;
+}
+
+template int parse_number<int>(const std::string&, const std::string&);
+template std::int64_t parse_number<std::int64_t>(const std::string&,
+                                                 const std::string&);
+template std::uint64_t parse_number<std::uint64_t>(const std::string&,
+                                                   const std::string&);
+template double parse_number<double>(const std::string&, const std::string&);
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -45,18 +68,15 @@ std::string ArgParser::get(const std::string& key,
 std::int64_t ArgParser::get_int(const std::string& key,
                                 std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return end == it->second.c_str() ? fallback : static_cast<std::int64_t>(v);
+  return it == values_.end()
+             ? fallback
+             : parse_number<std::int64_t>(it->second, "--" + key);
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end == it->second.c_str() ? fallback : v;
+  return it == values_.end() ? fallback
+                             : parse_number<double>(it->second, "--" + key);
 }
 
 bool ArgParser::get_flag(const std::string& key) const {

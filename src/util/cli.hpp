@@ -10,6 +10,13 @@
 
 namespace dbfs::util {
 
+/// Parse all of `text` as a T (int, std::int64_t, std::uint64_t or
+/// double). An empty string, trailing characters or a value out of T's
+/// range throw std::invalid_argument; the message starts with `what` (the
+/// flag or positional the text came from) when it is not empty.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what = "");
+
 class ArgParser {
  public:
   /// `argv`-style input; argv[0] is taken as the program name.
@@ -21,6 +28,9 @@ class ArgParser {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Typed accessors: `fallback` when the key is absent, else the value
+  /// parsed by parse_number, which throws naming "--key" when the value
+  /// is empty or malformed.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_flag(const std::string& key) const;

@@ -16,25 +16,11 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return static_cast<std::int64_t>(value);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return value;
-}
-
 bool env_flag(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return false;
   const std::string_view v{raw};
   return !v.empty() && v != "0" && v != "false" && v != "FALSE";
-}
-
-std::string env_str(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  return (raw == nullptr || *raw == '\0') ? fallback : std::string{raw};
 }
 
 int bench_scale(int dflt) {

@@ -19,14 +19,8 @@ namespace dbfs::util {
 /// variable is unset or unparsable.
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Read a floating-point environment variable with a fallback.
-double env_double(const char* name, double fallback);
-
 /// True when the variable is set to anything other than "", "0", "false".
 bool env_flag(const char* name);
-
-/// Read a string environment variable with a fallback.
-std::string env_str(const char* name, const std::string& fallback);
 
 /// Problem scale for benches: log2 of the vertex count. Honors
 /// DISTBFS_SCALE; `dflt` applies otherwise, halved-ish under

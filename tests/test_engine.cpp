@@ -100,6 +100,22 @@ TEST(Engine, AlgorithmNamesRoundTrip) {
   EXPECT_TRUE(is_distributed(Algorithm::kPbglLike));
   EXPECT_FALSE(is_distributed(Algorithm::kSerial));
   EXPECT_FALSE(is_distributed(Algorithm::kShared));
+
+  // The command-line names, one per algorithm.
+  const std::pair<const char*, Algorithm> names[] = {
+      {"serial", Algorithm::kSerial},
+      {"shared", Algorithm::kShared},
+      {"1d", Algorithm::kOneDFlat},
+      {"1d-hybrid", Algorithm::kOneDHybrid},
+      {"2d", Algorithm::kTwoDFlat},
+      {"2d-hybrid", Algorithm::kTwoDHybrid},
+      {"graph500-ref", Algorithm::kGraph500Ref},
+      {"pbgl", Algorithm::kPbglLike},
+  };
+  for (const auto& [name, algorithm] : names) {
+    EXPECT_EQ(parse_algorithm(name), algorithm) << name;
+  }
+  EXPECT_THROW((void)parse_algorithm("2D"), std::invalid_argument);
 }
 
 TEST(Engine, RejectsEmptyGraph) {

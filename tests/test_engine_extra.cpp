@@ -1,7 +1,6 @@
 // Additional Engine / report edge-case coverage beyond test_engine.cpp.
 #include <gtest/gtest.h>
 
-#include "bfs/cc1d.hpp"
 #include "core/engine.hpp"
 #include "graph/components.hpp"
 #include "test_helpers.hpp"
@@ -95,28 +94,6 @@ TEST(EngineExtra, CommPlusCompBoundsTotalPerRank) {
     // Each rank's busy + waiting time can't exceed the makespan.
     EXPECT_LE(out.report.per_rank_comm[r] + out.report.per_rank_comp[r],
               out.report.total_seconds * (1 + 1e-9));
-  }
-}
-
-TEST(EngineExtra, CcAndBfsAgreeOnReachability) {
-  // The CC kernel and a BFS from vertex v must agree on which vertices
-  // share v's component.
-  const auto built = test::rmat_graph(9, 4, 77);  // sparse: multi-component
-  const vid_t n = built.csr.num_vertices();
-  bfs::Cc1DOptions cc_opts;
-  cc_opts.ranks = 8;
-  const auto cc = bfs::connected_components_1d(built.edges, n, cc_opts);
-
-  EngineOptions opts;
-  opts.algorithm = Algorithm::kOneDFlat;
-  opts.cores = 8;
-  Engine engine{built.edges, n, opts};
-  const vid_t source = test::hub_source(built.csr);
-  const auto out = engine.run(source);
-  for (vid_t v = 0; v < n; ++v) {
-    const bool same_component = cc.label[v] == cc.label[source];
-    const bool reached = out.level[v] != kUnreached;
-    EXPECT_EQ(same_component, reached) << "vertex " << v;
   }
 }
 

@@ -41,11 +41,6 @@ TEST_F(OptionsTest, EnvIntGarbageFallsBack) {
   EXPECT_EQ(env_int("DISTBFS_TEST_INT", 7), 7);
 }
 
-TEST_F(OptionsTest, EnvDoubleParsesValue) {
-  SetEnv("DISTBFS_TEST_DBL", "2.5");
-  EXPECT_DOUBLE_EQ(env_double("DISTBFS_TEST_DBL", 1.0), 2.5);
-}
-
 TEST_F(OptionsTest, EnvFlagSemantics) {
   ::unsetenv("DISTBFS_TEST_FLAG");
   EXPECT_FALSE(env_flag("DISTBFS_TEST_FLAG"));
@@ -57,13 +52,6 @@ TEST_F(OptionsTest, EnvFlagSemantics) {
   EXPECT_FALSE(env_flag("DISTBFS_TEST_FLAG"));
   SetEnv("DISTBFS_TEST_FLAG", "yes");
   EXPECT_TRUE(env_flag("DISTBFS_TEST_FLAG"));
-}
-
-TEST_F(OptionsTest, EnvStrFallback) {
-  ::unsetenv("DISTBFS_TEST_STR");
-  EXPECT_EQ(env_str("DISTBFS_TEST_STR", "dflt"), "dflt");
-  SetEnv("DISTBFS_TEST_STR", "hopper");
-  EXPECT_EQ(env_str("DISTBFS_TEST_STR", "dflt"), "hopper");
 }
 
 TEST_F(OptionsTest, BenchScaleHonorsOverride) {

@@ -1,10 +1,9 @@
-// Mop-up coverage: timers, logging plumbing, cluster argument checking.
+// Mop-up coverage: timers, cluster argument checking.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "simmpi/cluster.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace dbfs {
@@ -35,20 +34,6 @@ TEST(AccumTimer, AccumulatesWindows) {
   EXPECT_GE(t.total(), 0.010);
   t.clear();
   EXPECT_DOUBLE_EQ(t.total(), 0.0);
-}
-
-TEST(Log, ThresholdIsStable) {
-  // The threshold is latched once; calling twice returns the same value.
-  EXPECT_EQ(util::log_threshold(), util::log_threshold());
-}
-
-TEST(Log, MessagesBelowThresholdAreDropped) {
-  // Just exercise the path; output goes to stderr and must not crash.
-  util::log_debug() << "debug " << 42;
-  util::log_info() << "info " << 3.14;
-  util::log_warn() << "warn";
-  util::log_error() << "error";
-  SUCCEED();
 }
 
 TEST(Cluster, RejectsInvalidConfiguration) {
