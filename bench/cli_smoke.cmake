@@ -10,6 +10,9 @@
 #   5. bench_suite takes the engine flags in "--key value" form.
 #   6. bench_suite rejects a malformed list entry (--scales=14x): exit 2
 #      with "bench_suite: bad value".
+#   7. a bfs_tool run that dies after the graph is built (unrecoverable
+#      payload corruption) exits 2 with one "error:" line and no usage
+#      text on stderr.
 # Invoked by ctest as
 #   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
 #         -DOUT_DIR=<scratch> -P cli_smoke.cmake
@@ -86,6 +89,17 @@ if(NOT s6_err MATCHES "bench_suite: bad value")
                       "\"bench_suite: bad value\"\nstderr:\n${s6_err}")
 endif()
 
+# --- 7. a run-time fault is one error line, not the usage text ----------
+run(s7 2 "${BFS_TOOL}" --algo 1d --scale 10 --cores 16 --corrupt-rate 0.95
+    "--flight-out=${OUT_DIR}/corrupt.json")
+if(NOT s7_err MATCHES "error: [^\n]*unrecoverable payload-corruption" OR
+   s7_err MATCHES "usage:")
+  message(FATAL_ERROR "cli_smoke: the unrecoverable corruption should exit "
+                      "2 with its error line and no usage text\nstderr:\n"
+                      "${s7_err}")
+endif()
+
 message(STATUS "cli_smoke passed: malformed numbers and unknown algorithms "
                "exit 2, --help runs nothing, engine flags reach "
-               "graph500_runner and bench_suite in both spellings")
+               "graph500_runner and bench_suite in both spellings, and a "
+               "run-time fault prints one error line")

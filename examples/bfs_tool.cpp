@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
     dump_flight(flight_out);  // on-demand dump of the last run's ring
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), args.usage().c_str());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 }

@@ -61,15 +61,6 @@ class SdcShadow {
     sums_[static_cast<std::size_t>(shard)] += sdc_entry_hash(v, parent, level);
   }
 
-  /// Record an overwrite (the 1D max-parent tie-break re-parents a
-  /// vertex inside a level): subtract the old entry, add the new.
-  void replace(int shard, vid_t v, vid_t old_parent, level_t old_level,
-               vid_t parent, level_t level) noexcept {
-    sums_[static_cast<std::size_t>(shard)] -=
-        sdc_entry_hash(v, old_parent, old_level);
-    sums_[static_cast<std::size_t>(shard)] += sdc_entry_hash(v, parent, level);
-  }
-
   /// Re-derive every shard sum from the arrays. Used after a checkpoint
   /// restore or rollback, when the arrays were just overwritten
   /// wholesale (and, after a shrink, re-sharded under a new owner map).

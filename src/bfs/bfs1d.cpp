@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bfs/exchange.hpp"
 #include "bfs/frontier.hpp"
 #include "bfs/level_driver.hpp"
 #include "comm/sieve.hpp"
@@ -85,71 +86,6 @@ struct Bfs1D::Impl final : LevelEngine {
            comm::wire_sieves(opts.wire_format);
   }
 
-  /// Sieved/compressed variant of the aggregated exchange: each sender
-  /// filters its destination blocks through its visited sieve, encodes
-  /// them per opts.wire_format, and the encoded bytes travel through the
-  /// same checked alltoallv (metered and checksummed post-compression).
-  /// Both codec passes are priced at the local streaming bandwidth
-  /// (model::cost_wire_codec) — compression buys network bytes with CPU
-  /// time, never free time.
-  std::vector<std::vector<Candidate>> wire_exchange(
-      simmpi::FlatExchange<Candidate> send) {
-    const auto p = static_cast<std::size_t>(opts.ranks);
-    const int t = opts.threads_per_rank;
-    auto wire = simmpi::FlatExchange<std::uint8_t>::sized(p);
-    WireTally wl;
-    std::vector<double> codec_costs(p, 0.0);
-    std::vector<Candidate> block;
-    for (std::size_t i = 0; i < p; ++i) {
-      comm::WireStats rank_stats;
-      std::size_t offset = 0;
-      for (std::size_t j = 0; j < p; ++j) {
-        const auto c = static_cast<std::size_t>(send.counts[i][j]);
-        block.assign(
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
-        offset += c;
-        wl.pre_bytes += c * sizeof(Candidate);
-        // 1D owners keep the numerically largest parent at the reach
-        // level (partition- and order-independent, like 2D), so the
-        // in-level dedup keeps the max parent per vertex.
-        wl.dropped += comm::sieve_and_dedup(sieve, static_cast<int>(i),
-                                            block, /*keep_max_parent=*/true);
-        const std::size_t at = wire.data[i].size();
-        comm::encode_candidates<Candidate>(block, opts.wire_format,
-                                           wire.data[i], &rank_stats);
-        wire.counts[i][j] =
-            static_cast<std::int64_t>(wire.data[i].size() - at);
-      }
-      send.data[i].clear();
-      send.data[i].shrink_to_fit();
-      codec_costs[i] = model::cost_wire_codec(
-          cluster.machine(), static_cast<std::size_t>(rank_stats.raw_bytes),
-          static_cast<std::size_t>(rank_stats.encoded_bytes), t);
-      wl.stats.merge(rank_stats);
-    }
-    cluster.set_compute_phase("wire-encode");
-    charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
-
-    auto recv_wire = simmpi::checked_alltoallv(cluster, world,
-                                               std::move(wire),
-                                               "1d-exchange");
-
-    std::vector<std::vector<Candidate>> recv(p);
-    for (std::size_t j = 0; j < p; ++j) {
-      comm::decode_candidate_stream<Candidate>(recv_wire.data[j].data(),
-                                               recv_wire.data[j].size(),
-                                               recv[j]);
-      codec_costs[j] = model::cost_wire_codec(
-          cluster.machine(), recv[j].size() * sizeof(Candidate),
-          recv_wire.data[j].size(), t);
-    }
-    cluster.set_compute_phase("wire-decode");
-    charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
-    driver.record_wire(wl, "1d-exchange");
-    return recv;
-  }
-
   /// Move candidates between ranks and price the exchange according to
   /// the configured CommMode. Returns per-rank received candidates.
   std::vector<std::vector<Candidate>> exchange(
@@ -157,16 +93,12 @@ struct Bfs1D::Impl final : LevelEngine {
     const auto p = static_cast<std::size_t>(opts.ranks);
 
     if (opts.comm_mode == CommMode::kAlltoallv) {
-      if (comm::wire_sieves(opts.wire_format)) {
-        return wire_exchange(std::move(send));
-      }
-      // The checked wrapper verifies a per-level checksum over the
-      // exchanged candidates and re-issues the exchange when the fault
-      // plan corrupted the payload; without payload faults it is a plain
-      // alltoallv.
-      auto recv = simmpi::checked_alltoallv(cluster, world, std::move(send),
-                                            "1d-exchange");
-      return std::move(recv.data);
+      WireTally wl;
+      auto recv = exchange_candidates(cluster, world, std::move(send),
+                                      opts.wire_format, sieve,
+                                      opts.load_smoothing, "1d-exchange", wl);
+      if (wire_mode()) driver.record_wire(wl, "1d-exchange");
+      return recv;
     }
 
     // Unaggregated modes: identical data movement, but priced as many
@@ -310,12 +242,11 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
       im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes;
 
   // --- Phase A (Algorithm 2 lines 13-19): scan the local frontier and
-  // bucket (neighbor, parent) candidates by owner. In hybrid mode the
-  // frontier is split among t thread slots, each filling its own
-  // per-destination buffer tBuf[i][j], and the thread buffers are then
-  // merged destination-major into SendBuf — exactly the layout of
-  // Algorithm 2 lines 8-19 (the simulator runs the slots sequentially;
-  // threading is priced by the model).
+  // bucket (neighbor, parent) candidates by owner with a two-pass counting
+  // sort straight into SendBuf. In hybrid mode each thread's buffers
+  // (lines 8-19) would hold a contiguous slice of the frontier, so their
+  // destination-major merge is this same SendBuf; the threading itself is
+  // priced by the model.
   std::vector<double> phase_costs(static_cast<std::size_t>(p), 0.0);
   auto send = simmpi::FlatExchange<Candidate>::sized(
       static_cast<std::size_t>(p));
@@ -324,65 +255,21 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     const auto ri = static_cast<std::size_t>(r);
     auto& counts = send.counts[ri];
     eid_t scanned = 0;
-
-    if (t > 1) {
-      // tbuf[slot][dst]: thread-local per-destination stacks.
-      std::vector<std::vector<std::vector<Candidate>>> tbuf(
-          static_cast<std::size_t>(t));
-      for (auto& slot : tbuf) {
-        slot.resize(static_cast<std::size_t>(p));
+    for (vid_t u : fs[ri]) {
+      const vid_t local_u = u - part.begin(r);
+      for (vid_t v : im.local.neighbors(r, local_u)) {
+        ++counts[static_cast<std::size_t>(part.owner(v))];
+        ++scanned;
       }
-      const std::size_t per_slot =
-          (fs[ri].size() + static_cast<std::size_t>(t) - 1) /
-          static_cast<std::size_t>(t);
-      for (std::size_t i = 0; i < fs[ri].size(); ++i) {
-        auto& slot = tbuf[per_slot == 0 ? 0 : i / per_slot];
-        const vid_t u = fs[ri][i];
-        const vid_t local_u = u - part.begin(r);
-        for (vid_t v : im.local.neighbors(r, local_u)) {
-          slot[static_cast<std::size_t>(part.owner(v))].push_back(
-              Candidate{v, u});
-          ++scanned;
-        }
-      }
-
-      // Merge: SendBuf_j = concat over slots of tBuf[i][j] (lines
-      // 18-19).
-      for (int dst = 0; dst < p; ++dst) {
-        for (const auto& slot : tbuf) {
-          counts[static_cast<std::size_t>(dst)] +=
-              static_cast<std::int64_t>(
-                  slot[static_cast<std::size_t>(dst)].size());
-        }
-      }
-      send.data[ri].reserve(static_cast<std::size_t>(scanned));
-      for (int dst = 0; dst < p; ++dst) {
-        for (const auto& slot : tbuf) {
-          const auto& bucket = slot[static_cast<std::size_t>(dst)];
-          send.data[ri].insert(send.data[ri].end(), bucket.begin(),
-                               bucket.end());
-        }
-      }
-    } else {
-      // Flat mode: two-pass counting sort straight into SendBuf (no
-      // thread buffers to merge; avoids t*p transient allocations).
-      for (vid_t u : fs[ri]) {
-        const vid_t local_u = u - part.begin(r);
-        for (vid_t v : im.local.neighbors(r, local_u)) {
-          ++counts[static_cast<std::size_t>(part.owner(v))];
-          ++scanned;
-        }
-      }
-      std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
-      std::partial_sum(counts.begin(), counts.end() - 1,
-                       cursor.begin() + 1);
-      send.data[ri].resize(static_cast<std::size_t>(scanned));
-      for (vid_t u : fs[ri]) {
-        const vid_t local_u = u - part.begin(r);
-        for (vid_t v : im.local.neighbors(r, local_u)) {
-          auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
-          send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
-        }
+    }
+    std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
+    std::partial_sum(counts.begin(), counts.end() - 1, cursor.begin() + 1);
+    send.data[ri].resize(static_cast<std::size_t>(scanned));
+    for (vid_t u : fs[ri]) {
+      const vid_t local_u = u - part.begin(r);
+      for (vid_t v : im.local.neighbors(r, local_u)) {
+        auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
+        send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
       }
     }
     edges_scanned[ri] = scanned;
@@ -409,35 +296,8 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
   im.cluster.for_each_rank([&](int r) {
     const auto ri = static_cast<std::size_t>(r);
     fs[ri].clear();
-    if (wire) {
-      // Every received candidate's target is visited by the end of
-      // this level (it either wins now or lost earlier), so the owner
-      // can sieve any later re-send of it. Rank-private bitmap row —
-      // safe inside for_each_rank.
-      for (const Candidate& c : recv[ri]) im.sieve.mark(r, c.vertex);
-    }
-    for (const Candidate& c : recv[ri]) {
-      if (out.level[c.vertex] == kUnreached) {
-        out.level[c.vertex] = level;
-        out.parent[c.vertex] = c.parent;
-        // The write-time shadow mirrors every owner-side mutation
-        // (rank-private slot ri — safe inside for_each_rank).
-        if (shadow != nullptr) shadow->add(r, c.vertex, c.parent, level);
-        fs[ri].push_back(c.vertex);
-      } else if (out.level[c.vertex] == level &&
-                 c.parent > out.parent[c.vertex]) {
-        // Max-parent tie-break at the reach level (same rule as 2D):
-        // the winner is a property of the level's candidate multiset,
-        // independent of partition shape and arrival order — which is
-        // what lets a replay after a shrink reproduce the fault-free
-        // parents bit-for-bit.
-        if (shadow != nullptr) {
-          shadow->replace(r, c.vertex, out.parent[c.vertex], level,
-                          c.parent, level);
-        }
-        out.parent[c.vertex] = c.parent;
-      }
-    }
+    merge_candidates(recv[ri], r, level, out, wire ? &im.sieve : nullptr,
+                     shadow, fs[ri]);
     next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
 
     model::Work1D work;

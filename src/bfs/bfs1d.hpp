@@ -5,8 +5,11 @@
 // adjacencies, bucket each (neighbor, parent) candidate by owner rank,
 // exchange everything in one Alltoallv, then let owners apply distance
 // checks and build the next local frontier. The hybrid variant models
-// t-way intra-node threading (thread-local buffers merged before the
-// exchange; four thread barriers per level as in Algorithm 2).
+// t-way intra-node threading in the cost model (four thread barriers per
+// level as in Algorithm 2). Its thread-local buffers would merge into the
+// same owner-ordered send buffer the flat variant packs, so both variants
+// pack that buffer directly. The exchange and the owners' merge are
+// bfs/exchange.hpp, shared with Bfs2D's fold.
 //
 // CommMode selects how the exchange is *priced* (the data movement is
 // identical): kAlltoallv is the paper's aggregated collective; the other

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bfs/exchange.hpp"
 #include "bfs/frontier.hpp"
 #include "bfs/level_driver.hpp"
 #include "comm/sieve.hpp"
@@ -61,64 +62,6 @@ struct Bfs2D::Impl final : LevelEngine {
   bool dirop_bottom_up = false;  ///< direction the previous level ran in
   double dirop_alpha_eff = 0.0;  ///< resolved threshold (option or model)
   double dirop_beta_eff = 0.0;
-
-  /// Sieved/compressed fold round over one processor row: filter each
-  /// (sender, destination) block through the sender's sieve, encode per
-  /// opts.wire_format, ship the bytes through the same checked alltoallv
-  /// (metered and checksummed post-compression), decode per receiver.
-  /// Codec passes are priced at beta_local via model::cost_wire_codec.
-  std::vector<std::vector<Candidate>> wire_fold(
-      std::span<const int> row_group, simmpi::FlatExchange<Candidate> send,
-      WireTally& wl) {
-    const std::size_t s = row_group.size();
-    const int t = opts.threads_per_rank;
-    auto wire = simmpi::FlatExchange<std::uint8_t>::sized(s);
-    std::vector<double> codec_costs(s, 0.0);
-    std::vector<Candidate> block;
-    for (std::size_t gj = 0; gj < s; ++gj) {
-      comm::WireStats rank_stats;
-      std::size_t offset = 0;
-      for (std::size_t gk = 0; gk < s; ++gk) {
-        const auto c = static_cast<std::size_t>(send.counts[gj][gk]);
-        block.assign(
-            send.data[gj].begin() + static_cast<std::ptrdiff_t>(offset),
-            send.data[gj].begin() + static_cast<std::ptrdiff_t>(offset + c));
-        offset += c;
-        wl.pre_bytes += c * sizeof(Candidate);
-        // 2D owners combine duplicates by max parent, so the in-level
-        // dedup keeps the max-parent occurrence (keep_max_parent=true).
-        wl.dropped += comm::sieve_and_dedup(sieve, row_group[gj], block,
-                                            /*keep_max_parent=*/true);
-        const std::size_t at = wire.data[gj].size();
-        comm::encode_candidates<Candidate>(block, opts.wire_format,
-                                           wire.data[gj], &rank_stats);
-        wire.counts[gj][gk] =
-            static_cast<std::int64_t>(wire.data[gj].size() - at);
-      }
-      codec_costs[gj] = model::cost_wire_codec(
-          cluster.machine(), static_cast<std::size_t>(rank_stats.raw_bytes),
-          static_cast<std::size_t>(rank_stats.encoded_bytes), t);
-      wl.stats.merge(rank_stats);
-    }
-    cluster.set_compute_phase("wire-encode");
-    charge_smoothed(cluster, row_group, codec_costs, opts.load_smoothing);
-
-    auto recv_wire = simmpi::checked_alltoallv(cluster, row_group,
-                                               std::move(wire), "2d-fold");
-
-    std::vector<std::vector<Candidate>> recv(s);
-    for (std::size_t gk = 0; gk < s; ++gk) {
-      comm::decode_candidate_stream<Candidate>(recv_wire.data[gk].data(),
-                                               recv_wire.data[gk].size(),
-                                               recv[gk]);
-      codec_costs[gk] = model::cost_wire_codec(
-          cluster.machine(), recv[gk].size() * sizeof(Candidate),
-          recv_wire.data[gk].size(), t);
-    }
-    cluster.set_compute_phase("wire-decode");
-    charge_smoothed(cluster, row_group, codec_costs, opts.load_smoothing);
-    return recv;
-  }
 
   /// Compressed expand round over one processor column: each rank's
   /// sorted frontier piece ships as an encoded block; the concatenation
@@ -209,7 +152,7 @@ struct Bfs2D::Impl final : LevelEngine {
     }
   }
 
-  bool wire_fold_on() const {
+  bool sieving() const {
     return opts.vector_dist != dist::VectorDistKind::kDiagonal &&
            comm::wire_sieves(opts.wire_format);
   }
@@ -232,7 +175,7 @@ struct Bfs2D::Impl final : LevelEngine {
   int owner(vid_t v) const override { return vdist.owner_rank(v); }
 
   comm::Sieve* visited_sieve() override {
-    return wire_fold_on() ? &sieve : nullptr;
+    return sieving() ? &sieve : nullptr;
   }
 
   std::pair<int, int> shape() const override {
@@ -434,7 +377,7 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
 
   // The diagonal-vector baseline keeps its legacy broadcast/gatherv path
   // (it exists to reproduce Fig 4's bottleneck, not to be optimized).
-  const bool wire_fold_on = im.wire_fold_on();
+  const bool sieving = im.sieving();
   const bool wire_expand_on =
       !diagonal && comm::wire_compresses(im.opts.wire_format);
   const bool dirop_on = im.dirop_on();
@@ -468,28 +411,14 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     im.dirop_m_f = static_cast<eid_t>(simmpi::allreduce_sum<std::int64_t>(
         im.cluster, im.world, contrib, "dirop-sync"));
 
-    DiropRationale rationale = DiropRationale::kTopDownStay;
-    if (im.opts.direction == DirectionMode::kBottomUp) {
-      bottom_up = true;
-      rationale = DiropRationale::kForced;
-    } else {
-      // Engage only when the frontier is both edge-heavy and broad; a
-      // narrow frontier late in the traversal can trip the edge ratio
-      // while bottom-up would still probe every unvisited vertex.
-      const bool broad = static_cast<double>(global_frontier) >=
-                         static_cast<double>(n) / im.dirop_beta_eff;
-      if (!im.dirop_bottom_up && broad &&
-          static_cast<double>(im.dirop_m_f) >
-              static_cast<double>(im.dirop_m_u) / im.dirop_alpha_eff) {
-        bottom_up = true;
-        rationale = DiropRationale::kEngage;
-      } else if (im.dirop_bottom_up && !broad) {
-        rationale = DiropRationale::kDisengage;
-      } else if (im.dirop_bottom_up) {
-        bottom_up = true;
-        rationale = DiropRationale::kBottomUpStay;
-      }
+    DiropDecision decision{true, DiropRationale::kForced};
+    if (im.opts.direction != DirectionMode::kBottomUp) {
+      decision = beamer_switch(im.dirop_bottom_up, global_frontier, n,
+                               im.dirop_m_f, im.dirop_m_u,
+                               im.dirop_alpha_eff, im.dirop_beta_eff);
     }
+    bottom_up = decision.bottom_up;
+    const DiropRationale rationale = decision.rationale;
     stats.bottom_up = bottom_up;
     stats.frontier_edges = im.dirop_m_f;
     stats.unexplored_edges = im.dirop_m_u;
@@ -766,14 +695,11 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
           data[static_cast<std::size_t>(cur++)] = c;
         }
       }
-      if (wire_fold_on) {
-        received = im.wire_fold(row_group, std::move(send), wire_level);
-        im.cluster.set_compute_phase("2d-merge");
-      } else {
-        auto recv = simmpi::checked_alltoallv(im.cluster, row_group,
-                                              std::move(send), "2d-fold");
-        received = std::move(recv.data);
-      }
+      received = exchange_candidates(im.cluster, row_group, std::move(send),
+                                     im.opts.wire_format, im.sieve,
+                                     im.opts.load_smoothing, "2d-fold",
+                                     wire_level);
+      im.cluster.set_compute_phase("2d-merge");
     } else {
       // Diagonal distribution: everything gathers at P(i,i), which then
       // merges alone while the rest of the row idles (Fig 4).
@@ -794,48 +720,26 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
           std::move(pieces), "2d-fold");
     }
 
-    // Owners merge received candidates: sort, combine by max parent,
-    // filter against the parents array, update, and emit the new piece.
-    // Merge costs are smoothed across the row's receivers; in diagonal
-    // mode the root is the only receiver, so its serial merge stays
-    // fully concentrated (the Fig 4 mechanism).
+    // Owners merge received candidates by max parent, filter against the
+    // parents array, update, and emit the new piece, sorted because the
+    // expand and the vertex-list codec take ascending input. Merge costs
+    // are smoothed across the row's receivers; in diagonal mode the root
+    // is the only receiver, so its serial merge stays fully concentrated
+    // (the Fig 4 mechanism).
     std::vector<double> merge_costs(static_cast<std::size_t>(s), 0.0);
     for (int gj = 0; gj < s; ++gj) {
       const int rank = im.grid.rank_of(i, gj);
       const auto ri = static_cast<std::size_t>(rank);
-      auto& cand = received[static_cast<std::size_t>(gj)];
+      const auto& cand = received[static_cast<std::size_t>(gj)];
       if (diagonal && gj != i) continue;
 
-      if (wire_fold_on) {
-        // Every received candidate's target is visited by the end of
-        // this level (it either wins now or lost earlier), so the
-        // owner can sieve any later re-send of it.
-        for (const Candidate& c : cand) im.sieve.mark(rank, c.vertex);
-      }
-      std::sort(cand.begin(), cand.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.vertex != b.vertex ? a.vertex < b.vertex
-                                              : a.parent > b.parent;
-                });
-      vid_t merged = 0;
-      vid_t prev = kNoVertex;
-      for (const Candidate& c : cand) {
-        ++merged;
-        if (c.vertex == prev) continue;  // max parent kept (sort order)
-        prev = c.vertex;
-        if (out.parent[c.vertex] == kNoVertex) {
-          out.parent[c.vertex] = c.parent;
-          out.level[c.vertex] = level;
-          // Write-once merge: the shadow mirrors the single mutation
-          // (host-sequential loop, no race on the shard slot).
-          if (shadow != nullptr) shadow->add(rank, c.vertex, c.parent, level);
-          fs[ri].push_back(c.vertex);
-        }
-      }
+      merge_candidates(cand, rank, level, out,
+                       sieving ? &im.sieve : nullptr, shadow, fs[ri]);
+      std::sort(fs[ri].begin(), fs[ri].end());
       next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
 
       model::Work2D work;
-      work.fold_received = merged;
+      work.fold_received = static_cast<vid_t>(cand.size());
       work.n_local = im.vdist.piece_size(i, gj);
       work.threads = t;
       merge_costs[static_cast<std::size_t>(gj)] =
@@ -851,7 +755,7 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     }
   }
 
-  if (wire_fold_on || wire_expand_on || bottom_up) {
+  if (sieving || wire_expand_on || bottom_up) {
     im.driver.record_wire(wire_level, "2d-exchange");
   }
 

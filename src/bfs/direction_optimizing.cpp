@@ -96,27 +96,13 @@ DirectionOptimizingResult direction_optimizing_bfs(
     stats.unexplored_edges = unexplored_edges;
 
     // Direction heuristic (Beamer's alpha/beta rules).
-    DiropRationale rationale = DiropRationale::kTopDownStay;
-    if (opts.force_top_down) {
-      rationale = DiropRationale::kForced;
-    } else {
-      // Engage bottom-up only when the frontier is both edge-heavy AND
-      // broad: a tiny frontier late in a traversal can trip the edge
-      // ratio (unexplored_edges is nearly exhausted) but bottom-up would
-      // still rescan every unvisited vertex for nothing.
-      const bool broad = static_cast<double>(frontier.size()) >=
-                         static_cast<double>(n) / opts.beta;
-      if (!bottom_up && broad &&
-          static_cast<double>(frontier_edges) >
-              static_cast<double>(unexplored_edges) / opts.alpha) {
-        bottom_up = true;
-        rationale = DiropRationale::kEngage;
-      } else if (bottom_up && !broad) {
-        bottom_up = false;
-        rationale = DiropRationale::kDisengage;
-      } else if (bottom_up) {
-        rationale = DiropRationale::kBottomUpStay;
-      }
+    DiropRationale rationale = DiropRationale::kForced;
+    if (!opts.force_top_down) {
+      const DiropDecision d = beamer_switch(
+          bottom_up, static_cast<vid_t>(frontier.size()), n, frontier_edges,
+          unexplored_edges, opts.alpha, opts.beta);
+      bottom_up = d.bottom_up;
+      rationale = d.rationale;
     }
     stats.bottom_up = bottom_up;
     stats.dirop_rationale = static_cast<int>(rationale);

@@ -1,0 +1,100 @@
+#include "bfs/exchange.hpp"
+
+#include <utility>
+
+#include "comm/sieve.hpp"
+#include "model/cost.hpp"
+#include "simmpi/cluster.hpp"
+
+namespace dbfs::bfs {
+
+std::vector<std::vector<Candidate>> exchange_candidates(
+    simmpi::Cluster& cluster, std::span<const int> group,
+    simmpi::FlatExchange<Candidate> send, comm::WireFormat format,
+    comm::Sieve& sieve, double load_smoothing, const char* site,
+    WireTally& tally) {
+  if (!comm::wire_sieves(format)) {
+    // The checked wrapper verifies a per-level checksum over the
+    // exchanged candidates and re-issues the exchange when the fault plan
+    // corrupted the payload; without payload faults it is a plain
+    // alltoallv.
+    return simmpi::checked_alltoallv(cluster, group, std::move(send), site)
+        .data;
+  }
+  const std::size_t g = group.size();
+  const int t = cluster.threads_per_rank();
+  auto wire = simmpi::FlatExchange<std::uint8_t>::sized(g);
+  std::vector<double> codec_costs(g, 0.0);
+  std::vector<Candidate> block;
+  for (std::size_t i = 0; i < g; ++i) {
+    comm::WireStats rank_stats;
+    std::size_t offset = 0;
+    for (std::size_t j = 0; j < g; ++j) {
+      const auto c = static_cast<std::size_t>(send.counts[i][j]);
+      block.assign(
+          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
+          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
+      offset += c;
+      tally.pre_bytes += c * sizeof(Candidate);
+      tally.dropped += comm::sieve_and_dedup(sieve, group[i], block,
+                                             /*keep_max_parent=*/true);
+      const std::size_t at = wire.data[i].size();
+      comm::encode_candidates<Candidate>(block, format, wire.data[i],
+                                         &rank_stats);
+      wire.counts[i][j] = static_cast<std::int64_t>(wire.data[i].size() - at);
+    }
+    send.data[i].clear();
+    send.data[i].shrink_to_fit();
+    codec_costs[i] = model::cost_wire_codec(
+        cluster.machine(), static_cast<std::size_t>(rank_stats.raw_bytes),
+        static_cast<std::size_t>(rank_stats.encoded_bytes), t);
+    tally.stats.merge(rank_stats);
+  }
+  cluster.set_compute_phase("wire-encode");
+  charge_smoothed(cluster, group, codec_costs, load_smoothing);
+
+  auto recv_wire =
+      simmpi::checked_alltoallv(cluster, group, std::move(wire), site);
+
+  std::vector<std::vector<Candidate>> recv(g);
+  for (std::size_t j = 0; j < g; ++j) {
+    comm::decode_candidate_stream<Candidate>(
+        recv_wire.data[j].data(), recv_wire.data[j].size(), recv[j]);
+    codec_costs[j] = model::cost_wire_codec(
+        cluster.machine(), recv[j].size() * sizeof(Candidate),
+        recv_wire.data[j].size(), t);
+  }
+  cluster.set_compute_phase("wire-decode");
+  charge_smoothed(cluster, group, codec_costs, load_smoothing);
+  return recv;
+}
+
+void merge_candidates(std::span<const Candidate> received, int rank,
+                      level_t level, BfsOutput& out, comm::Sieve* sieve,
+                      SdcShadow* shadow, std::vector<vid_t>& next) {
+  // A target first reached in this call holds kPending until every
+  // candidate is seen, and only such targets take a larger parent. An
+  // entry already at `level` is an at-rest flip no audit has seen yet;
+  // re-parenting it would make it look consistent, let a rollback keep
+  // it, and return a wrong tree.
+  constexpr level_t kPending = kUnreached - 1;
+  const std::size_t first = next.size();
+  for (const Candidate& c : received) {
+    if (sieve != nullptr) sieve->mark(rank, c.vertex);
+    const auto v = static_cast<std::size_t>(c.vertex);
+    if (out.level[v] == kUnreached) {
+      out.level[v] = kPending;
+      out.parent[v] = c.parent;
+      next.push_back(c.vertex);
+    } else if (out.level[v] == kPending && c.parent > out.parent[v]) {
+      out.parent[v] = c.parent;
+    }
+  }
+  for (std::size_t i = first; i < next.size(); ++i) {
+    const auto v = static_cast<std::size_t>(next[i]);
+    out.level[v] = level;
+    if (shadow != nullptr) shadow->add(rank, next[i], out.parent[v], level);
+  }
+}
+
+}  // namespace dbfs::bfs

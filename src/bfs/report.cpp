@@ -19,6 +19,21 @@ const char* to_string(DiropRationale r) {
   return "unknown";
 }
 
+DiropDecision beamer_switch(bool was_bottom_up, vid_t frontier, vid_t n,
+                            eid_t frontier_edges, eid_t unexplored_edges,
+                            double alpha, double beta) {
+  const bool broad =
+      static_cast<double>(frontier) >= static_cast<double>(n) / beta;
+  if (!was_bottom_up && broad &&
+      static_cast<double>(frontier_edges) >
+          static_cast<double>(unexplored_edges) / alpha) {
+    return {true, DiropRationale::kEngage};
+  }
+  if (was_bottom_up && !broad) return {false, DiropRationale::kDisengage};
+  if (was_bottom_up) return {true, DiropRationale::kBottomUpStay};
+  return {false, DiropRationale::kTopDownStay};
+}
+
 void finalize_report(RunReport& report, const simmpi::Cluster& cluster) {
   const auto& clocks = cluster.clocks();
   report.ranks = cluster.ranks();

@@ -52,6 +52,22 @@ enum class DiropRationale : int {
 
 const char* to_string(DiropRationale r);
 
+/// The direction a level runs in, and why.
+struct DiropDecision {
+  bool bottom_up = false;
+  DiropRationale rationale = DiropRationale::kTopDownStay;
+};
+
+/// Beamer's alpha-beta switch rule, shared by the host and 2D engines:
+/// engage bottom-up only when the frontier is both edge-heavy (m_f >
+/// m_u / alpha) and broad (frontier >= n / beta) — a narrow frontier late
+/// in a traversal can trip the edge ratio while bottom-up would still
+/// probe every unvisited vertex — stay while it is broad, and disengage
+/// once it narrows. Directions pinned by options never reach it.
+DiropDecision beamer_switch(bool was_bottom_up, vid_t frontier, vid_t n,
+                            eid_t frontier_edges, eid_t unexplored_edges,
+                            double alpha, double beta);
+
 /// Fault-injection outcome of one run (plain fields so this header stays
 /// free of simulator dependencies; finalize_report copies them from the
 /// cluster's FaultCounters). All-zero when no fault plan was configured.

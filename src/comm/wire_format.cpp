@@ -107,102 +107,6 @@ std::uint64_t bitmap_payload_size(std::uint64_t width, bool unique,
 
 }  // namespace detail
 
-void encode_vertex_list(std::span<const vid_t> sorted, WireFormat format,
-                        std::vector<std::uint8_t>& out, WireStats* stats) {
-  if (sorted.empty()) return;
-  const std::uint64_t raw_bytes =
-      static_cast<std::uint64_t>(sorted.size()) * sizeof(vid_t);
-  const std::size_t out_before = out.size();
-
-  BlockEncoding choice = BlockEncoding::kItems;
-  std::uint64_t varint_payload = 0;
-  std::uint64_t bitmap_payload = 0;
-  if (wire_compresses(format)) {
-    bool unique = true;
-    vid_t prev = 0;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (i > 0 && sorted[i] == prev) unique = false;
-      varint_payload += uvarint_size(static_cast<std::uint64_t>(
-          i == 0 ? sorted[i] : sorted[i] - prev));
-      prev = sorted[i];
-    }
-    const auto width =
-        static_cast<std::uint64_t>(sorted.back() - sorted.front() + 1);
-    bitmap_payload = detail::bitmap_payload_size(width, unique, 0);
-    if (bitmap_payload > 0) {
-      bitmap_payload += uvarint_size(
-          static_cast<std::uint64_t>(sorted.front())) +
-          uvarint_size(width);
-    }
-    if (format == WireFormat::kVarint) {
-      choice = BlockEncoding::kVarint;
-    } else if (format == WireFormat::kBitmap) {
-      choice = bitmap_payload > 0 ? BlockEncoding::kBitmap
-                                  : BlockEncoding::kVarint;
-    } else {
-      choice = BlockEncoding::kItems;
-      std::uint64_t best = raw_bytes;
-      if (bitmap_payload > 0 && bitmap_payload < best) {
-        best = bitmap_payload;
-        choice = BlockEncoding::kBitmap;
-      }
-      if (varint_payload < best) choice = BlockEncoding::kVarint;
-    }
-  }
-
-  switch (choice) {
-    case BlockEncoding::kItems: {
-      detail::write_frame(out, BlockEncoding::kItems,
-                          static_cast<std::uint64_t>(sorted.size()),
-                          raw_bytes);
-      const std::size_t at = out.size();
-      out.resize(at + static_cast<std::size_t>(raw_bytes));
-      std::memcpy(out.data() + at, sorted.data(),
-                  static_cast<std::size_t>(raw_bytes));
-      if (stats != nullptr) ++stats->blocks_items;
-      break;
-    }
-    case BlockEncoding::kBitmap: {
-      detail::write_frame(out, BlockEncoding::kBitmap,
-                          static_cast<std::uint64_t>(sorted.size()),
-                          bitmap_payload);
-      const auto base = static_cast<std::uint64_t>(sorted.front());
-      const auto width =
-          static_cast<std::uint64_t>(sorted.back() - sorted.front() + 1);
-      put_uvarint(out, base);
-      put_uvarint(out, width);
-      const std::size_t bits_at = out.size();
-      out.resize(bits_at + static_cast<std::size_t>((width + 7) / 8), 0);
-      for (vid_t v : sorted) {
-        const auto bit = static_cast<std::uint64_t>(v) - base;
-        out[bits_at + static_cast<std::size_t>(bit >> 3)] |=
-            static_cast<std::uint8_t>(1u << (bit & 7));
-      }
-      if (stats != nullptr) ++stats->blocks_bitmap;
-      break;
-    }
-    case BlockEncoding::kVarint: {
-      detail::write_frame(out, BlockEncoding::kVarint,
-                          static_cast<std::uint64_t>(sorted.size()),
-                          varint_payload);
-      vid_t prev = 0;
-      for (std::size_t i = 0; i < sorted.size(); ++i) {
-        put_uvarint(out, static_cast<std::uint64_t>(
-                             i == 0 ? sorted[i] : sorted[i] - prev));
-        prev = sorted[i];
-      }
-      if (stats != nullptr) ++stats->blocks_varint;
-      break;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->raw_bytes += raw_bytes;
-    stats->encoded_bytes += out.size() - out_before;
-    stats->items += sorted.size();
-  }
-}
-
 void encode_vertex_bitmap(std::span<const vid_t> sorted, vid_t range_begin,
                           vid_t range_end, WireFormat format,
                           std::vector<std::uint8_t>& out, WireStats* stats) {
@@ -227,85 +131,12 @@ void encode_vertex_bitmap(std::span<const vid_t> sorted, vid_t range_begin,
   detail::write_frame(out, BlockEncoding::kBitmap,
                       static_cast<std::uint64_t>(sorted.size()),
                       bitmap_payload);
-  put_uvarint(out, base);
-  put_uvarint(out, width);
-  const std::size_t bits_at = out.size();
-  out.resize(bits_at + static_cast<std::size_t>((width + 7) / 8), 0);
-  for (vid_t v : sorted) {
-    const auto bit = static_cast<std::uint64_t>(v) - base;
-    out[bits_at + static_cast<std::size_t>(bit >> 3)] |=
-        static_cast<std::uint8_t>(1u << (bit & 7));
-  }
+  detail::put_presence_bitmap(out, base, width, sorted);
   if (stats != nullptr) {
     ++stats->blocks_bitmap;
     stats->raw_bytes += raw_bytes;
     stats->encoded_bytes += out.size() - out_before;
     stats->items += sorted.size();
-  }
-}
-
-void decode_vertex_stream(const std::uint8_t* data, std::size_t size,
-                          std::vector<vid_t>& out) {
-  std::size_t offset = 0;
-  while (offset < size) {
-    const detail::Frame f = detail::read_frame(data + offset, size - offset);
-    const std::uint8_t* payload = data + offset + f.header_bytes;
-    switch (f.encoding) {
-      case BlockEncoding::kItems: {
-        if (f.payload_bytes != f.count * sizeof(vid_t)) {
-          throw WireDecodeError("wire: vertex block size mismatch");
-        }
-        const std::size_t at = out.size();
-        out.resize(at + static_cast<std::size_t>(f.count));
-        std::memcpy(out.data() + at, payload,
-                    static_cast<std::size_t>(f.payload_bytes));
-        break;
-      }
-      case BlockEncoding::kBitmap: {
-        std::size_t pos = 0;
-        std::uint64_t base = 0;
-        std::uint64_t width = 0;
-        pos += get_uvarint(payload + pos,
-                           static_cast<std::size_t>(f.payload_bytes) - pos,
-                           &base);
-        pos += get_uvarint(payload + pos,
-                           static_cast<std::size_t>(f.payload_bytes) - pos,
-                           &width);
-        const auto bitmap_bytes = static_cast<std::size_t>((width + 7) / 8);
-        if (pos + bitmap_bytes != f.payload_bytes) {
-          throw WireDecodeError("wire: vertex bitmap block truncated");
-        }
-        const std::uint8_t* bits = payload + pos;
-        std::uint64_t found = 0;
-        for (std::uint64_t b = 0; b < width; ++b) {
-          if ((bits[static_cast<std::size_t>(b >> 3)] >> (b & 7)) & 1u) {
-            out.push_back(static_cast<vid_t>(base + b));
-            ++found;
-          }
-        }
-        if (found != f.count) {
-          throw WireDecodeError("wire: vertex bitmap count mismatch");
-        }
-        break;
-      }
-      case BlockEncoding::kVarint: {
-        std::size_t pos = 0;
-        vid_t prev = 0;
-        for (std::uint64_t i = 0; i < f.count; ++i) {
-          std::uint64_t delta = 0;
-          pos += get_uvarint(
-              payload + pos,
-              static_cast<std::size_t>(f.payload_bytes) - pos, &delta);
-          prev += static_cast<vid_t>(delta);
-          out.push_back(prev);
-        }
-        if (pos != f.payload_bytes) {
-          throw WireDecodeError("wire: vertex varint block size mismatch");
-        }
-        break;
-      }
-    }
-    offset += f.header_bytes + static_cast<std::size_t>(f.payload_bytes);
   }
 }
 

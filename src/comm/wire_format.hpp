@@ -13,8 +13,9 @@
 // the checked_* payload checksums working unchanged on the compressed
 // bytes. An empty block encodes to zero bytes, matching the raw path.
 //
-// This header is deliberately independent of the bfs layer: candidate
-// codecs are templated over any trivially-copyable item exposing
+// This header is deliberately independent of the bfs layer: one block
+// codec serves both payloads, templated over the item — a bare vid_t
+// (vertex lists) or any trivially-copyable item exposing
 // `.vertex`/`.parent` members (bfs::Candidate in practice).
 #pragma once
 
@@ -23,6 +24,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -104,35 +106,6 @@ std::size_t uvarint_size(std::uint64_t value) noexcept;
 std::size_t get_uvarint(const std::uint8_t* data, std::size_t size,
                         std::uint64_t* value);
 
-// ---------- frontier vertex lists (2D expand payloads) ----------
-
-/// Encode one strictly-ascending vertex list as a framed block appended
-/// to `out`. kRaw/kSieve ship raw 8-byte ids; compressing formats pick
-/// per the policy. Empty input appends nothing.
-void encode_vertex_list(std::span<const vid_t> sorted, WireFormat format,
-                        std::vector<std::uint8_t>& out, WireStats* stats);
-
-/// Decode a concatenation of framed vertex-list blocks, appending the
-/// vertices to `out` in stream order.
-void decode_vertex_stream(const std::uint8_t* data, std::size_t size,
-                          std::vector<vid_t>& out);
-
-/// Dense-bitmap fast path for vertex lists whose owner range is known to
-/// the caller (the bottom-up frontier/visited exchanges, where every
-/// vertex falls in [range_begin, range_end)): when the format compresses
-/// and the list fills at least 1/8 of the range — the density at which a
-/// range-wide presence bitmap beats raw 8-byte ids outright — one bitmap
-/// block spanning the whole range is emitted directly, with no per-item
-/// sizing pass. Sparse lists and non-compressing formats delegate to
-/// encode_vertex_list unchanged; either way the output decodes with
-/// decode_vertex_stream. This is a separate entry point so the top-down
-/// expand/fold byte streams stay byte-for-byte what they were.
-void encode_vertex_bitmap(std::span<const vid_t> sorted, vid_t range_begin,
-                          vid_t range_end, WireFormat format,
-                          std::vector<std::uint8_t>& out, WireStats* stats);
-
-// ---------- candidate blocks ----------
-
 namespace detail {
 
 struct Frame {
@@ -153,13 +126,47 @@ void write_frame(std::vector<std::uint8_t>& out, BlockEncoding encoding,
 std::uint64_t bitmap_payload_size(std::uint64_t width, bool unique,
                                   std::uint64_t parent_varint_bytes) noexcept;
 
+/// A bare vid_t item is a vertex-list entry; any other item is a
+/// candidate carrying `.vertex` and `.parent`.
+template <typename T>
+inline constexpr bool kCarriesParent = !std::is_same_v<T, vid_t>;
+
+template <typename T>
+vid_t item_vertex(const T& item) noexcept {
+  if constexpr (kCarriesParent<T>) {
+    return item.vertex;
+  } else {
+    return item;
+  }
+}
+
+/// Append base, width and the presence bitmap of `items`' vertices, all
+/// of which lie in [base, base + width).
+template <typename T>
+void put_presence_bitmap(std::vector<std::uint8_t>& out, std::uint64_t base,
+                         std::uint64_t width, std::span<const T> items) {
+  put_uvarint(out, base);
+  put_uvarint(out, width);
+  const std::size_t bits_at = out.size();
+  out.resize(bits_at + static_cast<std::size_t>((width + 7) / 8), 0);
+  for (const T& item : items) {
+    const auto bit = static_cast<std::uint64_t>(item_vertex(item)) - base;
+    out[bits_at + static_cast<std::size_t>(bit >> 3)] |=
+        static_cast<std::uint8_t>(1u << (bit & 7));
+  }
+}
+
 }  // namespace detail
 
-/// Encode one destination block of candidate items as a framed block
-/// appended to `out`. Compressing formats require the block sorted
-/// ascending by `.vertex` (the sieve pass guarantees this); kBitmap
-/// falls back to varint per block when duplicate targets remain. Empty
-/// input appends nothing.
+// ---------- blocks of candidates or vertices ----------
+
+/// Encode one destination block as a framed block appended to `out`. The
+/// item is a candidate (`.vertex`/`.parent`; parents ride after the
+/// vertex stream) or a bare vid_t (a vertex list: the vertex stream
+/// only). Compressing formats require the block sorted ascending by
+/// vertex (the sieve pass guarantees this for candidates); kBitmap falls
+/// back to varint per block when duplicate targets remain. kRaw/kSieve
+/// ship raw item bytes. Empty input appends nothing.
 template <typename C>
 void encode_candidates(std::span<const C> block, WireFormat format,
                        std::vector<std::uint8_t>& out, WireStats* stats) {
@@ -169,36 +176,36 @@ void encode_candidates(std::span<const C> block, WireFormat format,
   const std::uint64_t raw_bytes =
       static_cast<std::uint64_t>(block.size()) * sizeof(C);
   const std::size_t out_before = out.size();
+  const auto base =
+      static_cast<std::uint64_t>(detail::item_vertex(block.front()));
+  const auto width = static_cast<std::uint64_t>(
+      detail::item_vertex(block.back()) - detail::item_vertex(block.front()) +
+      1);
 
   BlockEncoding choice = BlockEncoding::kItems;
   std::uint64_t varint_payload = 0;
   std::uint64_t bitmap_payload = 0;
   if (wire_compresses(format)) {
-    // Exact payload sizes, computed without writing: varint = delta +
-    // parent per item; bitmap = base + width + presence bits + parents.
+    // Exact payload sizes, computed without writing: varint = delta (+
+    // parent) per item; bitmap = base + width + presence bits (+ parents).
     bool unique = true;
     std::uint64_t parent_bytes = 0;
     vid_t prev = 0;
     for (std::size_t i = 0; i < block.size(); ++i) {
-      const vid_t v = block[i].vertex;
-      const auto delta = static_cast<std::uint64_t>(v - (i == 0 ? 0 : prev));
+      const vid_t v = detail::item_vertex(block[i]);
       if (i > 0 && v == prev) unique = false;
-      varint_payload += uvarint_size(i == 0
-                                         ? static_cast<std::uint64_t>(v)
-                                         : delta);
-      const auto pb =
-          uvarint_size(static_cast<std::uint64_t>(block[i].parent));
-      varint_payload += pb;
-      parent_bytes += pb;
+      varint_payload += uvarint_size(static_cast<std::uint64_t>(v - prev));
+      if constexpr (detail::kCarriesParent<C>) {
+        const auto pb =
+            uvarint_size(static_cast<std::uint64_t>(block[i].parent));
+        varint_payload += pb;
+        parent_bytes += pb;
+      }
       prev = v;
     }
-    const auto width = static_cast<std::uint64_t>(
-        block.back().vertex - block.front().vertex + 1);
     bitmap_payload = detail::bitmap_payload_size(width, unique, parent_bytes);
     if (bitmap_payload > 0) {
-      bitmap_payload += uvarint_size(
-          static_cast<std::uint64_t>(block.front().vertex)) +
-          uvarint_size(width);
+      bitmap_payload += uvarint_size(base) + uvarint_size(width);
     }
 
     if (format == WireFormat::kVarint) {
@@ -207,7 +214,6 @@ void encode_candidates(std::span<const C> block, WireFormat format,
       choice = bitmap_payload > 0 ? BlockEncoding::kBitmap
                                   : BlockEncoding::kVarint;
     } else {  // kAuto: strict minimum, raw wins ties (cheapest to decode)
-      choice = BlockEncoding::kItems;
       std::uint64_t best = raw_bytes;
       if (bitmap_payload > 0 && bitmap_payload < best) {
         best = bitmap_payload;
@@ -233,21 +239,11 @@ void encode_candidates(std::span<const C> block, WireFormat format,
       detail::write_frame(out, BlockEncoding::kBitmap,
                           static_cast<std::uint64_t>(block.size()),
                           bitmap_payload);
-      const auto base = static_cast<std::uint64_t>(block.front().vertex);
-      const auto width = static_cast<std::uint64_t>(
-          block.back().vertex - block.front().vertex + 1);
-      put_uvarint(out, base);
-      put_uvarint(out, width);
-      const std::size_t bits_at = out.size();
-      out.resize(bits_at + static_cast<std::size_t>((width + 7) / 8), 0);
-      for (const C& c : block) {
-        const auto bit =
-            static_cast<std::uint64_t>(c.vertex) - base;
-        out[bits_at + static_cast<std::size_t>(bit >> 3)] |=
-            static_cast<std::uint8_t>(1u << (bit & 7));
-      }
-      for (const C& c : block) {
-        put_uvarint(out, static_cast<std::uint64_t>(c.parent));
+      detail::put_presence_bitmap(out, base, width, block);
+      if constexpr (detail::kCarriesParent<C>) {
+        for (const C& c : block) {
+          put_uvarint(out, static_cast<std::uint64_t>(c.parent));
+        }
       }
       if (stats != nullptr) ++stats->blocks_bitmap;
       break;
@@ -257,12 +253,13 @@ void encode_candidates(std::span<const C> block, WireFormat format,
                           static_cast<std::uint64_t>(block.size()),
                           varint_payload);
       vid_t prev = 0;
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        put_uvarint(out, static_cast<std::uint64_t>(
-                             i == 0 ? block[i].vertex
-                                    : block[i].vertex - prev));
-        put_uvarint(out, static_cast<std::uint64_t>(block[i].parent));
-        prev = block[i].vertex;
+      for (const C& c : block) {
+        const vid_t v = detail::item_vertex(c);
+        put_uvarint(out, static_cast<std::uint64_t>(v - prev));
+        if constexpr (detail::kCarriesParent<C>) {
+          put_uvarint(out, static_cast<std::uint64_t>(c.parent));
+        }
+        prev = v;
       }
       if (stats != nullptr) ++stats->blocks_varint;
       break;
@@ -276,16 +273,37 @@ void encode_candidates(std::span<const C> block, WireFormat format,
   }
 }
 
-/// Decode a concatenation of framed candidate blocks, appending the items
+/// Decode a concatenation of framed blocks of `C` items, appending them
 /// to `out` in stream order (bitmap blocks come back vertex-ascending,
 /// exactly the order they were encoded in).
 template <typename C>
 void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
                              std::vector<C>& out) {
+  const auto make = [](vid_t v, std::uint64_t parent) {
+    if constexpr (detail::kCarriesParent<C>) {
+      C c{};
+      c.vertex = v;
+      c.parent = static_cast<vid_t>(parent);
+      return c;
+    } else {
+      return v;
+    }
+  };
   std::size_t offset = 0;
   while (offset < size) {
     const detail::Frame f = detail::read_frame(data + offset, size - offset);
     const std::uint8_t* payload = data + offset + f.header_bytes;
+    const auto payload_bytes = static_cast<std::size_t>(f.payload_bytes);
+    std::size_t pos = 0;
+    // Reads one varint payload field, or 0 for the parent a vertex-list
+    // item does not carry.
+    const auto get = [&](bool present) {
+      std::uint64_t value = 0;
+      if (present) {
+        pos += get_uvarint(payload + pos, payload_bytes - pos, &value);
+      }
+      return value;
+    };
     switch (f.encoding) {
       case BlockEncoding::kItems: {
         if (f.payload_bytes != f.count * sizeof(C)) {
@@ -293,22 +311,15 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
         }
         const std::size_t at = out.size();
         out.resize(at + static_cast<std::size_t>(f.count));
-        std::memcpy(out.data() + at, payload,
-                    static_cast<std::size_t>(f.payload_bytes));
+        std::memcpy(out.data() + at, payload, payload_bytes);
+        pos = payload_bytes;
         break;
       }
       case BlockEncoding::kBitmap: {
-        std::size_t pos = 0;
-        std::uint64_t base = 0;
-        std::uint64_t width = 0;
-        pos += get_uvarint(payload + pos,
-                           static_cast<std::size_t>(f.payload_bytes) - pos,
-                           &base);
-        pos += get_uvarint(payload + pos,
-                           static_cast<std::size_t>(f.payload_bytes) - pos,
-                           &width);
+        const std::uint64_t base = get(true);
+        const std::uint64_t width = get(true);
         const auto bitmap_bytes = static_cast<std::size_t>((width + 7) / 8);
-        if (pos + bitmap_bytes > f.payload_bytes) {
+        if (pos + bitmap_bytes > payload_bytes) {
           throw WireDecodeError("wire: bitmap block truncated");
         }
         const std::uint8_t* bits = payload + pos;
@@ -316,50 +327,65 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
         std::uint64_t found = 0;
         for (std::uint64_t b = 0; b < width; ++b) {
           if ((bits[static_cast<std::size_t>(b >> 3)] >> (b & 7)) & 1u) {
-            std::uint64_t parent = 0;
-            pos += get_uvarint(
-                payload + pos,
-                static_cast<std::size_t>(f.payload_bytes) - pos, &parent);
-            C c{};
-            c.vertex = static_cast<vid_t>(base + b);
-            c.parent = static_cast<vid_t>(parent);
-            out.push_back(c);
+            out.push_back(make(static_cast<vid_t>(base + b),
+                               get(detail::kCarriesParent<C>)));
             ++found;
           }
         }
-        if (found != f.count || pos != f.payload_bytes) {
+        if (found != f.count) {
           throw WireDecodeError("wire: bitmap block count mismatch");
         }
         break;
       }
       case BlockEncoding::kVarint: {
-        std::size_t pos = 0;
         vid_t prev = 0;
         for (std::uint64_t i = 0; i < f.count; ++i) {
-          std::uint64_t delta = 0;
-          std::uint64_t parent = 0;
-          pos += get_uvarint(
-              payload + pos,
-              static_cast<std::size_t>(f.payload_bytes) - pos, &delta);
-          pos += get_uvarint(
-              payload + pos,
-              static_cast<std::size_t>(f.payload_bytes) - pos, &parent);
-          C c{};
-          c.vertex = prev + static_cast<vid_t>(delta);
-          c.parent = static_cast<vid_t>(parent);
-          prev = c.vertex;
-          out.push_back(c);
-        }
-        if (pos != f.payload_bytes) {
-          throw WireDecodeError("wire: varint block size mismatch");
+          prev += static_cast<vid_t>(get(true));
+          out.push_back(make(prev, get(detail::kCarriesParent<C>)));
         }
         break;
       }
       default:
         throw WireDecodeError("wire: unknown block encoding");
     }
-    offset += f.header_bytes + static_cast<std::size_t>(f.payload_bytes);
+    if (pos != payload_bytes) {
+      throw WireDecodeError("wire: block size mismatch");
+    }
+    offset += f.header_bytes + payload_bytes;
   }
 }
+
+// ---------- frontier vertex lists (2D expand payloads) ----------
+
+/// Encode one strictly-ascending vertex list as a framed block appended
+/// to `out`. kRaw/kSieve ship raw 8-byte ids; compressing formats pick
+/// per the policy. Empty input appends nothing.
+inline void encode_vertex_list(std::span<const vid_t> sorted,
+                               WireFormat format,
+                               std::vector<std::uint8_t>& out,
+                               WireStats* stats) {
+  encode_candidates<vid_t>(sorted, format, out, stats);
+}
+
+/// Decode a concatenation of framed vertex-list blocks, appending the
+/// vertices to `out` in stream order.
+inline void decode_vertex_stream(const std::uint8_t* data, std::size_t size,
+                                 std::vector<vid_t>& out) {
+  decode_candidate_stream<vid_t>(data, size, out);
+}
+
+/// Dense-bitmap fast path for vertex lists whose owner range is known to
+/// the caller (the bottom-up frontier/visited exchanges, where every
+/// vertex falls in [range_begin, range_end)): when the format compresses
+/// and the list fills at least 1/8 of the range — the density at which a
+/// range-wide presence bitmap beats raw 8-byte ids outright — one bitmap
+/// block spanning the whole range is emitted directly, with no per-item
+/// sizing pass. Sparse lists and non-compressing formats delegate to
+/// encode_vertex_list unchanged; either way the output decodes with
+/// decode_vertex_stream. This is a separate entry point so the top-down
+/// expand/fold byte streams stay byte-for-byte what they were.
+void encode_vertex_bitmap(std::span<const vid_t> sorted, vid_t range_begin,
+                          vid_t range_end, WireFormat format,
+                          std::vector<std::uint8_t>& out, WireStats* stats);
 
 }  // namespace dbfs::comm

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bfs/frontier.hpp"
@@ -236,6 +239,144 @@ TEST(VertexListCodec, DenseRangeCompressesHard) {
   EXPECT_EQ(out, list);
   // 512 consecutive ids: 64 presence bytes + header vs 4096 raw bytes.
   EXPECT_LT(stats.encoded_bytes, stats.raw_bytes / 10);
+}
+
+// ---------- golden wire bytes ----------
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const digits = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t b : bytes) {
+    s += digits[b >> 4];
+    s += digits[b & 15];
+  }
+  return s;
+}
+
+/// One block through one encoder, with the exact bytes it emits per
+/// format. kRaw and kSieve ship the same raw item bytes (little-endian).
+struct GoldenBlock {
+  const char* name;
+  std::function<void(WireFormat, std::vector<std::uint8_t>&)> encode;
+  const char* items;
+  const char* bitmap;
+  const char* varint;
+  const char* automatic;
+};
+
+TEST(WireGolden, EncodersEmitPinnedBytes) {
+  // Every byte a level ships is metered and priced into virtual time, so
+  // the encoders' output is pinned, not just their round trips. The hex
+  // was captured from the separate candidate and vertex-list encoders
+  // that the one codec template replaced. The duplicate vertex lists lie
+  // outside those encoders' strictly-ascending contract; their bytes are
+  // pinned all the same.
+  std::vector<Candidate> dense;
+  std::vector<vid_t> dense_list;
+  for (vid_t v = 100; v < 108; ++v) {
+    dense.push_back({v, v % 5});
+    dense_list.push_back(v);
+  }
+  const std::vector<Candidate> sparse = {
+      {5, 1}, {70, 300}, {140, 2}, {200, 99999}};
+  const std::vector<vid_t> sparse_list = {5, 70, 140, 200};
+  const std::vector<Candidate> dup = {{3, 9}, {3, 5}, {4, 1}, {10, 2}};
+  const std::vector<vid_t> dup_list = {3, 3, 4, 10};
+
+  const auto candidates = [](const std::vector<Candidate>& block) {
+    return [&block](WireFormat f, std::vector<std::uint8_t>& out) {
+      encode_candidates<Candidate>(block, f, out, nullptr);
+    };
+  };
+  const auto list = [](const std::vector<vid_t>& block) {
+    return [&block](WireFormat f, std::vector<std::uint8_t>& out) {
+      encode_vertex_list(block, f, out, nullptr);
+    };
+  };
+  const auto range_bitmap = [](const std::vector<vid_t>& block, vid_t begin,
+                               vid_t end) {
+    return [&block, begin, end](WireFormat f, std::vector<std::uint8_t>& out) {
+      encode_vertex_bitmap(block, begin, end, f, out, nullptr);
+    };
+  };
+
+  const std::vector<GoldenBlock> rows = {
+      {"candidates dense", candidates(dense),
+       "0008800164000000000000000000000000000000650000000000000001000000"
+       "0000000066000000000000000200000000000000670000000000000003000000"
+       "0000000068000000000000000400000000000000690000000000000000000000"
+       "000000006a0000000000000001000000000000006b0000000000000002000000"
+       "00000000",
+       "01080b6408ff0001020304000102",
+       "02081064000101010201030104010001010102",
+       "01080b6408ff0001020304000102"},
+      {"candidates sparse", candidates(sparse),
+       "0004400500000000000000010000000000000046000000000000002c01000000"
+       "0000008c000000000000000200000000000000c8000000000000009f86010000"
+       "000000",
+       "01042305c4010100000000000000020000000000000080000000000000000801"
+       "ac02029f8d06",
+       "02040b050141ac0246023c9f8d06",
+       "02040b050141ac0246023c9f8d06"},
+      {"candidates duplicate", candidates(dup),
+       "0004400300000000000000090000000000000003000000000000000500000000"
+       "000000040000000000000001000000000000000a000000000000000200000000"
+       "000000",
+       "0204080309000501010602",
+       "0204080309000501010602",
+       "0204080309000501010602"},
+      {"vertex list dense", list(dense_list),
+       "0008406400000000000000650000000000000066000000000000006700000000"
+       "000000680000000000000069000000000000006a000000000000006b00000000"
+       "000000",
+       "0108036408ff",
+       "0208086401010101010101",
+       "0108036408ff"},
+      {"vertex list sparse", list(sparse_list),
+       "000420050000000000000046000000000000008c00000000000000c800000000"
+       "000000",
+       "01041c05c40101000000000000000200000000000000800000000000000008",
+       "0204040541463c",
+       "0204040541463c"},
+      {"vertex list duplicate", list(dup_list),
+       "0004200300000000000000030000000000000004000000000000000a00000000"
+       "000000",
+       "02040403000106",
+       "02040403000106",
+       "02040403000106"},
+      {"range bitmap dense", range_bitmap(dense_list, 96, 128),
+       "0008406400000000000000650000000000000066000000000000006700000000"
+       "000000680000000000000069000000000000006a000000000000006b00000000"
+       "000000",
+       "0108066020f00f0000",
+       "0108066020f00f0000",
+       "0108066020f00f0000"},
+      {"range bitmap sparse", range_bitmap(sparse_list, 0, 256),
+       "000420050000000000000046000000000000008c00000000000000c800000000"
+       "000000",
+       "01041c05c40101000000000000000200000000000000800000000000000008",
+       "0204040541463c",
+       "0204040541463c"},
+      {"range bitmap duplicate", range_bitmap(dup_list, 0, 16),
+       "0004200300000000000000030000000000000004000000000000000a00000000"
+       "000000",
+       "01040400101804",
+       "01040400101804",
+       "01040400101804"},
+  };
+  for (const GoldenBlock& row : rows) {
+    const std::pair<WireFormat, const char*> expected[] = {
+        {WireFormat::kRaw, row.items},
+        {WireFormat::kSieve, row.items},
+        {WireFormat::kBitmap, row.bitmap},
+        {WireFormat::kVarint, row.varint},
+        {WireFormat::kAuto, row.automatic}};
+    for (const auto& [format, want] : expected) {
+      std::vector<std::uint8_t> bytes;
+      row.encode(format, bytes);
+      EXPECT_EQ(hex(bytes), want) << row.name << " / " << to_string(format);
+    }
+  }
 }
 
 TEST(Sieve, MarkTestAndMarkAll) {
