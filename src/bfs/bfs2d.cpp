@@ -582,9 +582,11 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
         const auto ri = static_cast<std::size_t>(r);
         flops_hist.observe(static_cast<double>(flops[ri]));
         nnz_hist.observe(static_cast<double>(partials[ri].nnz()));
-        m->counter("spmsv.spa_calls") += spa_calls[ri];
-        m->counter("spmsv.heap_calls") += heap_calls[ri];
       }
+      m->counter("spmsv.spa_calls") +=
+          std::accumulate(spa_calls.begin(), spa_calls.end(), std::int64_t{0});
+      m->counter("spmsv.heap_calls") += std::accumulate(
+          heap_calls.begin(), heap_calls.end(), std::int64_t{0});
     }
   }
 

@@ -17,6 +17,12 @@ void VirtualClocks::collective(std::span<const int> group,
     comm_[i] += end - now_[i];
     now_[i] = end;
   }
+  if (group.empty()) return;
+  if (transfer_seconds >= 0.0) {
+    max_now_ = std::max(max_now_, end);
+  } else {
+    rescan_max();  // members moved back to a negative-cost end
+  }
 }
 
 void VirtualClocks::collective_varying(std::span<const int> group,
@@ -33,22 +39,25 @@ void VirtualClocks::collective_varying(std::span<const int> group,
     comm_[i] += end - now_[i];
     now_[i] = end;
   }
+  // end >= start >= every member's clock: members only move forward.
+  if (!group.empty()) max_now_ = std::max(max_now_, end);
 }
 
-double VirtualClocks::max_now() const noexcept {
-  double best = 0.0;
-  for (double t : now_) best = std::max(best, t);
-  return best;
+void VirtualClocks::rescan_max() noexcept {
+  max_now_ = 0.0;
+  for (double t : now_) max_now_ = std::max(max_now_, t);
 }
 
 void VirtualClocks::seed(double t) {
   for (double& n : now_) n = std::max(n, t);
+  if (!now_.empty()) max_now_ = std::max(max_now_, t);
 }
 
 void VirtualClocks::reset() {
   std::fill(now_.begin(), now_.end(), 0.0);
   std::fill(comp_.begin(), comp_.end(), 0.0);
   std::fill(comm_.begin(), comm_.end(), 0.0);
+  max_now_ = 0.0;
 }
 
 }  // namespace dbfs::model

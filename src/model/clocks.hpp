@@ -7,8 +7,14 @@
 // also include waiting at synchronization barriers", §6). This is also
 // exactly the accounting that reproduces the Figure 4 idle-imbalance
 // heatmap.
+//
+// The simulated wall clock max_now() is a running maximum, kept current
+// by every method that moves a clock (advance_compute, collective,
+// collective_varying, seed, reset), so reading it costs O(1) — the
+// flight recorder stamps every collective with it.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -26,8 +32,13 @@ class VirtualClocks {
 
   /// Advance one rank's clock by `seconds` of local computation.
   void advance_compute(int rank, double seconds) {
-    now_[static_cast<std::size_t>(rank)] += seconds;
+    const double now = now_[static_cast<std::size_t>(rank)] += seconds;
     comp_[static_cast<std::size_t>(rank)] += seconds;
+    if (seconds >= 0.0) {
+      max_now_ = std::max(max_now_, now);
+    } else {
+      rescan_max();  // a clock moved back: the maximum may have dropped
+    }
   }
 
   /// Execute a blocking collective among `group`: all members wait for the
@@ -52,8 +63,9 @@ class VirtualClocks {
     return comm_[static_cast<std::size_t>(rank)];
   }
 
-  /// Simulated wall clock: the furthest-advanced rank.
-  double max_now() const noexcept;
+  /// Simulated wall clock: the furthest-advanced rank (0 with no ranks).
+  /// O(1): a running maximum, not a scan.
+  double max_now() const noexcept { return max_now_; }
 
   /// Advance every rank whose clock is behind `t` up to `t` without
   /// attributing the jump to compute or communication. Used when a
@@ -72,6 +84,9 @@ class VirtualClocks {
   std::vector<double> now_;
   std::vector<double> comp_;
   std::vector<double> comm_;
+  double max_now_ = 0.0;
+
+  void rescan_max() noexcept;
 };
 
 }  // namespace dbfs::model

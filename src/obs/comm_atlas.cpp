@@ -1,47 +1,32 @@
 #include "obs/comm_atlas.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 namespace dbfs::obs {
 
-void CommAtlas::ensure_ranks(int ranks) {
-  if (ranks <= ranks_) return;
-  const int old = ranks_;
-  ranks_ = ranks;
-  // Re-lay-out existing buckets (rare: drivers size the atlas before any
-  // traffic; shrink only goes down).
-  for (auto& [key, sl] : slices_) {
-    std::vector<std::uint64_t> grown(
-        static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0);
-    for (int s = 0; s < old; ++s) {
-      for (int d = 0; d < old; ++d) {
-        grown[static_cast<std::size_t>(s) * static_cast<std::size_t>(ranks) +
-              static_cast<std::size_t>(d)] =
-            sl.cells[static_cast<std::size_t>(s) *
-                         static_cast<std::size_t>(old) +
-                     static_cast<std::size_t>(d)];
-      }
-    }
-    sl.cells = std::move(grown);
-    sl.ranks = ranks;
+void PairCells::grow() {
+  std::vector<Cell> old(slots_.empty() ? 16 : 2 * slots_.size());
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  used_ = 0;
+  for (const Cell& c : old) {
+    if (c.key != kEmpty) add_key(c.key, c.bytes);
   }
 }
 
 CommAtlas::Slice& CommAtlas::slice(int pattern, const char* pattern_name,
                                    const char* site, int level) {
-  auto [it, inserted] =
-      slices_.try_emplace(std::make_tuple(pattern, std::string(site), level));
+  auto [it, inserted] = slices_.try_emplace(
+      std::make_tuple(pattern, std::string_view(site), level));
   Slice& sl = it->second;
   if (inserted) {
     sl.pattern = pattern;
     sl.pattern_name = pattern_name;
     sl.site = site;
     sl.level = level;
-    sl.ranks = ranks_;
-    sl.cells.assign(
-        static_cast<std::size_t>(ranks_) * static_cast<std::size_t>(ranks_),
-        0);
+    by_level_[level].push_back(&sl);
   }
   return sl;
 }
@@ -72,10 +57,13 @@ std::uint64_t CommAtlas::site_total_bytes(
 }
 
 std::vector<std::uint64_t> CommAtlas::matrix() const {
-  std::vector<std::uint64_t> grand(
-      static_cast<std::size_t>(ranks_) * static_cast<std::size_t>(ranks_), 0);
+  const auto n = static_cast<std::size_t>(ranks_);
+  std::vector<std::uint64_t> grand(n * n, 0);
   for (const auto& [key, sl] : slices_) {
-    for (std::size_t i = 0; i < sl.cells.size(); ++i) grand[i] += sl.cells[i];
+    sl.cells.for_each([&](int src, int dst, std::uint64_t bytes) {
+      grand[static_cast<std::size_t>(src) * n +
+            static_cast<std::size_t>(dst)] += bytes;
+    });
   }
   return grand;
 }
@@ -139,26 +127,19 @@ AtlasSummary CommAtlas::summary() const {
   return s;
 }
 
-AtlasLevelCut CommAtlas::level_cut(int level) const noexcept {
+AtlasLevelCut CommAtlas::level_cut(int level) const {
   AtlasLevelCut cut;
-  if (ranks_ <= 0) return cut;
+  const auto it = by_level_.find(level);
+  if (ranks_ <= 0 || it == by_level_.end()) return cut;
   std::vector<std::uint64_t> sent(static_cast<std::size_t>(ranks_), 0);
-  for (const auto& [key, sl] : slices_) {
-    if (sl.level != level) continue;
-    cut.total_bytes += sl.total_bytes;
-    for (int src = 0; src < ranks_; ++src) {
-      for (int dst = 0; dst < ranks_; ++dst) {
-        if (src == dst) continue;
-        const std::uint64_t bytes =
-            sl.cells[static_cast<std::size_t>(src) *
-                         static_cast<std::size_t>(ranks_) +
-                     static_cast<std::size_t>(dst)];
-        if (bytes == 0) continue;
-        cut.network_bytes += bytes;
-        sent[static_cast<std::size_t>(src)] += bytes;
-        if (pair_is_subcomm(src, dst)) cut.subcomm_bytes += bytes;
-      }
-    }
+  for (const Slice* sl : it->second) {
+    cut.total_bytes += sl->total_bytes;
+    sl->cells.for_each([&](int src, int dst, std::uint64_t bytes) {
+      if (src == dst || bytes == 0) return;
+      cut.network_bytes += bytes;
+      sent[static_cast<std::size_t>(src)] += bytes;
+      if (pair_is_subcomm(src, dst)) cut.subcomm_bytes += bytes;
+    });
   }
   std::uint64_t max_sent = 0;
   for (int r = 0; r < ranks_; ++r) {

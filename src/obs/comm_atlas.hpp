@@ -5,12 +5,19 @@
 // yet the paper's §6 argument is exactly about that structure: 1D's
 // all-to-all spans all p ranks while 2D confines the heavy fold/expand
 // exchanges to √p-sized row/column subcommunicators. The atlas records
-// one p×p byte matrix per (pattern, site, level) bucket, fed by the
-// same call sites that feed the TrafficMeter, and derives the skew
+// the (src, dst) byte cells of each (pattern, site, level) bucket, fed by
+// the same call sites that feed the TrafficMeter, and derives the skew
 // analytics that make the √p claim measurable: row/column volume skew,
 // max-pair share, incast/hotspot ranks, and the subcommunicator-locality
 // split (fraction of off-diagonal bytes confined to a proper grid row or
 // column group).
+//
+// Recording costs O(what it records): a bucket holds only the cells it
+// was handed (not a dense p×p block — a 2D exchange touches O(p·√p) of
+// the p² pairs), slice() finds its bucket without building a string, and
+// level_cut(ℓ) visits only level ℓ's buckets, which are indexed by level
+// as they are created. Only the dumps — matrix(), summary() and
+// write_json's "matrix" — expand to the dense p×p grand total.
 //
 // Like the Tracer and the flight recorder, the atlas is passive: the
 // simulator never reads it back, recording happens strictly after the
@@ -39,6 +46,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -76,17 +84,79 @@ struct AtlasLevelCut {
   int hotspot_rank = -1;
 };
 
+/// The touched (src, dst) → bytes cells of one atlas bucket: an
+/// open-addressing table with linear probing over 64-bit pair keys,
+/// kept at most half full, so memory follows the pairs recorded rather
+/// than the rank count.
+class PairCells {
+ public:
+  void add(int src, int dst, std::uint64_t bytes) {
+    add_key(pack(src, dst), bytes);
+  }
+
+  /// Calls f(src, dst, bytes) once per touched cell, in no fixed order.
+  template <class F>
+  void for_each(F&& f) const {
+    for (const Cell& c : slots_) {
+      if (c.key != kEmpty) {
+        f(static_cast<int>(c.key >> 32),
+          static_cast<int>(c.key & 0xffffffffu), c.bytes);
+      }
+    }
+  }
+
+ private:
+  /// (-1, -1): no rank pair packs to it.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  struct Cell {
+    std::uint64_t key = kEmpty;
+    std::uint64_t bytes = 0;
+  };
+
+  static std::uint64_t pack(int src, int dst) noexcept {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+               << 32 |
+           static_cast<std::uint32_t>(dst);
+  }
+  /// Fibonacci hashing: the product's top bits index the table.
+  std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void add_key(std::uint64_t key, std::uint64_t bytes) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    std::size_t i = home(key);
+    while (slots_[i].key != key) {
+      if (slots_[i].key == kEmpty) {
+        slots_[i].key = key;
+        ++used_;
+        break;
+      }
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i].bytes += bytes;
+  }
+  void grow();
+
+  std::vector<Cell> slots_;  ///< power-of-two size; key kEmpty = free
+  std::size_t used_ = 0;
+  int shift_ = 64;  ///< 64 - log2(slots_.size()), set by grow()
+};
+
 class CommAtlas {
  public:
-  /// One (pattern, site, level) bucket. Cells are row-major
-  /// (src * ranks + dst) byte totals.
+  CommAtlas() = default;
+  /// Not copyable: the level index points into this atlas's buckets.
+  CommAtlas(const CommAtlas&) = delete;
+  CommAtlas& operator=(const CommAtlas&) = delete;
+
+  /// One (pattern, site, level) bucket: its touched cells plus two byte
+  /// ledgers.
   struct Slice {
     int pattern = 0;
     const char* pattern_name = "";
     const char* site = "";
     int level = -1;
-    int ranks = 0;
-    std::vector<std::uint64_t> cells;
+    PairCells cells;
     std::uint64_t total_bytes = 0;  ///< sum of all cells
     std::uint64_t local_bytes = 0;  ///< add_local() bytes (unmetered)
 
@@ -95,15 +165,14 @@ class CommAtlas {
       return total_bytes - local_bytes;
     }
 
-    void add(int src, int dst, std::uint64_t bytes) noexcept {
-      cells[static_cast<std::size_t>(src) * static_cast<std::size_t>(ranks) +
-            static_cast<std::size_t>(dst)] += bytes;
+    void add(int src, int dst, std::uint64_t bytes) {
+      cells.add(src, dst, bytes);
       total_bytes += bytes;
     }
 
     /// Intra-rank traffic the meter does not count (self-addressed
     /// alltoallv blocks): lands on the diagonal and in the local ledger.
-    void add_local(int rank, std::uint64_t bytes) noexcept {
+    void add_local(int rank, std::uint64_t bytes) {
       add(rank, rank, bytes);
       local_bytes += bytes;
     }
@@ -111,13 +180,16 @@ class CommAtlas {
 
   /// Matrix dimension; must cover every rank id recorded. Grows only —
   /// shrink recovery keeps the original size so pre-shrink pairs stay
-  /// addressable (existing buckets are re-laid-out on growth).
-  void ensure_ranks(int ranks);
+  /// addressable. Cells are keyed by pair, so growth moves nothing.
+  void ensure_ranks(int ranks) noexcept {
+    if (ranks > ranks_) ranks_ = ranks;
+  }
   int ranks() const noexcept { return ranks_; }
 
   /// Logical grid for the locality split. 1D drivers install (1, p),
-  /// the 2D driver its pr×pc grid (re-installed after a shrink re-fold;
-  /// pre-shrink pairs are then classified under the final grid).
+  /// the 2D driver its pr×pc grid (re-installed after a shrink re-fold).
+  /// Reads classify every pair under the grid installed when they run,
+  /// so pre-shrink pairs read after the re-fold fall under the new grid.
   void set_grid(int rows, int cols) noexcept {
     grid_rows_ = rows;
     grid_cols_ = cols;
@@ -131,15 +203,14 @@ class CommAtlas {
   Slice& slice(int pattern, const char* pattern_name, const char* site,
                int level);
 
-  const std::map<std::tuple<int, std::string, int>, Slice>& slices()
-      const noexcept {
-    return slices_;
-  }
   bool empty() const noexcept { return slices_.empty(); }
 
   /// Drop every bucket but keep ranks/grid (Cluster::reset_accounting
   /// calls this so each run's atlas describes that run alone).
-  void clear() noexcept { slices_.clear(); }
+  void clear() noexcept {
+    slices_.clear();
+    by_level_.clear();
+  }
 
   /// Network (metered) bytes recorded for one pattern id, summed over
   /// buckets — the value that must equal the TrafficMeter's per-pattern
@@ -154,7 +225,8 @@ class CommAtlas {
   std::vector<std::uint64_t> matrix() const;
 
   AtlasSummary summary() const;
-  AtlasLevelCut level_cut(int level) const noexcept;
+  /// One level's buckets alone; O(their cells + ranks).
+  AtlasLevelCut level_cut(int level) const;
 
   /// True when (src, dst) share a grid row or column group that is a
   /// proper subset of the world, under the installed grid.
@@ -182,7 +254,10 @@ class CommAtlas {
   int ranks_ = 0;
   int grid_rows_ = 0;
   int grid_cols_ = 0;
-  std::map<std::tuple<int, std::string, int>, Slice> slices_;
+  /// Keyed by (pattern, site, level). A string_view compares by content,
+  /// so equal site names at distinct addresses share one bucket.
+  std::map<std::tuple<int, std::string_view, int>, Slice> slices_;
+  std::map<int, std::vector<const Slice*>> by_level_;  ///< level's buckets
 };
 
 }  // namespace dbfs::obs

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -51,6 +52,12 @@ void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  epoch_ = next_epoch();
+}
+
+std::uint64_t MetricsRegistry::next_epoch() noexcept {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {

@@ -60,7 +60,14 @@ class LogHistogram {
 
 class MetricsRegistry {
  public:
-  /// Monotonic counter; created zeroed on first access.
+  MetricsRegistry() = default;
+  /// Not copyable: references handed out by counter()/gauge()/histogram()
+  /// are tied to this instance's epoch().
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Monotonic counter; created zeroed on first access. The references
+  /// these three return stay valid until the next clear().
   std::int64_t& counter(const std::string& name) { return counters_[name]; }
   /// Last-write-wins value.
   double& gauge(const std::string& name) { return gauges_[name]; }
@@ -83,8 +90,14 @@ class MetricsRegistry {
   }
 
   /// Drop every metric (Cluster::reset_accounting calls this so each run
-  /// reports its own distributions).
+  /// reports its own distributions). Starts a new epoch.
   void clear();
+
+  /// Names the set of live metric references: unique across every
+  /// registry in the process and renewed by clear(). A caller that caches
+  /// references (simmpi's per-pattern collective handles) stores the
+  /// epoch it resolved them under and resolves again when it moves.
+  std::uint64_t epoch() const noexcept { return epoch_; }
 
   /// Serialize as one JSON object:
   /// {"counters":{...},"gauges":{...},
@@ -106,6 +119,9 @@ class MetricsRegistry {
   std::map<std::string, std::int64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, LogHistogram> histograms_;
+  std::uint64_t epoch_ = next_epoch();
+
+  static std::uint64_t next_epoch() noexcept;
 };
 
 }  // namespace dbfs::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "model/cost.hpp"
@@ -158,6 +159,22 @@ std::vector<MemFlip> Cluster::take_due_flips(int levels_completed) {
 void Cluster::revive_rank(int rank) {
   if (!dead_.empty()) dead_[static_cast<std::size_t>(rank)] = 0;
   rearm_kills();
+}
+
+CollectiveMetrics& Cluster::collective_metrics(Pattern pattern) {
+  CollectiveMetrics& m =
+      collective_metrics_[static_cast<std::size_t>(pattern)];
+  obs::MetricsRegistry& registry = *observers_.metrics;
+  if (m.epoch == registry.epoch()) return m;
+  const std::string name = to_string(pattern);
+  m.epoch = registry.epoch();
+  m.calls = &registry.counter("comm.calls." + name);
+  m.bytes = &registry.counter("comm.bytes." + name);
+  m.rank_seconds = &registry.gauge("comm.rank_seconds." + name);
+  m.call_bytes = &registry.histogram("comm.call_bytes." + name);
+  m.wait_seconds = &registry.histogram("comm.wait_seconds");
+  m.transfer_seconds = &registry.histogram("comm.transfer_seconds");
+  return m;
 }
 
 void Cluster::reset_accounting() {

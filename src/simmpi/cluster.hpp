@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -24,6 +25,20 @@
 #include "simmpi/traffic.hpp"
 
 namespace dbfs::simmpi {
+
+/// The metrics sync_collective updates for one pattern: references into
+/// the attached registry, resolved by name on first use and again once
+/// the registry's epoch moves (MetricsRegistry::clear), so a collective
+/// costs pointer bumps instead of five string builds and map lookups.
+struct CollectiveMetrics {
+  std::uint64_t epoch = 0;  ///< registry epoch they belong to; 0 = none
+  std::int64_t* calls = nullptr;             ///< comm.calls.<Pattern>
+  std::int64_t* bytes = nullptr;             ///< comm.bytes.<Pattern>
+  double* rank_seconds = nullptr;            ///< comm.rank_seconds.<Pattern>
+  obs::LogHistogram* call_bytes = nullptr;   ///< comm.call_bytes.<Pattern>
+  obs::LogHistogram* wait_seconds = nullptr;      ///< comm.wait_seconds
+  obs::LogHistogram* transfer_seconds = nullptr;  ///< comm.transfer_seconds
+};
 
 class Cluster {
  public:
@@ -76,6 +91,10 @@ class Cluster {
   obs::FlightRecorder* flight() const noexcept { return observers_.flight; }
   obs::CommAtlas* atlas() const noexcept { return observers_.atlas; }
   bool observing() const noexcept { return observers_.observing(); }
+
+  /// `pattern`'s collective metrics in the attached registry, which must
+  /// be non-null; resolved on first use and after each clear().
+  CollectiveMetrics& collective_metrics(Pattern pattern);
 
   /// Label applied to subsequent charge_compute spans ("1d-scan",
   /// "2d-spmsv", ...). Must be a static string.
@@ -183,6 +202,8 @@ class Cluster {
   TrafficMeter traffic_;
 
   obs::Observers observers_;
+  std::array<CollectiveMetrics, static_cast<std::size_t>(Pattern::kCount)>
+      collective_metrics_{};
   const char* compute_phase_ = "compute";
   int current_level_ = -1;
 

@@ -27,7 +27,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -60,16 +59,15 @@ inline void sync_collective(Cluster& cluster, std::span<const int> group,
   // rooted collectives and transpose pairs.
   if (cluster.kills_armed()) cluster.check_fail_stop(group, site);
   obs::Tracer* tracer = cluster.tracer();
-  obs::MetricsRegistry* metrics = cluster.metrics();
+  CollectiveMetrics* metrics = cluster.metrics() != nullptr
+                                   ? &cluster.collective_metrics(pattern)
+                                   : nullptr;
   if (tracer != nullptr || metrics != nullptr) {
     const model::VirtualClocks& clocks = cluster.clocks();
     const char* pattern_name = to_string(pattern);
     double start = 0.0;
     for (int r : group) start = std::max(start, clocks.now(r));
     const double end = start + cost;
-    obs::LogHistogram* wait_hist =
-        metrics != nullptr ? &metrics->histogram("comm.wait_seconds")
-                           : nullptr;
     for (int r : group) {
       const double arrive = clocks.now(r);
       if (tracer != nullptr) {
@@ -80,29 +78,27 @@ inline void sync_collective(Cluster& cluster, std::span<const int> group,
         tracer->record(r, obs::SpanKind::kTransfer, site, pattern_name,
                        start, end);
       }
-      if (wait_hist != nullptr) wait_hist->observe(start - arrive);
+      if (metrics != nullptr) metrics->wait_seconds->observe(start - arrive);
     }
     if (metrics != nullptr) {
-      ++metrics->counter(std::string("comm.calls.") + pattern_name);
-      metrics->counter(std::string("comm.bytes.") + pattern_name) +=
-          static_cast<std::int64_t>(network_bytes);
+      ++*metrics->calls;
+      *metrics->bytes += static_cast<std::int64_t>(network_bytes);
       // Cumulative participants × transfer seconds (the TrafficMeter's
       // rank_seconds): fractional, so a gauge used additively rather than
       // an integer counter.
-      metrics->gauge(std::string("comm.rank_seconds.") + pattern_name) +=
-          cost * static_cast<double>(group.size());
+      *metrics->rank_seconds += cost * static_cast<double>(group.size());
       // Distribution of per-call sizes; named apart from the
       // comm.bytes.<Pattern> counter so the OpenMetrics export keeps one
       // family per name.
-      metrics->histogram(std::string("comm.call_bytes.") + pattern_name)
-          .observe(static_cast<double>(network_bytes));
-      metrics->histogram("comm.transfer_seconds").observe(cost);
+      metrics->call_bytes->observe(static_cast<double>(network_bytes));
+      metrics->transfer_seconds->observe(cost);
     }
   }
   cluster.clocks().collective(group, cost);
   // Flight-recorder hook, after the clock update so the timestamp is the
-  // simulated wall clock (max_now is non-decreasing across a run even for
-  // per-pair transpose exchanges, whose own end times are not).
+  // simulated wall clock (max_now, an O(1) running maximum, is
+  // non-decreasing across a run even for per-pair transpose exchanges,
+  // whose own end times are not).
   if (obs::FlightRecorder* flight = cluster.flight()) {
     flight
         ->append("collective", site, cluster.clocks().max_now(), -1,

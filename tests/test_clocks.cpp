@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "util/prng.hpp"
 
 namespace dbfs::model {
 namespace {
@@ -98,6 +102,48 @@ TEST(VirtualClocks, RepeatedCollectivesAccumulateWaits) {
   }
   EXPECT_NEAR(c.comm_time(1), 10.0 * 1.1, 1e-9);
   EXPECT_NEAR(c.comm_time(0), 10.0 * 0.1, 1e-9);
+}
+
+// max_now() is a running maximum kept by every clock-moving method; a
+// seeded random mix of all of them (empty groups, zero costs, seeds below
+// and above the clocks, resets) must leave it equal to a full scan after
+// every single step.
+TEST(VirtualClocks, RunningMaxEqualsScanAfterEveryStep) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const int ranks = 1 + static_cast<int>(rng.next_below(9));
+    VirtualClocks c{ranks};
+    const auto pick = [&](std::uint64_t n) {
+      return static_cast<int>(rng.next_below(n));
+    };
+    const auto cost = [&] {
+      return pick(3) == 0 ? 0.0 : rng.next_double();
+    };
+    for (int step = 0; step < 500; ++step) {
+      std::vector<int> group;
+      for (int r = 0; r < ranks; ++r) {
+        if (pick(2) == 0) group.push_back(r);
+      }
+      const int op = pick(20);
+      if (op < 8) {
+        c.advance_compute(pick(static_cast<std::uint64_t>(ranks)), cost());
+      } else if (op < 13) {
+        c.collective(group, cost());
+      } else if (op < 17) {
+        std::vector<double> costs;
+        for (std::size_t k = 0; k < group.size(); ++k) costs.push_back(cost());
+        c.collective_varying(group, costs);
+      } else if (op < 19) {
+        // Half the seeds land below the furthest clock, half beyond it.
+        c.seed(c.max_now() * 2.0 * rng.next_double());
+      } else {
+        c.reset();
+      }
+      const std::vector<double>& now = c.all_now();
+      ASSERT_EQ(c.max_now(), *std::max_element(now.begin(), now.end()))
+          << "seed " << seed << ", step " << step << ", op " << op;
+    }
+  }
 }
 
 }  // namespace
