@@ -8,8 +8,6 @@ Bfs1DOptions pbgl_like_options(const PbglLikeOptions& opts) {
   o.threads_per_rank = 1;
   o.machine = opts.machine;
   o.comm_mode = CommMode::kPerEdgeSends;
-  // PBGL's message buffers coalesce only a handful of discover messages.
-  o.chunk_bytes = 512;
   // Distributed property maps: hash lookups + shared_ptr machinery on
   // every visit — several DRAM-class operations per edge.
   o.extra_per_edge_seconds = 6.0 * opts.machine.alpha_local(1e9);

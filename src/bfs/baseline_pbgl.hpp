@@ -5,8 +5,8 @@
 // adjacency lists: every cross-rank edge triggers a small "discover"
 // message through a generic message buffer, and vertex properties live in
 // allocation-heavy distributed property maps. We reproduce those costs
-// structurally: tiny coalescing buffers priced per message, plus a large
-// per-edge constant for the property-map machinery.
+// structurally: one message per candidate, plus a large per-edge constant
+// for the property-map machinery.
 #pragma once
 
 #include "bfs/bfs1d.hpp"

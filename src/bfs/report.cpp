@@ -53,8 +53,11 @@ void finalize_report(RunReport& report, const simmpi::Cluster& cluster) {
   report.comp_seconds_max = comp.max;
 
   const auto& traffic = cluster.traffic();
+  // Point-to-point sends are the baselines' per-peer exchange, counted
+  // with alltoallv here as in alltoall_seconds and each level's a2a_bytes.
   report.alltoall_bytes =
-      traffic.totals(simmpi::Pattern::kAlltoallv).bytes;
+      traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
+      traffic.totals(simmpi::Pattern::kPointToPoint).bytes;
   report.allgather_bytes =
       traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
       traffic.totals(simmpi::Pattern::kBroadcast).bytes +

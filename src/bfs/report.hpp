@@ -19,7 +19,7 @@ struct LevelStats {
   vid_t newly_visited = 0;
   std::uint64_t a2a_bytes = 0;       ///< fold / 1D exchange traffic
   std::uint64_t expand_bytes = 0;    ///< allgather-or-broadcast traffic
-  std::uint64_t other_bytes = 0;     ///< transpose + allreduce + misc
+  std::uint64_t other_bytes = 0;     ///< 2D transpose traffic; 0 in 1D
   double wall_seconds = 0.0;         ///< simulated level makespan
   double comm_seconds = 0.0;         ///< mean per-rank comm delta
   double comp_seconds = 0.0;         ///< mean per-rank compute delta

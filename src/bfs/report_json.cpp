@@ -1,135 +1,94 @@
 #include "bfs/report_json.hpp"
 
-#include <ostream>
 #include <sstream>
 
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace dbfs::bfs {
 
-namespace {
-
-// Minimal JSON string escaping; algorithm/machine names are ASCII but a
-// writer that silently emits invalid JSON on odd input is a trap.
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-template <typename T>
-void write_array(std::ostream& out, const std::vector<T>& values) {
-  out << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ',';
-    out << values[i];
-  }
-  out << ']';
-}
-
-}  // namespace
-
 void write_report_json(std::ostream& out, const RunReport& report,
-                       bool include_per_rank) {
-  out << "{";
-  out << "\"algorithm\":";
-  write_escaped(out, report.algorithm);
-  out << ",\"machine\":";
-  write_escaped(out, report.machine);
-  out << ",\"ranks\":" << report.ranks
-      << ",\"threads_per_rank\":" << report.threads_per_rank
-      << ",\"cores\":" << report.cores
-      << ",\"total_seconds\":" << report.total_seconds
-      << ",\"comm_seconds_mean\":" << report.comm_seconds_mean
-      << ",\"comm_seconds_max\":" << report.comm_seconds_max
-      << ",\"comp_seconds_mean\":" << report.comp_seconds_mean
-      << ",\"comp_seconds_max\":" << report.comp_seconds_max
-      << ",\"comm_fraction\":" << report.comm_fraction()
-      << ",\"edges_traversed\":" << report.edges_traversed;
+                       const ReportJsonOptions& options) {
+  util::JsonWriter json(out);
+  json.object()
+      .field("algorithm", report.algorithm)
+      .field("machine", report.machine)
+      .field("ranks", report.ranks)
+      .field("threads_per_rank", report.threads_per_rank)
+      .field("cores", report.cores)
+      .field("total_seconds", report.total_seconds)
+      .field("comm_seconds_mean", report.comm_seconds_mean)
+      .field("comm_seconds_max", report.comm_seconds_max)
+      .field("comp_seconds_mean", report.comp_seconds_mean)
+      .field("comp_seconds_max", report.comp_seconds_max)
+      .field("comm_fraction", report.comm_fraction())
+      .field("edges_traversed", report.edges_traversed);
 
-  out << ",\"traffic\":{"
-      << "\"alltoall_bytes\":" << report.alltoall_bytes
-      << ",\"allgather_bytes\":" << report.allgather_bytes
-      << ",\"transpose_bytes\":" << report.transpose_bytes
-      << ",\"allreduce_bytes\":" << report.allreduce_bytes
-      << ",\"alltoall_seconds\":" << report.alltoall_seconds
-      << ",\"allgather_seconds\":" << report.allgather_seconds
-      << ",\"transpose_seconds\":" << report.transpose_seconds
-      << ",\"allreduce_seconds\":" << report.allreduce_seconds << "}";
+  json.object("traffic")
+      .field("alltoall_bytes", report.alltoall_bytes)
+      .field("allgather_bytes", report.allgather_bytes)
+      .field("transpose_bytes", report.transpose_bytes)
+      .field("allreduce_bytes", report.allreduce_bytes)
+      .field("alltoall_seconds", report.alltoall_seconds)
+      .field("allgather_seconds", report.allgather_seconds)
+      .field("transpose_seconds", report.transpose_seconds)
+      .field("allreduce_seconds", report.allreduce_seconds)
+      .end();
 
-  out << ",\"spmsv\":{\"spa_calls\":" << report.spmsv_spa_calls
-      << ",\"heap_calls\":" << report.spmsv_heap_calls << "}";
+  json.object("spmsv")
+      .field("spa_calls", report.spmsv_spa_calls)
+      .field("heap_calls", report.spmsv_heap_calls)
+      .end();
 
   const FaultReport& f = report.faults;
-  out << ",\"faults\":{"
-      << "\"enabled\":" << (f.enabled ? "true" : "false")
-      << ",\"seed\":" << f.seed
-      << ",\"collective_failures\":" << f.collective_failures
-      << ",\"collective_retries\":" << f.collective_retries
-      << ",\"backoff_seconds\":" << f.backoff_seconds
-      << ",\"reissue_seconds\":" << f.reissue_seconds
-      << ",\"payload_corruptions\":" << f.payload_corruptions
-      << ",\"checksum_checks\":" << f.checksum_checks
-      << ",\"payload_retries\":" << f.payload_retries
-      << ",\"compute_stragglers\":" << f.compute_stragglers
-      << ",\"nic_stragglers\":" << f.nic_stragglers << "}";
+  json.object("faults")
+      .field("enabled", f.enabled)
+      .field("seed", f.seed)
+      .field("collective_failures", f.collective_failures)
+      .field("collective_retries", f.collective_retries)
+      .field("backoff_seconds", f.backoff_seconds)
+      .field("reissue_seconds", f.reissue_seconds)
+      .field("payload_corruptions", f.payload_corruptions)
+      .field("checksum_checks", f.checksum_checks)
+      .field("payload_retries", f.payload_retries)
+      .field("compute_stragglers", f.compute_stragglers)
+      .field("nic_stragglers", f.nic_stragglers)
+      .end();
 
   if (report.recover.rank_failures > 0) {
     // Emitted only when a rank actually died: a recovery-armed run with
     // no failures keeps its report byte-identical to pre-recovery output
     // (checkpoint accounting then lives only in the recover.* metrics).
     const RecoverReport& r = report.recover;
-    out << ",\"recover\":{"
-        << "\"policy\":";
-    write_escaped(out, r.policy);
-    out << ",\"checkpoint_every\":" << r.checkpoint_every
-        << ",\"checkpoints_taken\":" << r.checkpoints_taken
-        << ",\"checkpoint_bytes\":" << r.checkpoint_bytes
-        << ",\"rank_failures\":" << r.rank_failures
-        << ",\"replayed_levels\":" << r.replayed_levels
-        << ",\"recovery_seconds\":" << r.recovery_seconds
-        << ",\"ranks_lost\":" << r.ranks_lost
-        << ",\"spares_used\":" << r.spares_used << "}";
+    json.object("recover")
+        .field("policy", r.policy)
+        .field("checkpoint_every", r.checkpoint_every)
+        .field("checkpoints_taken", r.checkpoints_taken)
+        .field("checkpoint_bytes", r.checkpoint_bytes)
+        .field("rank_failures", r.rank_failures)
+        .field("replayed_levels", r.replayed_levels)
+        .field("recovery_seconds", r.recovery_seconds)
+        .field("ranks_lost", r.ranks_lost)
+        .field("spares_used", r.spares_used)
+        .end();
   }
 
   if (report.sdc.enabled) {
     // Emitted only when audits or at-rest flips were armed: a plain run
     // keeps its report byte-identical to the pre-SDC engine.
     const SdcReport& s = report.sdc;
-    out << ",\"sdc\":{"
-        << "\"audit_every\":" << s.audit_every
-        << ",\"audits\":" << s.audits
-        << ",\"audit_failures\":" << s.audit_failures
-        << ",\"flips_injected\":" << s.flips_injected
-        << ",\"rollbacks\":" << s.rollbacks
-        << ",\"replayed_levels\":" << s.replayed_levels
-        << ",\"checkpoints_rejected\":" << s.checkpoints_rejected
-        << ",\"audit_seconds\":" << s.audit_seconds
-        << ",\"rollback_seconds\":" << s.rollback_seconds << "}";
+    json.object("sdc")
+        .field("audit_every", s.audit_every)
+        .field("audits", s.audits)
+        .field("audit_failures", s.audit_failures)
+        .field("flips_injected", s.flips_injected)
+        .field("rollbacks", s.rollbacks)
+        .field("replayed_levels", s.replayed_levels)
+        .field("checkpoints_rejected", s.checkpoints_rejected)
+        .field("audit_seconds", s.audit_seconds)
+        .field("rollback_seconds", s.rollback_seconds)
+        .end();
   }
 
   if (report.dirop.enabled) {
@@ -137,98 +96,70 @@ void write_report_json(std::ostream& out, const RunReport& report,
     // nothing here and its per-level objects below stay untouched, so
     // the legacy report is byte-identical to the pre-hybrid engine.
     const DiropReport& d = report.dirop;
-    out << ",\"dirop\":{"
-        << "\"mode\":";
-    write_escaped(out, d.mode);
-    out << ",\"alpha\":" << d.alpha << ",\"beta\":" << d.beta
-        << ",\"top_down_levels\":" << d.top_down_levels
-        << ",\"bottom_up_levels\":" << d.bottom_up_levels
-        << ",\"top_down_edges\":" << d.top_down_edges
-        << ",\"bottom_up_edges\":" << d.bottom_up_edges
-        << ",\"switches\":" << d.switches
-        << ",\"top_down_wire_raw_bytes\":" << d.top_down_wire_raw_bytes
-        << ",\"top_down_wire_bytes\":" << d.top_down_wire_bytes
-        << ",\"bottom_up_wire_raw_bytes\":" << d.bottom_up_wire_raw_bytes
-        << ",\"bottom_up_wire_bytes\":" << d.bottom_up_wire_bytes
-        << ",\"levels\":[";
-    for (std::size_t i = 0; i < report.levels.size(); ++i) {
-      const LevelStats& l = report.levels[i];
-      if (i > 0) out << ',';
-      out << "{\"level\":" << l.level << ",\"direction\":"
-          << (l.bottom_up ? "\"bottomup\"" : "\"topdown\"")
-          << ",\"rationale\":";
-      write_escaped(out, to_string(static_cast<DiropRationale>(
-                             l.dirop_rationale)));
-      out << ",\"frontier_edges\":" << l.frontier_edges
-          << ",\"unexplored_edges\":" << l.unexplored_edges
-          << ",\"edges\":" << l.edges_scanned << "}";
+    json.object("dirop")
+        .field("mode", d.mode)
+        .field("alpha", d.alpha)
+        .field("beta", d.beta)
+        .field("top_down_levels", d.top_down_levels)
+        .field("bottom_up_levels", d.bottom_up_levels)
+        .field("top_down_edges", d.top_down_edges)
+        .field("bottom_up_edges", d.bottom_up_edges)
+        .field("switches", d.switches)
+        .field("top_down_wire_raw_bytes", d.top_down_wire_raw_bytes)
+        .field("top_down_wire_bytes", d.top_down_wire_bytes)
+        .field("bottom_up_wire_raw_bytes", d.bottom_up_wire_raw_bytes)
+        .field("bottom_up_wire_bytes", d.bottom_up_wire_bytes)
+        .array("levels");
+    for (const LevelStats& l : report.levels) {
+      json.object()
+          .field("level", l.level)
+          .field("direction", l.bottom_up ? "bottomup" : "topdown")
+          .field("rationale",
+                 to_string(static_cast<DiropRationale>(l.dirop_rationale)))
+          .field("frontier_edges", l.frontier_edges)
+          .field("unexplored_edges", l.unexplored_edges)
+          .field("edges", l.edges_scanned)
+          .end();
     }
-    out << "]}";
+    json.end().end();
   }
 
-  out << ",\"levels\":[";
-  for (std::size_t i = 0; i < report.levels.size(); ++i) {
-    const LevelStats& l = report.levels[i];
-    if (i > 0) out << ',';
-    out << "{\"level\":" << l.level << ",\"frontier\":" << l.frontier
-        << ",\"edges\":" << l.edges_scanned
-        << ",\"newly_visited\":" << l.newly_visited
-        << ",\"wall_seconds\":" << l.wall_seconds
-        << ",\"a2a_bytes\":" << l.a2a_bytes
-        << ",\"expand_bytes\":" << l.expand_bytes
-        << ",\"other_bytes\":" << l.other_bytes;
+  json.array("levels");
+  for (const LevelStats& l : report.levels) {
+    json.object()
+        .field("level", l.level)
+        .field("frontier", l.frontier)
+        .field("edges", l.edges_scanned)
+        .field("newly_visited", l.newly_visited)
+        .field("wall_seconds", l.wall_seconds)
+        .field("a2a_bytes", l.a2a_bytes)
+        .field("expand_bytes", l.expand_bytes)
+        .field("other_bytes", l.other_bytes);
     if (report.has_level_breakdown) {
       // Only observed runs captured the per-level clock deltas; gating
       // the keys keeps unobserved reports byte-identical to the
       // pre-observability schema.
-      out << ",\"comm_seconds\":" << l.comm_seconds
-          << ",\"comm_seconds_max\":" << l.comm_seconds_max
-          << ",\"comp_seconds\":" << l.comp_seconds
-          << ",\"comp_seconds_max\":" << l.comp_seconds_max;
+      json.field("comm_seconds", l.comm_seconds)
+          .field("comm_seconds_max", l.comm_seconds_max)
+          .field("comp_seconds", l.comp_seconds)
+          .field("comp_seconds_max", l.comp_seconds_max);
     }
-    out << "}";
+    json.end();
   }
-  out << "]";
+  json.end();
 
-  if (include_per_rank) {
-    out << ",\"per_rank_comm\":";
-    write_array(out, report.per_rank_comm);
-    out << ",\"per_rank_comp\":";
-    write_array(out, report.per_rank_comp);
+  if (options.include_per_rank) {
+    json.field("per_rank_comm", report.per_rank_comm)
+        .field("per_rank_comp", report.per_rank_comp);
   }
-  out << "}";
-}
-
-std::string report_to_json(const RunReport& report, bool include_per_rank) {
-  std::ostringstream out;
-  write_report_json(out, report, include_per_rank);
-  return out.str();
-}
-
-void write_report_json(std::ostream& out, const RunReport& report,
-                       const ReportJsonOptions& options) {
-  std::ostringstream base;
-  write_report_json(base, report, options.include_per_rank);
-  std::string text = base.str();
-  const bool embed_metrics =
-      options.metrics != nullptr && !options.metrics->empty();
-  const bool embed_cp = options.critical_path != nullptr;
-  if (!embed_metrics && !embed_cp) {
-    out << text;
-    return;
+  if (options.metrics != nullptr && !options.metrics->empty()) {
+    options.metrics->write_json(json.key("metrics"));
   }
-  // Splice the observer sections in before the closing brace.
-  text.pop_back();
-  out << text;
-  if (embed_metrics) {
-    out << ",\"metrics\":";
-    options.metrics->write_json(out);
+  if (options.critical_path != nullptr) {
+    obs::write_critical_path_json(json.key("critical_path"),
+                                  *options.critical_path);
   }
-  if (embed_cp) {
-    out << ",\"critical_path\":";
-    obs::write_critical_path_json(out, *options.critical_path);
-  }
-  out << "}";
+  json.end();
 }
 
 std::string report_to_json(const RunReport& report,
@@ -236,6 +167,12 @@ std::string report_to_json(const RunReport& report,
   std::ostringstream out;
   write_report_json(out, report, options);
   return out.str();
+}
+
+std::string report_to_json(const RunReport& report, bool include_per_rank) {
+  ReportJsonOptions options;
+  options.include_per_rank = include_per_rank;
+  return report_to_json(report, options);
 }
 
 }  // namespace dbfs::bfs

@@ -100,8 +100,20 @@ EdgeList read_edge_list_binary(std::istream& in) {
   if (!in || n < 0 || m < 0) {
     throw std::runtime_error("bad binary edge-list header");
   }
-  std::vector<Edge> edges(static_cast<std::size_t>(m));
   static_assert(sizeof(Edge) == 2 * sizeof(std::int64_t));
+  // Size the edge array only once the stream is known to hold m edges, so
+  // a corrupt header cannot make the reader allocate gigabytes first. A
+  // stream that cannot seek skips the check and fails on the read below.
+  const std::istream::pos_type here = in.tellg();
+  if (here != std::istream::pos_type(-1)) {
+    in.seekg(0, std::ios::end);
+    const auto left = static_cast<std::uint64_t>(in.tellg() - here);
+    in.seekg(here);
+    if (static_cast<std::uint64_t>(m) > left / sizeof(Edge)) {
+      throw std::runtime_error("truncated binary edge list");
+    }
+  }
+  std::vector<Edge> edges(static_cast<std::size_t>(m));
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(edges.size() * sizeof(Edge)));
   if (!in) throw std::runtime_error("truncated binary edge list");

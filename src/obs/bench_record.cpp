@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -16,43 +15,21 @@ namespace dbfs::obs {
 
 namespace {
 
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-void write_summary(std::ostream& out, const util::Summary& s) {
-  out << "{\"count\":" << s.count << ",\"min\":" << s.min
-      << ",\"max\":" << s.max << ",\"mean\":" << s.mean
-      << ",\"harmonic_mean\":" << s.harmonic_mean
-      << ",\"median\":" << s.median << ",\"p25\":" << s.p25
-      << ",\"p75\":" << s.p75 << ",\"p95\":" << s.p95
-      << ",\"p99\":" << s.p99 << ",\"p999\":" << s.p999
-      << ",\"stddev\":" << s.stddev << "}";
+void write_summary(util::JsonWriter& json, const util::Summary& s) {
+  json.object()
+      .field("count", s.count)
+      .field("min", s.min)
+      .field("max", s.max)
+      .field("mean", s.mean)
+      .field("harmonic_mean", s.harmonic_mean)
+      .field("median", s.median)
+      .field("p25", s.p25)
+      .field("p75", s.p75)
+      .field("p95", s.p95)
+      .field("p99", s.p99)
+      .field("p999", s.p999)
+      .field("stddev", s.stddev)
+      .end();
 }
 
 util::Summary parse_summary(const util::JsonValue& v) {
@@ -89,133 +66,105 @@ double rel_stddev(const std::vector<double>& xs) {
 }  // namespace
 
 void write_bench_record_json(std::ostream& out, const BenchRecord& r) {
-  const auto saved_precision = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-
-  out << "{\"schema_version\":" << r.schema_version << ",\"name\":";
-  write_escaped(out, r.name);
-  out << ",\"created_by\":";
-  write_escaped(out, r.created_by);
-
+  util::JsonWriter json(out, util::JsonWriter::kExact);
   const BenchSetup& c = r.config;
-  out << ",\"config\":{\"generator\":";
-  write_escaped(out, c.generator);
-  out << ",\"scale\":" << c.scale << ",\"edge_factor\":" << c.edge_factor
-      << ",\"graph_seed\":" << c.graph_seed << ",\"algorithm\":";
-  write_escaped(out, c.algorithm);
-  out << ",\"machine\":";
-  write_escaped(out, c.machine);
-  out << ",\"wire_format\":";
-  write_escaped(out, c.wire_format);
-  out << ",\"cores\":" << c.cores << ",\"ranks\":" << c.ranks
-      << ",\"threads_per_rank\":" << c.threads_per_rank
-      << ",\"sources\":" << c.sources << ",\"repetitions\":" << c.repetitions
-      << ",\"source_seed\":" << c.source_seed
-      << ",\"faults_enabled\":" << (c.faults_enabled ? "true" : "false")
-      << ",\"fault_plan\":";
-  write_escaped(out, c.fault_plan);
-  out << "}";
+  json.object()
+      .field("schema_version", r.schema_version)
+      .field("name", r.name)
+      .field("created_by", r.created_by)
+      .object("config")
+      .field("generator", c.generator)
+      .field("scale", c.scale)
+      .field("edge_factor", c.edge_factor)
+      .field("graph_seed", c.graph_seed)
+      .field("algorithm", c.algorithm)
+      .field("machine", c.machine)
+      .field("wire_format", c.wire_format)
+      .field("cores", c.cores)
+      .field("ranks", c.ranks)
+      .field("threads_per_rank", c.threads_per_rank)
+      .field("sources", c.sources)
+      .field("repetitions", c.repetitions)
+      .field("source_seed", c.source_seed)
+      .field("faults_enabled", c.faults_enabled)
+      .field("fault_plan", c.fault_plan)
+      .end();
 
-  out << ",\"results\":{\"teps\":";
-  write_summary(out, r.teps);
-  out << ",\"harmonic_mean_teps\":" << r.harmonic_mean_teps
-      << ",\"mean_seconds\":" << r.mean_seconds
-      << ",\"comm_seconds_mean\":" << r.comm_seconds_mean
-      << ",\"comp_seconds_mean\":" << r.comp_seconds_mean;
-  out << ",\"noise\":{\"teps_rel_stddev\":" << r.noise.teps_rel_stddev
-      << ",\"seconds_rel_stddev\":" << r.noise.seconds_rel_stddev
-      << ",\"comm_rel_stddev\":" << r.noise.comm_rel_stddev << "}";
-  out << ",\"repetitions\":[";
-  for (std::size_t i = 0; i < r.repetitions.size(); ++i) {
-    const BenchRepetition& rep = r.repetitions[i];
-    if (i > 0) out << ',';
-    out << "{\"source_seed\":" << rep.source_seed
-        << ",\"sources\":" << rep.sources
-        << ",\"validated\":" << rep.validated << ",\"failed\":" << rep.failed
-        << ",\"harmonic_mean_teps\":" << rep.harmonic_mean_teps
-        << ",\"mean_seconds\":" << rep.mean_seconds
-        << ",\"comm_seconds_mean\":" << rep.comm_seconds_mean
-        << ",\"comp_seconds_mean\":" << rep.comp_seconds_mean << "}";
+  json.object("results").key("teps");
+  write_summary(json, r.teps);
+  json.field("harmonic_mean_teps", r.harmonic_mean_teps)
+      .field("mean_seconds", r.mean_seconds)
+      .field("comm_seconds_mean", r.comm_seconds_mean)
+      .field("comp_seconds_mean", r.comp_seconds_mean)
+      .object("noise")
+      .field("teps_rel_stddev", r.noise.teps_rel_stddev)
+      .field("seconds_rel_stddev", r.noise.seconds_rel_stddev)
+      .field("comm_rel_stddev", r.noise.comm_rel_stddev)
+      .end()
+      .array("repetitions");
+  for (const BenchRepetition& rep : r.repetitions) {
+    json.object()
+        .field("source_seed", rep.source_seed)
+        .field("sources", rep.sources)
+        .field("validated", rep.validated)
+        .field("failed", rep.failed)
+        .field("harmonic_mean_teps", rep.harmonic_mean_teps)
+        .field("mean_seconds", rep.mean_seconds)
+        .field("comm_seconds_mean", rep.comm_seconds_mean)
+        .field("comp_seconds_mean", rep.comp_seconds_mean)
+        .end();
   }
-  out << "]}";
+  json.end().end();
 
-  out << ",\"levels\":[";
-  for (std::size_t i = 0; i < r.levels.size(); ++i) {
-    const BenchLevelSplit& l = r.levels[i];
-    if (i > 0) out << ',';
-    out << "{\"level\":" << l.level << ",\"compute_mean\":" << l.compute_mean
-        << ",\"wait_mean\":" << l.wait_mean
-        << ",\"transfer_mean\":" << l.transfer_mean
-        << ",\"wait_max\":" << l.wait_max << ",\"wait_p99\":" << l.wait_p99
-        << ",\"straggler_rank\":" << l.straggler_rank
-        << ",\"straggler_phase\":";
-    write_escaped(out, l.straggler_phase);
-    out << ",\"sites\":{";
-    bool first_site = true;
-    for (const auto& [site, seconds] : l.sites) {
-      if (!first_site) out << ',';
-      first_site = false;
-      write_escaped(out, site);
-      out << ':' << seconds;
-    }
-    out << "}}";
+  json.array("levels");
+  for (const BenchLevelSplit& l : r.levels) {
+    json.object()
+        .field("level", l.level)
+        .field("compute_mean", l.compute_mean)
+        .field("wait_mean", l.wait_mean)
+        .field("transfer_mean", l.transfer_mean)
+        .field("wait_max", l.wait_max)
+        .field("wait_p99", l.wait_p99)
+        .field("straggler_rank", l.straggler_rank)
+        .field("straggler_phase", l.straggler_phase)
+        .field("sites", l.sites)
+        .end();
   }
-  out << "]";
+  json.end();
 
   const BenchImbalanceSummary& im = r.imbalance;
-  out << ",\"imbalance\":{\"ranks\":" << im.ranks
-      << ",\"comm_imbalance\":" << im.comm_imbalance
-      << ",\"comp_imbalance\":" << im.comp_imbalance
-      << ",\"busy_imbalance\":" << im.busy_imbalance
-      << ",\"wait_imbalance\":" << im.wait_imbalance
-      << ",\"wait_fraction\":" << im.wait_fraction << ",\"straggler_ranks\":[";
-  for (std::size_t i = 0; i < im.straggler_ranks.size(); ++i) {
-    if (i > 0) out << ',';
-    out << im.straggler_ranks[i];
-  }
-  out << "],\"level_ids\":[";
-  for (std::size_t i = 0; i < im.level_ids.size(); ++i) {
-    if (i > 0) out << ',';
-    out << im.level_ids[i];
-  }
-  out << "],\"wait_heatmap\":[";
-  for (std::size_t i = 0; i < im.wait_heatmap.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '[';
-    for (std::size_t j = 0; j < im.wait_heatmap[i].size(); ++j) {
-      if (j > 0) out << ',';
-      out << im.wait_heatmap[i][j];
-    }
-    out << ']';
-  }
-  out << "]}";
+  json.object("imbalance")
+      .field("ranks", im.ranks)
+      .field("comm_imbalance", im.comm_imbalance)
+      .field("comp_imbalance", im.comp_imbalance)
+      .field("busy_imbalance", im.busy_imbalance)
+      .field("wait_imbalance", im.wait_imbalance)
+      .field("wait_fraction", im.wait_fraction)
+      .field("straggler_ranks", im.straggler_ranks)
+      .field("level_ids", im.level_ids)
+      .field("wait_heatmap", im.wait_heatmap)
+      .end();
 
   // Schema-additive: atlas block only when a profile run carried one, so
   // records from unobserved runs stay byte-identical to pre-atlas output.
   if (r.atlas.present) {
     const BenchAtlasSummary& at = r.atlas;
-    out << ",\"atlas\":{\"grid_rows\":" << at.grid_rows
-        << ",\"grid_cols\":" << at.grid_cols
-        << ",\"total_bytes\":" << at.total_bytes
-        << ",\"network_bytes\":" << at.network_bytes
-        << ",\"max_pair_share\":" << at.max_pair_share
-        << ",\"row_skew\":" << at.row_skew << ",\"col_skew\":" << at.col_skew
-        << ",\"hotspot_rank\":" << at.hotspot_rank
-        << ",\"incast_rank\":" << at.incast_rank
-        << ",\"locality_share\":" << at.locality_share
-        << ",\"self_share\":" << at.self_share << "}";
+    json.object("atlas")
+        .field("grid_rows", at.grid_rows)
+        .field("grid_cols", at.grid_cols)
+        .field("total_bytes", at.total_bytes)
+        .field("network_bytes", at.network_bytes)
+        .field("max_pair_share", at.max_pair_share)
+        .field("row_skew", at.row_skew)
+        .field("col_skew", at.col_skew)
+        .field("hotspot_rank", at.hotspot_rank)
+        .field("incast_rank", at.incast_rank)
+        .field("locality_share", at.locality_share)
+        .field("self_share", at.self_share)
+        .end();
   }
 
-  out << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : r.counters) {
-    if (!first) out << ',';
-    first = false;
-    write_escaped(out, name);
-    out << ':' << value;
-  }
-  out << "}}";
-  out.precision(saved_precision);
+  json.field("counters", r.counters).end();
 }
 
 std::string bench_record_to_json(const BenchRecord& record) {

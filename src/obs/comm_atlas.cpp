@@ -1,8 +1,10 @@
 #include "obs/comm_atlas.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <ostream>
+#include <set>
+
+#include "util/json.hpp"
 
 namespace dbfs::obs {
 
@@ -151,127 +153,84 @@ AtlasLevelCut CommAtlas::level_cut(int level) const {
   return cut;
 }
 
-namespace {
-
-void write_escaped_atlas(std::ostream& out, const char* text) {
-  out << '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 void CommAtlas::write_json(std::ostream& out) const {
   const AtlasSummary s = summary();
-  out << "{\"atlas\":{";
-  out << "\"ranks\":" << ranks_ << ",\"grid\":{\"rows\":" << grid_rows_
-      << ",\"cols\":" << grid_cols_ << "},";
-  out << "\"summary\":{";
-  out << "\"total_bytes\":" << s.total_bytes;
-  out << ",\"self_bytes\":" << s.self_bytes;
-  out << ",\"network_bytes\":" << s.network_bytes;
-  out << ",\"max_pair_bytes\":" << s.max_pair_bytes;
-  out << ",\"max_pair_src\":" << s.max_pair_src;
-  out << ",\"max_pair_dst\":" << s.max_pair_dst;
-  out << ",\"max_pair_share\":" << s.max_pair_share;
-  out << ",\"row_skew\":" << s.row_skew;
-  out << ",\"col_skew\":" << s.col_skew;
-  out << ",\"hotspot_rank\":" << s.hotspot_rank;
-  out << ",\"incast_rank\":" << s.incast_rank;
-  out << ",\"subcomm_bytes\":" << s.subcomm_bytes;
-  out << ",\"locality_share\":" << s.locality_share;
-  out << ",\"self_share\":" << s.self_share;
-  out << "},";
+  util::JsonWriter json(out);
+  json.object()
+      .object("atlas")
+      .field("ranks", ranks_)
+      .object("grid")
+      .field("rows", grid_rows_)
+      .field("cols", grid_cols_)
+      .end()
+      .object("summary")
+      .field("total_bytes", s.total_bytes)
+      .field("self_bytes", s.self_bytes)
+      .field("network_bytes", s.network_bytes)
+      .field("max_pair_bytes", s.max_pair_bytes)
+      .field("max_pair_src", s.max_pair_src)
+      .field("max_pair_dst", s.max_pair_dst)
+      .field("max_pair_share", s.max_pair_share)
+      .field("row_skew", s.row_skew)
+      .field("col_skew", s.col_skew)
+      .field("hotspot_rank", s.hotspot_rank)
+      .field("incast_rank", s.incast_rank)
+      .field("subcomm_bytes", s.subcomm_bytes)
+      .field("locality_share", s.locality_share)
+      .field("self_share", s.self_share)
+      .end();
 
   // Per-pattern totals, ordered by pattern id (the embedded totals
-  // trace_lint reconciles against the matrix sum).
-  out << "\"patterns\":[";
-  std::vector<int> patterns;
+  // trace_lint reconciles against the matrix sum), then per-site and
+  // per-level totals in name and level order.
+  std::map<int, const char*> patterns;  ///< id -> its first bucket's name
+  std::set<std::string> sites;
+  std::set<int> levels;
   for (const auto& [key, sl] : slices_) {
-    if (std::find(patterns.begin(), patterns.end(), sl.pattern) ==
-        patterns.end()) {
-      patterns.push_back(sl.pattern);
-    }
+    patterns.emplace(sl.pattern, sl.pattern_name);
+    sites.emplace(sl.site);
+    levels.insert(sl.level);
   }
-  std::sort(patterns.begin(), patterns.end());
-  bool first = true;
-  for (int p : patterns) {
-    const char* name = "";
-    for (const auto& [key, sl] : slices_) {
-      if (sl.pattern == p) {
-        name = sl.pattern_name;
-        break;
-      }
-    }
-    if (!first) out << ',';
-    first = false;
-    out << "{\"pattern\":";
-    write_escaped_atlas(out, name);
-    out << ",\"bytes\":" << pattern_bytes(p)
-        << ",\"local_bytes\":" << (pattern_total_bytes(p) - pattern_bytes(p))
-        << "}";
+  json.array("patterns");
+  for (const auto& [p, name] : patterns) {
+    json.object()
+        .field("pattern", name)
+        .field("bytes", pattern_bytes(p))
+        .field("local_bytes", pattern_total_bytes(p) - pattern_bytes(p))
+        .end();
   }
-  out << "],";
-
-  out << "\"sites\":[";
-  std::vector<std::string> sites;
-  for (const auto& [key, sl] : slices_) {
-    if (std::find(sites.begin(), sites.end(), sl.site) == sites.end()) {
-      sites.emplace_back(sl.site);
-    }
-  }
-  std::sort(sites.begin(), sites.end());
-  first = true;
+  json.end().array("sites");
   for (const std::string& site : sites) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"site\":";
-    write_escaped_atlas(out, site.c_str());
-    out << ",\"bytes\":" << site_total_bytes(site) << "}";
+    json.object()
+        .field("site", site)
+        .field("bytes", site_total_bytes(site))
+        .end();
   }
-  out << "],";
-
-  out << "\"levels\":[";
-  std::vector<int> levels;
-  for (const auto& [key, sl] : slices_) {
-    if (std::find(levels.begin(), levels.end(), sl.level) == levels.end()) {
-      levels.push_back(sl.level);
-    }
-  }
-  std::sort(levels.begin(), levels.end());
-  first = true;
+  json.end().array("levels");
   for (int level : levels) {
     const AtlasLevelCut cut = level_cut(level);
-    if (!first) out << ',';
-    first = false;
-    out << "{\"level\":" << level << ",\"bytes\":" << cut.total_bytes
-        << ",\"network_bytes\":" << cut.network_bytes
-        << ",\"subcomm_bytes\":" << cut.subcomm_bytes
-        << ",\"hotspot_rank\":" << cut.hotspot_rank << "}";
+    json.object()
+        .field("level", level)
+        .field("bytes", cut.total_bytes)
+        .field("network_bytes", cut.network_bytes)
+        .field("subcomm_bytes", cut.subcomm_bytes)
+        .field("hotspot_rank", cut.hotspot_rank)
+        .end();
   }
-  out << "],";
+  json.end();
 
-  out << "\"matrix\":[";
+  json.array("matrix");
   const std::vector<std::uint64_t> grand = matrix();
   for (int src = 0; src < ranks_; ++src) {
-    if (src > 0) out << ',';
-    out << '[';
+    json.array();
     for (int dst = 0; dst < ranks_; ++dst) {
-      if (dst > 0) out << ',';
-      out << grand[static_cast<std::size_t>(src) *
-                       static_cast<std::size_t>(ranks_) +
-                   static_cast<std::size_t>(dst)];
+      json.value(grand[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(ranks_) +
+                       static_cast<std::size_t>(dst)]);
     }
-    out << ']';
+    json.end();
   }
-  out << "]}}";
+  json.end().end().end();
   out << '\n';
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace dbfs::obs {
@@ -158,52 +159,44 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks) {
   return report;
 }
 
-void write_critical_path_json(std::ostream& out,
+void write_critical_path_json(util::JsonWriter& json,
                               const CriticalPathReport& report) {
-  out << "{\"ranks\":" << report.ranks
-      << ",\"total_seconds\":" << report.total_seconds
-      << ",\"compute_mean\":" << report.compute_mean
-      << ",\"wait_mean\":" << report.wait_mean
-      << ",\"transfer_mean\":" << report.transfer_mean;
-
-  out << ",\"decomposition\":[";
-  for (std::size_t i = 0; i < report.decomposition.size(); ++i) {
-    const PatternDecomposition& d = report.decomposition[i];
-    if (i > 0) out << ",";
-    out << "{\"pattern\":\"" << d.pattern << "\",\"spans\":" << d.spans
-        << ",\"transfer_mean\":" << d.transfer_mean
-        << ",\"wait_mean\":" << d.wait_mean << "}";
+  json.object()
+      .field("ranks", report.ranks)
+      .field("total_seconds", report.total_seconds)
+      .field("compute_mean", report.compute_mean)
+      .field("wait_mean", report.wait_mean)
+      .field("transfer_mean", report.transfer_mean)
+      .array("decomposition");
+  for (const PatternDecomposition& d : report.decomposition) {
+    json.object()
+        .field("pattern", d.pattern)
+        .field("spans", d.spans)
+        .field("transfer_mean", d.transfer_mean)
+        .field("wait_mean", d.wait_mean)
+        .end();
   }
-  out << "]";
-
-  out << ",\"levels\":[";
-  for (std::size_t i = 0; i < report.levels.size(); ++i) {
-    const LevelAttribution& l = report.levels[i];
-    if (i > 0) out << ",";
-    out << "{\"level\":" << l.level << ",\"begin\":" << l.begin
-        << ",\"end\":" << l.end << ",\"makespan\":" << l.makespan()
-        << ",\"straggler_rank\":" << l.straggler_rank
-        << ",\"straggler_phase\":\"" << l.straggler_phase << "\""
-        << ",\"straggler_phase_seconds\":" << l.straggler_phase_seconds
-        << ",\"compute_mean\":" << l.compute_mean
-        << ",\"compute_max\":" << l.compute_max
-        << ",\"wait_mean\":" << l.wait_mean << ",\"wait_max\":" << l.wait_max
-        << ",\"wait_p95\":" << l.wait_p95 << ",\"wait_p99\":" << l.wait_p99;
-    out << ",\"collectives\":{";
-    bool first = true;
-    for (const auto& [site, seconds] : l.collective_seconds) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << site << "\":" << seconds;
-    }
-    out << "},\"wait_by_rank\":[";
-    for (std::size_t r = 0; r < l.wait_by_rank.size(); ++r) {
-      if (r > 0) out << ",";
-      out << l.wait_by_rank[r];
-    }
-    out << "]}";
+  json.end().array("levels");
+  for (const LevelAttribution& l : report.levels) {
+    json.object()
+        .field("level", l.level)
+        .field("begin", l.begin)
+        .field("end", l.end)
+        .field("makespan", l.makespan())
+        .field("straggler_rank", l.straggler_rank)
+        .field("straggler_phase", l.straggler_phase)
+        .field("straggler_phase_seconds", l.straggler_phase_seconds)
+        .field("compute_mean", l.compute_mean)
+        .field("compute_max", l.compute_max)
+        .field("wait_mean", l.wait_mean)
+        .field("wait_max", l.wait_max)
+        .field("wait_p95", l.wait_p95)
+        .field("wait_p99", l.wait_p99)
+        .field("collectives", l.collective_seconds)
+        .field("wait_by_rank", l.wait_by_rank)
+        .end();
   }
-  out << "]}";
+  json.end().end();
 }
 
 std::string format_critical_path_table(const CriticalPathReport& report) {

@@ -15,10 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
+
+namespace dbfs::util {
+class JsonWriter;
+}  // namespace dbfs::util
 
 namespace dbfs::obs {
 
@@ -83,7 +86,7 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks);
 
 /// Serialize as one JSON object (embedded into the run report by
 /// bfs::write_report_json when requested).
-void write_critical_path_json(std::ostream& out,
+void write_critical_path_json(util::JsonWriter& json,
                               const CriticalPathReport& report);
 
 /// Human-readable per-level table for CLI output: level, makespan,

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "comm/wire_format.hpp"
+#include "util/json.hpp"
 
 namespace dbfs::obs {
 
@@ -498,71 +499,39 @@ std::string format_doctor_report(const DoctorReport& r) {
   return out.str();
 }
 
-namespace {
-
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 void write_doctor_json(std::ostream& out, const DoctorReport& r) {
-  const auto saved_precision = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "{\"doctor\":{\"baseline\":";
-  write_escaped(out, r.baseline_name);
-  out << ",\"candidate\":";
-  write_escaped(out, r.candidate_name);
-  out << ",\"baseline_teps\":" << r.baseline_teps
-      << ",\"candidate_teps\":" << r.candidate_teps
-      << ",\"teps_ratio\":" << r.teps_ratio
-      << ",\"baseline_seconds\":" << r.baseline_seconds
-      << ",\"candidate_seconds\":" << r.candidate_seconds
-      << ",\"config_drift\":[";
-  for (std::size_t i = 0; i < r.config_drift.size(); ++i) {
-    if (i > 0) out << ',';
-    write_escaped(out, r.config_drift[i]);
+  util::JsonWriter json(out, util::JsonWriter::kExact);
+  json.object()
+      .object("doctor")
+      .field("baseline", r.baseline_name)
+      .field("candidate", r.candidate_name)
+      .field("baseline_teps", r.baseline_teps)
+      .field("candidate_teps", r.candidate_teps)
+      .field("teps_ratio", r.teps_ratio)
+      .field("baseline_seconds", r.baseline_seconds)
+      .field("candidate_seconds", r.candidate_seconds)
+      .field("config_drift", r.config_drift)
+      .array("findings");
+  for (const DoctorFinding& f : r.findings) {
+    json.object()
+        .field("cause", f.cause)
+        .field("confidence", f.confidence)
+        .field("detail", f.detail)
+        .end();
   }
-  out << "],\"findings\":[";
-  for (std::size_t i = 0; i < r.findings.size(); ++i) {
-    const DoctorFinding& f = r.findings[i];
-    if (i > 0) out << ',';
-    out << "{\"cause\":";
-    write_escaped(out, f.cause);
-    out << ",\"confidence\":" << f.confidence << ",\"detail\":";
-    write_escaped(out, f.detail);
-    out << "}";
+  json.end().array("contributions");
+  for (const DoctorContribution& c : r.contributions) {
+    json.object()
+        .field("level", c.level)
+        .field("phase", c.phase)
+        .field("baseline_seconds", c.baseline_seconds)
+        .field("candidate_seconds", c.candidate_seconds)
+        .field("delta_seconds", c.delta_seconds)
+        .field("share", c.share)
+        .end();
   }
-  out << "],\"contributions\":[";
-  for (std::size_t i = 0; i < r.contributions.size(); ++i) {
-    const DoctorContribution& c = r.contributions[i];
-    if (i > 0) out << ',';
-    out << "{\"level\":" << c.level << ",\"phase\":";
-    write_escaped(out, c.phase);
-    out << ",\"baseline_seconds\":" << c.baseline_seconds
-        << ",\"candidate_seconds\":" << c.candidate_seconds
-        << ",\"delta_seconds\":" << c.delta_seconds
-        << ",\"share\":" << c.share << "}";
-  }
-  out << "]}}\n";
-  out.precision(saved_precision);
+  json.end().end().end();
+  out << '\n';
 }
 
 void save_doctor_report(const std::string& path, const DoctorReport& report) {

@@ -1,37 +1,10 @@
 #include "obs/flight_recorder.hpp"
 
-#include <limits>
 #include <ostream>
 
+#include "util/json.hpp"
+
 namespace dbfs::obs {
-
-namespace {
-
-/// Same escaping rules as the other hand-rolled writers (bench_record,
-/// report_json): site/kind/key strings are static identifiers, but escape
-/// defensively anyway so a dump is always valid JSON.
-void write_escaped(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-              << "0123456789abcdef"[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
@@ -54,33 +27,28 @@ std::vector<FlightEvent> FlightRecorder::chronological() const {
 }
 
 void FlightRecorder::write_json(std::ostream& out) const {
-  const auto old_precision = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "{\"flight\":{\"capacity\":" << ring_.size()
-      << ",\"recorded\":" << recorded_ << ",\"dropped\":" << dropped()
-      << ",\"events\":[";
-  const auto events = chronological();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& ev = events[i];
-    if (i > 0) out << ',';
-    out << "{\"t\":" << ev.t << ",\"kind\":";
-    write_escaped(out, ev.kind);
-    out << ",\"site\":";
-    write_escaped(out, ev.site);
-    out << ",\"rank\":" << ev.rank << ",\"level\":" << ev.level
-        << ",\"payload\":{";
-    bool first = true;
+  util::JsonWriter json(out, util::JsonWriter::kExact);
+  json.object()
+      .object("flight")
+      .field("capacity", ring_.size())
+      .field("recorded", recorded_)
+      .field("dropped", dropped())
+      .array("events");
+  for (const FlightEvent& ev : chronological()) {
+    json.object()
+        .field("t", ev.t)
+        .field("kind", ev.kind)
+        .field("site", ev.site)
+        .field("rank", ev.rank)
+        .field("level", ev.level)
+        .object("payload");
     for (int s = 0; s < FlightEvent::kSlots; ++s) {
-      if (ev.key[s] == nullptr) continue;
-      if (!first) out << ',';
-      first = false;
-      write_escaped(out, ev.key[s]);
-      out << ':' << ev.value[s];
+      if (ev.key[s] != nullptr) json.field(ev.key[s], ev.value[s]);
     }
-    out << "}}";
+    json.end().end();
   }
-  out << "]}}\n";
-  out.precision(old_precision);
+  json.end().end().end();
+  out << '\n';
 }
 
 }  // namespace dbfs::obs

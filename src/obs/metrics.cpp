@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace dbfs::obs {
 
 void LogHistogram::observe(double value) {
@@ -60,48 +62,37 @@ std::uint64_t MetricsRegistry::next_epoch() noexcept {
   return ++last;
 }
 
-void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << name << "\":" << value;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << name << "\":" << value;
-  }
-  out << "},\"histograms\":{";
-  first = true;
+void MetricsRegistry::write_json(util::JsonWriter& json) const {
+  json.object()
+      .field("counters", counters_)
+      .field("gauges", gauges_)
+      .object("histograms");
   for (const auto& [name, h] : histograms_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << name << "\":{\"count\":" << h.count()
-        << ",\"zeros\":" << h.zeros() << ",\"sum\":" << h.sum()
-        << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-        << ",\"mean\":" << h.mean() << ",\"p50\":" << h.quantile(0.50)
-        << ",\"p95\":" << h.quantile(0.95) << ",\"p99\":" << h.quantile(0.99)
-        << ",\"buckets\":[";
-    bool first_bucket = true;
+    json.object(name)
+        .field("count", h.count())
+        .field("zeros", h.zeros())
+        .field("sum", h.sum())
+        .field("min", h.min())
+        .field("max", h.max())
+        .field("mean", h.mean())
+        .field("p50", h.quantile(0.50))
+        .field("p95", h.quantile(0.95))
+        .field("p99", h.quantile(0.99))
+        .array("buckets");
     for (int i = 0; i < LogHistogram::kBuckets; ++i) {
       const std::uint64_t c = h.buckets()[static_cast<std::size_t>(i)];
       if (c == 0) continue;
-      if (!first_bucket) out << ",";
-      first_bucket = false;
-      out << "[" << i + LogHistogram::kMinExp << "," << c << "]";
+      json.array().value(i + LogHistogram::kMinExp).value(c).end();
     }
-    out << "]}";
+    json.end().end();
   }
-  out << "}}";
+  json.end().end();
 }
 
 std::string MetricsRegistry::to_json() const {
   std::ostringstream out;
-  write_json(out);
+  util::JsonWriter json(out);
+  write_json(json);
   return out.str();
 }
 

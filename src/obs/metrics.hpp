@@ -19,6 +19,10 @@
 #include <map>
 #include <string>
 
+namespace dbfs::util {
+class JsonWriter;
+}  // namespace dbfs::util
+
 namespace dbfs::obs {
 
 class LogHistogram {
@@ -103,7 +107,7 @@ class MetricsRegistry {
   /// {"counters":{...},"gauges":{...},
   ///  "histograms":{name:{count,zeros,sum,min,max,mean,p50,p95,p99,
   ///                      buckets:[[exp,count],...]}}}
-  void write_json(std::ostream& out) const;
+  void write_json(util::JsonWriter& json) const;
   std::string to_json() const;
 
   /// Serialize in the OpenMetrics / Prometheus text exposition format so

@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <ostream>
+#include <string>
+
+#include "util/json.hpp"
 
 namespace dbfs::obs {
 
@@ -38,47 +40,55 @@ namespace {
 
 constexpr double kMicros = 1e6;  // virtual seconds -> trace microseconds
 
-void write_span_event(std::ostream& out, const Span& s, int rank) {
-  out << "{\"name\":\"" << s.name << "\",\"cat\":\"" << to_string(s.kind)
-      << "\",\"ph\":\"X\",\"ts\":" << s.begin * kMicros
-      << ",\"dur\":" << (s.end - s.begin) * kMicros
-      << ",\"pid\":0,\"tid\":" << rank << ",\"args\":{\"level\":" << s.level;
-  if (s.pattern != nullptr && s.pattern[0] != '\0') {
-    out << ",\"pattern\":\"" << s.pattern << "\"";
-  }
-  out << "}}";
-}
-
-void write_instant_event(std::ostream& out, const Instant& e) {
-  out << "{\"name\":\"" << e.name
-      << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-      << e.at * kMicros << ",\"pid\":0,\"tid\":" << e.rank
-      << ",\"args\":{\"level\":" << e.level << ",\"seconds\":" << e.seconds
-      << "}}";
-}
-
 }  // namespace
 
 void Tracer::write_chrome_json(std::ostream& out) const {
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  util::JsonWriter json(out);
+  json.object().array("traceEvents");
   for (int rank = 0; rank < ranks(); ++rank) {
     // Thread-name metadata rows make Perfetto label each track "rank N".
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << rank
-        << ",\"args\":{\"name\":\"rank " << rank << "\"}}";
+    json.object()
+        .field("name", "thread_name")
+        .field("ph", "M")
+        .field("pid", 0)
+        .field("tid", rank)
+        .object("args")
+        .field("name", "rank " + std::to_string(rank))
+        .end()
+        .end();
     for (const Span& s : per_rank_[static_cast<std::size_t>(rank)]) {
-      out << ",";
-      write_span_event(out, s, rank);
+      json.object()
+          .field("name", s.name)
+          .field("cat", to_string(s.kind))
+          .field("ph", "X")
+          .field("ts", s.begin * kMicros)
+          .field("dur", (s.end - s.begin) * kMicros)
+          .field("pid", 0)
+          .field("tid", rank)
+          .object("args")
+          .field("level", s.level);
+      if (s.pattern != nullptr && s.pattern[0] != '\0') {
+        json.field("pattern", s.pattern);
+      }
+      json.end().end();
     }
   }
   for (const Instant& e : instants_) {
-    if (!first) out << ",";
-    first = false;
-    write_instant_event(out, e);
+    json.object()
+        .field("name", e.name)
+        .field("cat", "fault")
+        .field("ph", "i")
+        .field("s", "t")
+        .field("ts", e.at * kMicros)
+        .field("pid", 0)
+        .field("tid", e.rank)
+        .object("args")
+        .field("level", e.level)
+        .field("seconds", e.seconds)
+        .end()
+        .end();
   }
-  out << "],\"displayTimeUnit\":\"ms\"}";
+  json.end().field("displayTimeUnit", "ms").end();
 }
 
 }  // namespace dbfs::obs

@@ -223,25 +223,6 @@ double FaultPlan::backoff_seconds(int attempt) const noexcept {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void append_pairs(std::string& out, const char* key,
-                  const std::vector<std::pair<int, double>>& pairs) {
-  out += "\"";
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "[" + std::to_string(pairs[i].first) + "," +
-           num(pairs[i].second) + "]";
-  }
-  out += "]";
-}
-
 std::vector<std::pair<int, double>> read_pairs(const util::JsonValue& doc,
                                                const std::string& key) {
   std::vector<std::pair<int, double>> pairs;
@@ -256,48 +237,40 @@ std::vector<std::pair<int, double>> read_pairs(const util::JsonValue& doc,
 }  // namespace
 
 std::string to_json(const FaultPlan& plan) {
-  std::string out = "{";
-  out += "\"seed\":" + std::to_string(plan.seed) + ",";
-  out += "\"collective_fail_rate\":" + num(plan.collective_fail_rate) + ",";
-  out += "\"max_collective_retries\":" +
-         std::to_string(plan.max_collective_retries) + ",";
-  out += "\"backoff_base_seconds\":" + num(plan.backoff_base_seconds) + ",";
-  out += "\"backoff_cap_seconds\":" + num(plan.backoff_cap_seconds) + ",";
-  out += "\"corrupt_rate\":" + num(plan.corrupt_rate) + ",";
-  out += "\"corrupt_kind\":\"" + std::string(to_string(plan.corrupt_kind)) +
-         "\",";
-  out += "\"max_payload_retries\":" +
-         std::to_string(plan.max_payload_retries) + ",";
-  append_pairs(out, "compute_stragglers", plan.compute_stragglers);
-  out += ",";
-  append_pairs(out, "nic_stragglers", plan.nic_stragglers);
+  std::ostringstream out;
+  util::JsonWriter json(out, util::JsonWriter::kExact);
+  json.object()
+      .field("seed", plan.seed)
+      .field("collective_fail_rate", plan.collective_fail_rate)
+      .field("max_collective_retries", plan.max_collective_retries)
+      .field("backoff_base_seconds", plan.backoff_base_seconds)
+      .field("backoff_cap_seconds", plan.backoff_cap_seconds)
+      .field("corrupt_rate", plan.corrupt_rate)
+      .field("corrupt_kind", to_string(plan.corrupt_kind))
+      .field("max_payload_retries", plan.max_payload_retries)
+      .field("compute_stragglers", plan.compute_stragglers)
+      .field("nic_stragglers", plan.nic_stragglers);
   if (!plan.rank_kills.empty()) {
-    out += ",\"rank_kills\":[";
-    for (std::size_t i = 0; i < plan.rank_kills.size(); ++i) {
-      const RankKill& k = plan.rank_kills[i];
-      if (i > 0) out += ',';
-      out += "{\"rank\":" + std::to_string(k.rank);
-      if (k.at_level >= 0)
-        out += ",\"at_level\":" + std::to_string(k.at_level);
-      if (k.at_time >= 0.0) out += ",\"at_time\":" + num(k.at_time);
-      out += "}";
+    json.array("rank_kills");
+    for (const RankKill& k : plan.rank_kills) {
+      json.object().field("rank", k.rank);
+      if (k.at_level >= 0) json.field("at_level", k.at_level);
+      if (k.at_time >= 0.0) json.field("at_time", k.at_time);
+      json.end();
     }
-    out += "]";
+    json.end();
   }
   if (!plan.mem_flips.empty()) {
-    out += ",\"mem_flips\":[";
-    for (std::size_t i = 0; i < plan.mem_flips.size(); ++i) {
-      const MemFlip& f = plan.mem_flips[i];
-      if (i > 0) out += ',';
-      out += "{\"rank\":" + std::to_string(f.rank);
-      if (f.at_level >= 0)
-        out += ",\"at_level\":" + std::to_string(f.at_level);
-      out += ",\"target\":\"" + std::string(to_string(f.target)) + "\"}";
+    json.array("mem_flips");
+    for (const MemFlip& f : plan.mem_flips) {
+      json.object().field("rank", f.rank);
+      if (f.at_level >= 0) json.field("at_level", f.at_level);
+      json.field("target", to_string(f.target)).end();
     }
-    out += "]";
+    json.end();
   }
-  out += "}";
-  return out;
+  json.end();
+  return out.str();
 }
 
 namespace {

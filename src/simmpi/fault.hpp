@@ -232,10 +232,10 @@ struct FaultPlan {
   double backoff_seconds(int attempt) const noexcept;
 };
 
-/// Serialize a plan as a JSON object (hand-rolled, byte-stable like the
-/// other writers). Kill schedules land under "rank_kills" and corruption
-/// schedules under "mem_flips"; a plan without either omits the key so
-/// pre-kill readers keep working.
+/// Serialize a plan as a JSON object, doubles at round-trip precision.
+/// Kill schedules land under "rank_kills" and corruption schedules under
+/// "mem_flips"; a plan without either omits the key so pre-kill readers
+/// keep working.
 std::string to_json(const FaultPlan& plan);
 
 /// Parse a plan written by to_json (or by hand). Absent keys keep their

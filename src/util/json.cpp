@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <ostream>
 
 namespace dbfs::util {
 
@@ -192,9 +193,9 @@ class Parser {
             const std::string hex = text_.substr(pos_, 4);
             pos_ += 4;
             const long code = std::strtol(hex.c_str(), nullptr, 16);
-            // Our writers only escape control characters; anything in the
-            // BMP below 0x80 maps straight to one byte, the rest is kept
-            // as a replacement '?' (we never emit it).
+            // JsonWriter \u-escapes only control characters; anything in
+            // the BMP below 0x80 maps straight to one byte, the rest is
+            // kept as a replacement '?' (we never emit it).
             out += code < 0x80 ? static_cast<char>(code) : '?';
             break;
           }
@@ -249,5 +250,80 @@ class Parser {
 }  // namespace
 
 JsonValue parse_json(const std::string& text) { return Parser(text).parse(); }
+
+JsonWriter::JsonWriter(std::ostream& out, int precision)
+    : out_(&out), saved_precision_(out.precision()) {
+  if (precision > 0) out.precision(precision);
+}
+
+JsonWriter::~JsonWriter() { out_->precision(saved_precision_); }
+
+void JsonWriter::separate() {
+  if (!first_) *out_ << ',';
+  first_ = false;
+}
+
+JsonWriter& JsonWriter::object() {
+  separate();
+  *out_ << '{';
+  closers_ += '}';
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::array() {
+  separate();
+  *out_ << '[';
+  closers_ += ']';
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end() {
+  *out_ << closers_.back();
+  closers_.pop_back();
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  value(name);
+  *out_ << ':';
+  first_ = true;  // the member's value takes no comma
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool flag) {
+  separate();
+  *out_ << (flag ? "true" : "false");
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view text) {
+  separate();
+  std::ostream& out = *out_;
+  out << '"';
+  std::size_t plain = 0;  // start of the run of bytes that need no escape
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.write(text.data() + plain, static_cast<std::streamsize>(i - plain));
+    plain = i + 1;
+    if (c == '"' || c == '\\') {
+      out << '\\' << static_cast<char>(c);
+    } else if (c == '\n') {
+      out << "\\n";
+    } else if (c == '\t') {
+      out << "\\t";
+    } else {
+      out << "\\u00" << "0123456789abcdef"[c >> 4]
+          << "0123456789abcdef"[c & 0xf];
+    }
+  }
+  out.write(text.data() + plain,
+            static_cast<std::streamsize>(text.size() - plain));
+  out << '"';
+  return *this;
+}
 
 }  // namespace dbfs::util

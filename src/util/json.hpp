@@ -1,17 +1,21 @@
-// Minimal JSON document model + recursive-descent parser for the
-// machine-readable artifacts the project itself emits (BENCH_*.json
-// records, report JSON). This is a reader for our own well-formed,
-// flat-ish schemas — not a general-purpose JSON library: numbers are
-// doubles, objects are ordered maps, and errors throw JsonError naming
-// the byte offset. The writers stay hand-rolled (report_json.cpp,
-// bench_record.cpp) so the serialization remains dependency-free and
-// byte-stable.
+// JSON for the machine-readable artifacts the project itself emits (run
+// reports, BENCH_*.json records, doctor reports, Chrome traces, flight,
+// atlas and metrics dumps, fault plans): a streaming writer that every
+// one of them is serialized with, plus a minimal document model and
+// recursive-descent parser that reads them back. Not a general-purpose
+// JSON library: numbers are doubles, objects are ordered maps, and
+// errors throw JsonError naming the byte offset.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dbfs::util {
@@ -60,5 +64,81 @@ class JsonValue {
 
 /// Parse one JSON document; trailing non-whitespace content is an error.
 JsonValue parse_json(const std::string& text);
+
+/// Streaming writer for one JSON document. Commas between members and
+/// items are added automatically; keys and strings go through one
+/// escaper (`"`, `\`, and bytes below 0x20 as \n, \t or \u00XX); numbers
+/// print exactly as `operator<<` prints them at the stream's precision,
+/// so a document's bytes depend only on its values and that precision.
+///   JsonWriter json(out);
+///   json.object().field("ranks", 16).field("per_rank", seconds)
+///       .array("levels");
+///   for (...) json.object().field("level", l).end();
+///   json.end().end();
+class JsonWriter {
+ public:
+  /// Precision that round-trips every double (BENCH records, doctor
+  /// reports, flight dumps and fault plans are written at it).
+  static constexpr int kExact = std::numeric_limits<double>::max_digits10;
+
+  /// `precision` > 0 sets the stream's precision until the writer is
+  /// destroyed; 0 writes at the caller's.
+  explicit JsonWriter(std::ostream& out, int precision = 0);
+  ~JsonWriter();
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  /// Open an object or array (as the next value); end() closes the
+  /// innermost one.
+  JsonWriter& object();
+  JsonWriter& array();
+  JsonWriter& end();
+  /// A member name; the next value, object or array is its value.
+  JsonWriter& key(std::string_view name);
+  JsonWriter& object(std::string_view name) { return key(name).object(); }
+  JsonWriter& array(std::string_view name) { return key(name).array(); }
+
+  JsonWriter& value(std::string_view text);
+  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
+  JsonWriter& value(bool flag);
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  JsonWriter& value(T number) {
+    separate();
+    *out_ << number;
+    return *this;
+  }
+  /// A vector is an array of its items, a pair a two-item array, a
+  /// string-keyed map an object.
+  template <typename T>
+  JsonWriter& value(const std::vector<T>& items) {
+    array();
+    for (const T& item : items) value(item);
+    return end();
+  }
+  template <typename A, typename B>
+  JsonWriter& value(const std::pair<A, B>& items) {
+    return array().value(items.first).value(items.second).end();
+  }
+  template <typename T>
+  JsonWriter& value(const std::map<std::string, T>& members) {
+    object();
+    for (const auto& [name, member] : members) field(name, member);
+    return end();
+  }
+
+  template <typename T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    return key(name).value(v);
+  }
+
+ private:
+  void separate();
+
+  std::ostream* out_;
+  std::streamsize saved_precision_;
+  std::string closers_;  ///< closing bracket of each open container
+  bool first_ = true;    ///< no member or item yet at the current depth
+};
 
 }  // namespace dbfs::util

@@ -6,6 +6,7 @@
 // chain: hooks -> metrics/trace -> record -> classifier.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,6 +73,20 @@ core::EngineOptions clean_options() {
   return opts;
 }
 
+/// write_doctor_json's exact bytes for a seeded scenario, pinned as an
+/// FNV-1a digest plus length (captured before the writer moved onto
+/// util::JsonWriter). A failure prints the new pin.
+void expect_json_pin(const obs::DoctorReport& report, test::Pin expected) {
+  std::ostringstream out;
+  obs::write_doctor_json(out, report);
+  const test::Pin actual = test::pin_of(out.str());
+  char pin[64];
+  std::snprintf(pin, sizeof(pin), "{0x%016llxULL, %zu}",
+                static_cast<unsigned long long>(actual.fnv), actual.bytes);
+  EXPECT_EQ(actual.fnv, expected.fnv) << "this scenario's pin: " << pin;
+  EXPECT_EQ(actual.bytes, expected.bytes) << "this scenario's pin: " << pin;
+}
+
 std::string causes_of(const obs::DoctorReport& report) {
   std::string out;
   for (const auto& f : report.findings) {
@@ -99,6 +114,7 @@ TEST(Doctor, AttributesBetaDriftToNetworkBetaDrift) {
   // The blame lands on transfer rows, not compute.
   ASSERT_FALSE(report.contributions.empty());
   EXPECT_NE(report.contributions.front().phase, "compute");
+  expect_json_pin(report, {0x81474960c138bc93ULL, 2532});
 }
 
 // Seeded compute straggler on rank 1: the diagnosis must name the rank.
@@ -112,6 +128,7 @@ TEST(Doctor, AttributesStragglerToTheSeededRank) {
   EXPECT_EQ(report.top_cause(), "straggler-rank") << causes_of(report);
   EXPECT_NE(report.findings.front().detail.find("rank 1"), std::string::npos)
       << report.findings.front().detail;
+  expect_json_pin(report, {0xd929f2e047111085ULL, 3108});
 }
 
 // Explicit wire-format switch (raw -> auto): the config change itself is
@@ -126,6 +143,7 @@ TEST(Doctor, AttributesWireFormatSwitchToConfig) {
   EXPECT_EQ(report.top_cause(), "wire-format-change") << causes_of(report);
   ASSERT_EQ(report.config_drift.size(), 1u);
   EXPECT_EQ(report.config_drift.front(), "wire_format");
+  expect_json_pin(report, {0x7a50135781cc8245ULL, 2629});
 }
 
 // Seeded mid-run kill survived via spare + every-level checkpoints: the
@@ -148,6 +166,7 @@ TEST(Doctor, AttributesSurvivedKillToRecoveryOverhead) {
   EXPECT_EQ(report.top_cause(), "checkpoint-recovery-overhead")
       << causes_of(report);
   EXPECT_TRUE(report.config_drift.empty());
+  expect_json_pin(report, {0x5cd7e3bd89b84531ULL, 2834});
 }
 
 // Identical records: nothing to attribute, and the doctor says so
@@ -157,6 +176,7 @@ TEST(Doctor, IdenticalRecordsAreUnattributed) {
   const auto report = obs::diagnose(record, record);
   EXPECT_EQ(report.top_cause(), "unattributed") << causes_of(report);
   EXPECT_DOUBLE_EQ(report.teps_ratio, 1.0);
+  expect_json_pin(report, {0x7079b413d5096825ULL, 2167});
 }
 
 // Synthetic classifier coverage for signatures that are awkward to seed
@@ -200,6 +220,7 @@ TEST(Doctor, DetectsCodecRawFallback) {
 
   const auto report = obs::diagnose(baseline, candidate);
   EXPECT_EQ(report.top_cause(), "codec-raw-fallback") << causes_of(report);
+  expect_json_pin(report, {0xf3d5e02b072f2270ULL, 2081});
 }
 
 TEST(Doctor, DetectsFrontierShapeChange) {
@@ -216,6 +237,7 @@ TEST(Doctor, DetectsFrontierShapeChange) {
     found = found || f.cause == "frontier-shape-change";
   }
   EXPECT_TRUE(found) << causes_of(report);
+  expect_json_pin(report, {0x5f51cea0934706a3ULL, 2141});
 }
 
 // Contribution rows: shares sum to 1 and per-site rows replace (not
@@ -235,6 +257,7 @@ TEST(Doctor, ContributionSharesSumToOne) {
     total += c.share;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+  expect_json_pin(report, {0x08ee0699fce2e5ebULL, 2101});
 }
 
 // The machine JSON parses and round-trips the ranked causes.
@@ -253,6 +276,7 @@ TEST(Doctor, JsonReportParsesAndNamesTheCause) {
   ASSERT_FALSE(findings.items.empty());
   EXPECT_EQ(findings.items.front().at("cause").as_string(),
             "wire-format-change");
+  expect_json_pin(report, {0xaad796928fb14901ULL, 2051});
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // reference.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
@@ -60,6 +64,18 @@ inline graph::BuiltGraph rmat_graph(int scale, int edge_factor = 8,
   graph::BuildOptions build;
   build.shuffle_seed = seed + 1000;
   return graph::build_graph(graph::generate_rmat(params), build);
+}
+
+/// An artifact pinned as an FNV-1a digest plus its byte length.
+struct Pin {
+  std::uint64_t fnv;
+  std::size_t bytes;
+};
+
+inline Pin pin_of(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) h = (h ^ c) * 0x100000001b3ULL;
+  return {h, text.size()};
 }
 
 }  // namespace dbfs::test

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -94,6 +96,23 @@ TEST(BinaryIo, RejectsTruncation) {
   std::stringstream cut(full.substr(0, full.size() - 8),
                         std::ios::in | std::ios::binary);
   EXPECT_THROW(read_edge_list_binary(cut), std::runtime_error);
+}
+
+// A header whose edge count no stream could hold is rejected as
+// truncated before the edge array is sized from it. m is past
+// std::vector<Edge>::max_size(), so even a reader that sized first
+// throws without allocating.
+TEST(BinaryIo, RejectsEdgeCountBeyondTheStream) {
+  std::stringstream header(std::ios::in | std::ios::out | std::ios::binary);
+  write_edge_list_binary(header, EdgeList{4});
+  std::string bytes = header.str();
+  ASSERT_EQ(bytes.size(), 24u);  // magic, n, m
+  const std::int64_t m = std::numeric_limits<std::int64_t>::max();
+  ASSERT_GT(static_cast<std::uint64_t>(m),
+            std::vector<Edge>().max_size());
+  bytes.replace(16, sizeof(m), reinterpret_cast<const char*>(&m), sizeof(m));
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_edge_list_binary(in), std::runtime_error);
 }
 
 TEST(FileIo, RoundTripsThroughDisk) {

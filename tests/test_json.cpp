@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace dbfs::util {
 namespace {
@@ -58,6 +62,59 @@ TEST(Json, TypedAccessMismatchThrows) {
   EXPECT_THROW(v.at("a").as_number(), JsonError);
   EXPECT_THROW(v.at("missing"), JsonError);
   EXPECT_THROW(v.at("a").at("b"), JsonError);
+}
+
+TEST(Json, WriterNestsAndSeparates) {
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    json.object()
+        .field("n", 3)
+        .field("ok", true)
+        .field("name", "x")
+        .object("empty")
+        .end()
+        .array("rows");
+    for (int i = 0; i < 2; ++i) json.object().field("i", i).end();
+    json.end()
+        .field("grid", std::vector<std::vector<int>>{{1, 2}, {}})
+        .field("pair", std::pair<int, double>{4, 0.5})
+        .field("map", std::map<std::string, int>{{"a", 1}, {"b", 2}})
+        .end();
+  }
+  EXPECT_EQ(out.str(),
+            R"({"n":3,"ok":true,"name":"x","empty":{},"rows":[{"i":0},)"
+            R"({"i":1}],"grid":[[1,2],[]],"pair":[4,0.5],)"
+            R"("map":{"a":1,"b":2}})");
+}
+
+TEST(Json, WriterEscapesWhatTheReaderReadsBack) {
+  const std::string odd = std::string("q\"b\\n\nt\tc\x01\x1f") + '\0' + "z";
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    json.object().field(odd, odd).end();
+  }
+  EXPECT_EQ(out.str(),
+            R"({"q\"b\\n\nt\tc\u0001\u001f\u0000z":)"
+            R"("q\"b\\n\nt\tc\u0001\u001f\u0000z"})");
+  EXPECT_EQ(parse_json(out.str()).at(odd).as_string(), odd);
+}
+
+TEST(Json, WriterPrecisionLastsOnlyAsLongAsTheWriter) {
+  std::ostringstream out;
+  out.precision(4);
+  {
+    JsonWriter json(out, JsonWriter::kExact);
+    json.array().value(0.1).value(2.0 / 3.0).end();
+  }
+  out << ' ' << 2.0 / 3.0;
+  {
+    JsonWriter json(out);
+    json.array().value(2.0 / 3.0).end();
+  }
+  EXPECT_EQ(out.str(), "[0.10000000000000001,0.66666666666666663] 0.6667"
+                       "[0.6667]");
 }
 
 }  // namespace
