@@ -75,16 +75,17 @@ struct Bfs2D::Impl final : LevelEngine {
     const int t = opts.threads_per_rank;
     std::vector<std::vector<std::uint8_t>> enc(g);
     std::vector<double> codec_costs(g, 0.0);
-    for (std::size_t i = 0; i < g; ++i) {
-      comm::WireStats piece_stats;
-      wl.pre_bytes += pieces[i].size() * sizeof(vid_t);
+    std::vector<WireTally> senders(g);
+    cluster.for_each_rank(col_group, [&](std::size_t i) {
+      senders[i].pre_bytes = pieces[i].size() * sizeof(vid_t);
       comm::encode_vertex_list(pieces[i], opts.wire_format, enc[i],
-                               &piece_stats);
+                               &senders[i].stats);
       codec_costs[i] = model::cost_wire_codec(
-          cluster.machine(), static_cast<std::size_t>(piece_stats.raw_bytes),
-          static_cast<std::size_t>(piece_stats.encoded_bytes), t);
-      wl.stats.merge(piece_stats);
-    }
+          cluster.machine(),
+          static_cast<std::size_t>(senders[i].stats.raw_bytes),
+          static_cast<std::size_t>(senders[i].stats.encoded_bytes), t);
+    });
+    for (const WireTally& sender : senders) wl.merge(sender);
     cluster.set_compute_phase("wire-encode");
     charge_smoothed(cluster, col_group, codec_costs, opts.load_smoothing);
 
@@ -833,33 +834,44 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // row range — length-framed so the concatenated allgatherv stream
   // splits back per contributor:
   //   [uvarint frontier_bytes][uvarint visited_bytes][frontier][visited]
+  // Every rank encodes its contribution in one rank phase; the row loop
+  // then charges, gathers and decodes one row at a time.
+  std::vector<std::vector<std::uint8_t>> contrib(static_cast<std::size_t>(p));
+  std::vector<WireTally> senders(static_cast<std::size_t>(p));
+  std::vector<double> encode_costs(static_cast<std::size_t>(p), 0.0);
+  cluster.for_each_rank([&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    const vid_t row_begin = bl.begin(grid.row_of(rank));
+    const vid_t row_end = row_begin + bl.size(grid.row_of(rank));
+    comm::WireStats& st = senders[r].stats;
+    std::vector<std::uint8_t> fenc;
+    std::vector<std::uint8_t> venc;
+    comm::encode_vertex_bitmap(fs[r], row_begin, row_end, opts.wire_format,
+                               fenc, &st);
+    comm::encode_vertex_bitmap(visited[r], row_begin, row_end,
+                               opts.wire_format, venc, &st);
+    senders[r].pre_bytes =
+        (fs[r].size() + visited[r].size()) * sizeof(vid_t);
+    auto& dst = contrib[r];
+    comm::put_uvarint(dst, fenc.size());
+    comm::put_uvarint(dst, venc.size());
+    dst.insert(dst.end(), fenc.begin(), fenc.end());
+    dst.insert(dst.end(), venc.begin(), venc.end());
+    encode_costs[r] = model::cost_wire_codec(
+        cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
+        static_cast<std::size_t>(st.encoded_bytes), t);
+  });
   std::vector<std::vector<vid_t>> row_frontier(static_cast<std::size_t>(s));
   std::vector<std::vector<vid_t>> row_visited(static_cast<std::size_t>(s));
   for (int i = 0; i < s; ++i) {
     const auto group = grid.row_group(i);
-    const vid_t row_begin = bl.begin(i);
-    const vid_t row_end = row_begin + bl.size(i);
     std::vector<std::vector<std::uint8_t>> enc(group.size());
     std::vector<double> codec_costs(group.size(), 0.0);
     for (std::size_t g = 0; g < group.size(); ++g) {
       const auto r = static_cast<std::size_t>(group[g]);
-      comm::WireStats st;
-      std::vector<std::uint8_t> fenc;
-      std::vector<std::uint8_t> venc;
-      comm::encode_vertex_bitmap(fs[r], row_begin, row_end, opts.wire_format,
-                                 fenc, &st);
-      comm::encode_vertex_bitmap(visited[r], row_begin, row_end,
-                                 opts.wire_format, venc, &st);
-      wl.pre_bytes += (fs[r].size() + visited[r].size()) * sizeof(vid_t);
-      auto& dst = enc[g];
-      comm::put_uvarint(dst, fenc.size());
-      comm::put_uvarint(dst, venc.size());
-      dst.insert(dst.end(), fenc.begin(), fenc.end());
-      dst.insert(dst.end(), venc.begin(), venc.end());
-      codec_costs[g] = model::cost_wire_codec(
-          cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
-          static_cast<std::size_t>(st.encoded_bytes), t);
-      wl.stats.merge(st);
+      enc[g] = std::move(contrib[r]);
+      codec_costs[g] = encode_costs[r];
+      wl.merge(senders[r]);
     }
     cluster.set_compute_phase("wire-encode");
     charge_smoothed(cluster, group, codec_costs, opts.load_smoothing);
@@ -909,32 +921,33 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   {
     std::vector<std::vector<std::uint8_t>> venc(static_cast<std::size_t>(p));
     std::vector<double> codec_costs(static_cast<std::size_t>(p), 0.0);
-    for (int r = 0; r < p; ++r) {
-      const auto i = static_cast<std::size_t>(grid.row_of(r));
-      comm::WireStats st;
-      comm::encode_vertex_bitmap(
-          row_visited[i], bl.begin(grid.row_of(r)),
-          bl.begin(grid.row_of(r)) + bl.size(grid.row_of(r)),
-          opts.wire_format, venc[static_cast<std::size_t>(r)], &st);
-      wl.pre_bytes += row_visited[i].size() * sizeof(vid_t);
-      codec_costs[static_cast<std::size_t>(r)] = model::cost_wire_codec(
+    std::vector<WireTally> swappers(static_cast<std::size_t>(p));
+    cluster.for_each_rank([&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
+      const int i = grid.row_of(r);
+      const auto& mine = row_visited[static_cast<std::size_t>(i)];
+      comm::WireStats& st = swappers[ri].stats;
+      comm::encode_vertex_bitmap(mine, bl.begin(i), bl.begin(i) + bl.size(i),
+                                 opts.wire_format, venc[ri], &st);
+      swappers[ri].pre_bytes = mine.size() * sizeof(vid_t);
+      codec_costs[ri] = model::cost_wire_codec(
           cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
           static_cast<std::size_t>(st.encoded_bytes), t);
-      wl.stats.merge(st);
-    }
+    });
+    for (const WireTally& swapper : swappers) wl.merge(swapper);
     cluster.set_compute_phase("wire-encode");
     charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
 
     auto swapped = simmpi::transpose_exchange(cluster, grid, std::move(venc),
                                               "2d-bu-complete");
-    for (int r = 0; r < p; ++r) {
+    cluster.for_each_rank([&](int r) {
       const auto ri = static_cast<std::size_t>(r);
       comm::decode_vertex_stream(swapped[ri].data(), swapped[ri].size(),
                                  col_visited[ri]);
       codec_costs[ri] = model::cost_wire_codec(
           cluster.machine(), col_visited[ri].size() * sizeof(vid_t),
           swapped[ri].size(), t);
-    }
+    });
     cluster.set_compute_phase("wire-decode");
     charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
   }

@@ -25,9 +25,12 @@ std::vector<std::vector<Candidate>> exchange_candidates(
   const int t = cluster.threads_per_rank();
   auto wire = simmpi::FlatExchange<std::uint8_t>::sized(g);
   std::vector<double> codec_costs(g, 0.0);
-  std::vector<Candidate> block;
-  for (std::size_t i = 0; i < g; ++i) {
-    comm::WireStats rank_stats;
+  // Each sender sieves and encodes its own blocks in one rank phase; the
+  // per-sender tallies fold in slot order after it.
+  std::vector<WireTally> senders(g);
+  cluster.for_each_rank(group, [&](std::size_t i) {
+    WireTally& mine = senders[i];
+    std::vector<Candidate> block;
     std::size_t offset = 0;
     for (std::size_t j = 0; j < g; ++j) {
       const auto c = static_cast<std::size_t>(send.counts[i][j]);
@@ -35,21 +38,21 @@ std::vector<std::vector<Candidate>> exchange_candidates(
           send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
           send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
       offset += c;
-      tally.pre_bytes += c * sizeof(Candidate);
-      tally.dropped += comm::sieve_and_dedup(sieve, group[i], block,
-                                             /*keep_max_parent=*/true);
+      mine.pre_bytes += c * sizeof(Candidate);
+      mine.dropped += comm::sieve_and_dedup(sieve, group[i], block,
+                                            /*keep_max_parent=*/true);
       const std::size_t at = wire.data[i].size();
       comm::encode_candidates<Candidate>(block, format, wire.data[i],
-                                         &rank_stats);
+                                         &mine.stats);
       wire.counts[i][j] = static_cast<std::int64_t>(wire.data[i].size() - at);
     }
     send.data[i].clear();
     send.data[i].shrink_to_fit();
     codec_costs[i] = model::cost_wire_codec(
-        cluster.machine(), static_cast<std::size_t>(rank_stats.raw_bytes),
-        static_cast<std::size_t>(rank_stats.encoded_bytes), t);
-    tally.stats.merge(rank_stats);
-  }
+        cluster.machine(), static_cast<std::size_t>(mine.stats.raw_bytes),
+        static_cast<std::size_t>(mine.stats.encoded_bytes), t);
+  });
+  for (const WireTally& sender : senders) tally.merge(sender);
   cluster.set_compute_phase("wire-encode");
   charge_smoothed(cluster, group, codec_costs, load_smoothing);
 
@@ -57,13 +60,15 @@ std::vector<std::vector<Candidate>> exchange_candidates(
       simmpi::checked_alltoallv(cluster, group, std::move(wire), site);
 
   std::vector<std::vector<Candidate>> recv(g);
-  for (std::size_t j = 0; j < g; ++j) {
+  cluster.for_each_rank(group, [&](std::size_t j) {
     comm::decode_candidate_stream<Candidate>(
         recv_wire.data[j].data(), recv_wire.data[j].size(), recv[j]);
     codec_costs[j] = model::cost_wire_codec(
         cluster.machine(), recv[j].size() * sizeof(Candidate),
         recv_wire.data[j].size(), t);
-  }
+    recv_wire.data[j].clear();
+    recv_wire.data[j].shrink_to_fit();
+  });
   cluster.set_compute_phase("wire-decode");
   charge_smoothed(cluster, group, codec_costs, load_smoothing);
   return recv;

@@ -31,6 +31,13 @@ namespace dbfs::bfs {
 /// Both codec passes are priced at the local streaming bandwidth
 /// (model::cost_wire_codec) — compression buys network bytes with CPU
 /// time, never free time — and their byte counts accumulate in `tally`.
+/// As under MPI, every rank packs and unpacks its own buffers at once:
+/// the senders' sieve and encode run in one rank phase over `group`, the
+/// receivers' decode in a second, and a decode error from any receiver
+/// (the lowest slot's) reaches the caller. The codec charges, the
+/// alltoallv and the tally folds (in slot order) follow each phase on
+/// the calling thread, so the result is the same at any host thread
+/// count.
 std::vector<std::vector<Candidate>> exchange_candidates(
     simmpi::Cluster& cluster, std::span<const int> group,
     simmpi::FlatExchange<Candidate> send, comm::WireFormat format,

@@ -44,6 +44,12 @@ struct WireTally {
   comm::WireStats stats;
   std::uint64_t pre_bytes = 0;  ///< payload bytes before sieve and codec
   std::uint64_t dropped = 0;    ///< candidates the sieve dropped
+
+  void merge(const WireTally& o) noexcept {
+    stats.merge(o.stats);
+    pre_bytes += o.pre_bytes;
+    dropped += o.dropped;
+  }
 };
 
 /// Charge per-rank compute costs to `group`, blended toward the group

@@ -318,10 +318,12 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
       case BlockEncoding::kBitmap: {
         const std::uint64_t base = get(true);
         const std::uint64_t width = get(true);
-        const auto bitmap_bytes = static_cast<std::size_t>((width + 7) / 8);
-        if (pos + bitmap_bytes > payload_bytes) {
+        // Bound the width by the bits the payload has left before any
+        // arithmetic on it: (width + 7) / 8 wraps for widths near 2^64.
+        if (width > 8 * static_cast<std::uint64_t>(payload_bytes - pos)) {
           throw WireDecodeError("wire: bitmap block truncated");
         }
+        const auto bitmap_bytes = static_cast<std::size_t>((width + 7) / 8);
         const std::uint8_t* bits = payload + pos;
         pos += bitmap_bytes;
         std::uint64_t found = 0;

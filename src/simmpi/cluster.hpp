@@ -6,6 +6,14 @@
 // `for_each_rank`, charge modelled compute via `charge_compute`, and move
 // data through the collectives in comm.hpp, which price the transfer and
 // synchronize the participants' clocks.
+//
+// `for_each_rank` is the one place host threads enter: a phase runs on
+// every rank (or every slot of a group) in parallel under OpenMP, and
+// an exception a phase throws comes back to the caller. Clock charges,
+// collectives and observer calls are never made from a phase; the caller
+// issues them afterwards on its own thread, in one fixed order. That rule
+// is what keeps reports and every observer artifact byte-identical at any
+// host thread count.
 #pragma once
 
 #include <algorithm>
@@ -58,10 +66,18 @@ class Cluster {
   TrafficMeter& traffic() noexcept { return traffic_; }
   const TrafficMeter& traffic() const noexcept { return traffic_; }
 
-  /// Run a local phase on every rank. Phases must touch only rank-private
-  /// state (enforced by convention; phases run sequentially by default
-  /// and in parallel under OpenMP when available, so races would be real).
+  /// Run a local phase on every rank, in parallel under OpenMP (serially
+  /// without it). Phases must touch only rank-private state — enforced by
+  /// convention, so a race would be real — and must not charge clocks,
+  /// call collectives or reach the observers: the caller does that after
+  /// the phase, in program order. If phases throw, every other rank's phase
+  /// still runs and the exception of the lowest rank is rethrown here.
   void for_each_rank(const std::function<void(int)>& phase) const;
+
+  /// The same for one group (a row, a column, the world): runs
+  /// `phase(slot)` for each slot of `group`, whose rank is group[slot].
+  void for_each_rank(std::span<const int> group,
+                     const std::function<void(std::size_t)>& phase) const;
 
   /// Charge modelled local computation to one rank's clock. A fault plan
   /// with compute stragglers scales the charge by the rank's factor —

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <ostream>
 
@@ -190,9 +191,12 @@ class Parser {
             break;
           case 'u': {
             if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
+            // Exactly four hex digits: no sign, prefix or short read.
+            unsigned code = 0;
+            const char* hex = text_.data() + pos_;
+            const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+            if (ec != std::errc{} || end != hex + 4) fail("bad \\u escape");
             pos_ += 4;
-            const long code = std::strtol(hex.c_str(), nullptr, 16);
             // JsonWriter \u-escapes only control characters; anything in
             // the BMP below 0x80 maps straight to one byte, the rest is
             // kept as a replacement '?' (we never emit it).
@@ -202,6 +206,9 @@ class Parser {
           default:
             fail("unknown escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;  // name the control byte's own offset
+        fail("raw control byte in string");
       } else {
         out += c;
       }

@@ -62,7 +62,9 @@ class JsonValue {
                         const std::string& fallback) const;
 };
 
-/// Parse one JSON document; trailing non-whitespace content is an error.
+/// Parse one JSON document; trailing non-whitespace content is an error,
+/// as are a raw byte below 0x20 inside a string and a \u escape that is
+/// not exactly four hex digits.
 JsonValue parse_json(const std::string& text);
 
 /// Streaming writer for one JSON document. Commas between members and

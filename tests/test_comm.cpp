@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "test_helpers.hpp"
 
 namespace dbfs::simmpi {
 namespace {
@@ -231,6 +238,56 @@ TEST(Cluster, ForEachRankVisitsAll) {
   std::vector<int> visited(16, 0);
   c.for_each_rank([&](int r) { visited[static_cast<std::size_t>(r)] = 1; });
   for (int v : visited) EXPECT_EQ(v, 1);
+}
+
+/// Runs `body` and returns the message of the std::runtime_error that
+/// reached it ("" when none did).
+std::string rethrown(const std::function<void()>& body) {
+  try {
+    body();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cluster, PhaseExceptionReachesTheCaller) {
+  const test::HostThreads threads(4);
+  // Slot 5 throws late, so slot 9's exception is usually caught first;
+  // the caller must still see the lowest slot's.
+  const auto throw_at = [](std::size_t slot) {
+    if (slot == 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (slot == 5 || slot == 9) {
+      throw std::runtime_error("slot " + std::to_string(slot));
+    }
+  };
+
+  Cluster c = make_cluster(64);
+  std::vector<int> ran(64, 0);
+  EXPECT_EQ(rethrown([&] {
+              c.for_each_rank([&](int r) {
+                ran[static_cast<std::size_t>(r)] = 1;
+                throw_at(static_cast<std::size_t>(r));
+              });
+            }),
+            "slot 5");
+  for (int v : ran) EXPECT_EQ(v, 1);
+
+  std::vector<int> group(32);
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    group[k] = static_cast<int>(2 * k + 1);
+  }
+  std::vector<int> slots_ran(group.size(), 0);
+  EXPECT_EQ(rethrown([&] {
+              c.for_each_rank(group, [&](std::size_t slot) {
+                slots_ran[slot] = 1;
+                throw_at(slot);
+              });
+            }),
+            "slot 5");
+  for (int v : slots_ran) EXPECT_EQ(v, 1);
 }
 
 }  // namespace

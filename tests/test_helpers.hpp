@@ -7,6 +7,10 @@
 #include <cstdint>
 #include <string>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
@@ -77,5 +81,37 @@ inline Pin pin_of(const std::string& text) {
   for (unsigned char c : text) h = (h ^ c) * 0x100000001b3ULL;
   return {h, text.size()};
 }
+
+/// The most host threads the executor tests ask for: 4 under OpenMP,
+/// 1 without it.
+#ifdef _OPENMP
+inline constexpr int kMaxHostThreads = 4;
+#else
+inline constexpr int kMaxHostThreads = 1;
+#endif
+
+/// Sets the OpenMP thread count for one scope and restores the previous
+/// count on exit; a no-op without OpenMP.
+class HostThreads {
+ public:
+  explicit HostThreads(int threads) {
+#ifdef _OPENMP
+    previous_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~HostThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(previous_);
+#endif
+  }
+  HostThreads(const HostThreads&) = delete;
+  HostThreads& operator=(const HostThreads&) = delete;
+
+ private:
+  int previous_ = 1;
+};
 
 }  // namespace dbfs::test

@@ -157,5 +157,32 @@ TEST(JsonEscaping, DoctorCause) {
       kOdd);
 }
 
+TEST(JsonEscaping, ParserRejectsRawControlBytesAndBadEscapes) {
+  EXPECT_EQ(util::parse_json(R"({"s": "\u0041\u001f"})").at("s").as_string(),
+            "A\x1f");
+  // The error names the offset of the offending byte or escape digits.
+  const auto error_of = [](const std::string& json) -> std::string {
+    try {
+      (void)util::parse_json(json);
+    } catch (const util::JsonError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_of("{\"s\": \"a\x01"
+                     "b\"}"),
+            "json: raw control byte in string at byte 8");
+  EXPECT_EQ(error_of("[\"tab\there\"]"),
+            "json: raw control byte in string at byte 5");
+  EXPECT_EQ(error_of("[\"new\nline\"]"),
+            "json: raw control byte in string at byte 5");
+  for (const char* bad : {R"(["\uzzzz"])", R"(["\u00g1"])", R"(["\u+041"])",
+                          R"(["\u-041"])", R"(["\u 041"])", R"(["\u0x41"])"}) {
+    EXPECT_EQ(error_of(bad), "json: bad \\u escape at byte 4") << bad;
+  }
+  EXPECT_EQ(error_of(R"(["\u004"])"), "json: bad \\u escape at byte 4");
+  EXPECT_EQ(error_of(R"(["\u00)"), "json: truncated \\u escape at byte 4");
+}
+
 }  // namespace
 }  // namespace dbfs

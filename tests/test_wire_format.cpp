@@ -205,6 +205,39 @@ TEST(CandidateCodec, TruncatedStreamThrows) {
   }
 }
 
+TEST(CandidateCodec, BitmapWidthBeyondThePayloadThrows) {
+  // One kBitmap frame holding `count` items whose payload is base 0, the
+  // given width and then `room` bytes of bitmap (and parents).
+  const auto bitmap_frame = [](std::uint64_t count, std::uint64_t width,
+                               std::size_t room) {
+    std::vector<std::uint8_t> payload;
+    put_uvarint(payload, 0);
+    put_uvarint(payload, width);
+    payload.resize(payload.size() + room, 0xFF);
+    std::vector<std::uint8_t> bytes = {
+        static_cast<std::uint8_t>(BlockEncoding::kBitmap)};
+    put_uvarint(bytes, count);
+    put_uvarint(bytes, payload.size());
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    return bytes;
+  };
+  // (width + 7) / 8 wraps to 0 for this width: 14 bytes in all.
+  const auto wrapping = bitmap_frame(1, ~std::uint64_t{0}, 0);
+  ASSERT_EQ(wrapping.size(), 14u);
+  // One bit more than the 2 bytes left after base and width hold.
+  const auto one_bit_over = bitmap_frame(16, 17, 2);
+  for (const auto& bytes : {wrapping, one_bit_over}) {
+    std::vector<vid_t> vertices;
+    EXPECT_THROW(decode_candidate_stream<vid_t>(bytes.data(), bytes.size(),
+                                                vertices),
+                 WireDecodeError);
+    std::vector<Candidate> candidates;
+    EXPECT_THROW(decode_candidate_stream<Candidate>(bytes.data(),
+                                                    bytes.size(), candidates),
+                 WireDecodeError);
+  }
+}
+
 TEST(CandidateCodec, GarbageTagThrows) {
   std::vector<std::uint8_t> bytes = {0xEE, 0x01, 0x01, 0x00};
   std::vector<Candidate> out;
