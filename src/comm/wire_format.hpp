@@ -306,7 +306,10 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
     };
     switch (f.encoding) {
       case BlockEncoding::kItems: {
-        if (f.payload_bytes != f.count * sizeof(C)) {
+        // Divide, never multiply: count * sizeof(C) wraps for counts
+        // near 2^64 / sizeof(C) and would pass an empty payload.
+        if (payload_bytes % sizeof(C) != 0 ||
+            f.count != payload_bytes / sizeof(C)) {
           throw WireDecodeError("wire: item block size mismatch");
         }
         const std::size_t at = out.size();

@@ -63,18 +63,18 @@ int default_threads_per_rank(const model::MachineModel& machine) {
 struct Engine::Impl {
   EngineOptions opts;
   vid_t n;
-  graph::EdgeList edges;  // kept for validation-side CSR build
   std::unique_ptr<bfs::Bfs1D> one_d;
   std::unique_ptr<bfs::Bfs2D> two_d;
-  std::unique_ptr<graph::CsrGraph> csr;
+  /// What kSerial/kShared traverse and run_batch validates against.
+  graph::CsrGraph csr;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::FlightRecorder> flight;
   std::unique_ptr<obs::CommAtlas> atlas;
   obs::Observers observers;  ///< the four above, as the drivers see them
 
-  Impl(const graph::EdgeList& input, vid_t num_vertices, EngineOptions options)
-      : opts(std::move(options)), n(num_vertices), edges(input) {
+  Impl(const graph::EdgeList& edges, vid_t num_vertices, EngineOptions options)
+      : opts(std::move(options)), n(num_vertices) {
     int threads = opts.threads_per_rank;
     const bool hybrid = opts.algorithm == Algorithm::kOneDHybrid ||
                         opts.algorithm == Algorithm::kTwoDHybrid;
@@ -98,7 +98,6 @@ struct Engine::Impl {
     switch (opts.algorithm) {
       case Algorithm::kSerial:
       case Algorithm::kShared:
-        ensure_csr();
         break;
       case Algorithm::kOneDFlat:
       case Algorithm::kOneDHybrid: {
@@ -155,13 +154,8 @@ struct Engine::Impl {
         break;
       }
     }
-  }
-
-  void ensure_csr() {
-    if (!csr) {
-      csr = std::make_unique<graph::CsrGraph>(
-          graph::CsrGraph::from_edges(edges));
-    }
+    // Built last, once the partitioner's transient buffers are freed.
+    csr = graph::CsrGraph::from_edges(edges);
   }
 };
 
@@ -192,21 +186,15 @@ obs::FlightRecorder* Engine::flight_recorder() const {
   return impl_->flight.get();
 }
 
-const graph::CsrGraph& Engine::csr() const {
-  impl_->ensure_csr();
-  return *impl_->csr;
-}
+const graph::CsrGraph& Engine::csr() const { return impl_->csr; }
 
 bfs::BfsOutput Engine::run(vid_t source) {
   Impl& im = *impl_;
   switch (im.opts.algorithm) {
     case Algorithm::kSerial:
-      im.ensure_csr();
-      return bfs::serial_bfs(*im.csr, source);
-    case Algorithm::kShared: {
-      im.ensure_csr();
-      return bfs::shared_bfs(*im.csr, source).out;
-    }
+      return bfs::serial_bfs(im.csr, source);
+    case Algorithm::kShared:
+      return bfs::shared_bfs(im.csr, source).out;
     default:
       break;
   }

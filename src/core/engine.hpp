@@ -145,7 +145,9 @@ int default_threads_per_rank(const model::MachineModel& machine);
 class Engine {
  public:
   /// `edges` must already be prepared (shuffled + symmetrized — use
-  /// graph::build_graph); `n` is the vertex count.
+  /// graph::build_graph); `n` is the vertex count. The engine keeps no
+  /// copy of `edges` (only shrink recovery, when armed, keeps one inside
+  /// Bfs1D or Bfs2D), so they need not outlive it.
   Engine(const graph::EdgeList& edges, vid_t n, EngineOptions opts);
   ~Engine();
 
@@ -177,7 +179,9 @@ class Engine {
   /// most recent run's black-box events; dump with
   /// FlightRecorder::write_json on error or on demand.
   obs::FlightRecorder* flight_recorder() const;
-  /// CSR view of the prepared graph (built lazily; used for validation).
+  /// CSR view of the prepared graph, built once in the constructor (with
+  /// CsrGraph::from_edges); the serial and shared algorithms traverse it
+  /// and run_batch validates against it.
   const graph::CsrGraph& csr() const;
 
  private:

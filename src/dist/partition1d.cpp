@@ -2,9 +2,10 @@
 // hosts the 1D local-graph builder.
 #include "dist/partition1d.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 #include "dist/local_graph1d.hpp"
+#include "util/parallel.hpp"
 
 namespace dbfs::dist {
 
@@ -62,39 +63,48 @@ LocalGraph1D LocalGraph1D::build(const graph::EdgeList& edges, vid_t n,
 LocalGraph1D LocalGraph1D::build_with_partition(const graph::EdgeList& edges,
                                                 BlockPartition partition) {
   LocalGraph1D lg;
-  const int ranks = partition.parts();
+  const auto ranks = static_cast<std::size_t>(partition.parts());
   lg.partition_ = std::move(partition);
-  lg.offsets_.resize(static_cast<std::size_t>(ranks));
-  lg.adjacency_.resize(static_cast<std::size_t>(ranks));
+  const BlockPartition& part = lg.partition_;
+  const std::vector<graph::Edge>& list = edges.edges();
+  const auto n = static_cast<std::size_t>(part.n());
 
-  // Two-pass CSR build per rank, done globally: count, prefix, place.
-  for (int r = 0; r < ranks; ++r) {
-    lg.offsets_[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(lg.partition_.size(r)) + 1, 0);
-  }
-  for (const graph::Edge& e : edges.edges()) {
-    const int r = lg.partition_.owner(e.u);
-    const vid_t local = e.u - lg.partition_.begin(r);
-    ++lg.offsets_[static_cast<std::size_t>(r)][static_cast<std::size_t>(local) + 1];
-  }
-  for (int r = 0; r < ranks; ++r) {
+  // Count each slot's out-edges per vertex, size every rank's arrays
+  // exactly, then place each slot's edges in input order: a vertex's
+  // adjacency keeps the order its edges have in `edges`.
+  const std::size_t slots = util::counting_slots(list.size(), n);
+  std::vector<eid_t> cursor(slots * n, 0);
+  util::for_each_slot(slots, [&](std::size_t s) {
+    eid_t* count = cursor.data() + s * n;
+    const auto [first, last] = util::slot_range(list.size(), slots, s);
+    for (std::size_t i = first; i < last; ++i) ++count[list[i].u];
+  });
+  const std::vector<eid_t> degree = util::slot_starts(cursor, slots);
+
+  lg.offsets_.resize(ranks);
+  lg.adjacency_.resize(ranks);
+  for (int r = 0; r < part.parts(); ++r) {
+    const auto begin = static_cast<std::size_t>(part.begin(r));
     auto& off = lg.offsets_[static_cast<std::size_t>(r)];
-    for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
+    off.resize(static_cast<std::size_t>(part.size(r)) + 1);
+    for (std::size_t local = 0; local + 1 < off.size(); ++local) {
+      off[local + 1] = off[local] + degree[begin + local];
+    }
     lg.adjacency_[static_cast<std::size_t>(r)].resize(
         static_cast<std::size_t>(off.back()));
   }
-  std::vector<std::vector<eid_t>> cursor(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    const auto& off = lg.offsets_[static_cast<std::size_t>(r)];
-    cursor[static_cast<std::size_t>(r)].assign(off.begin(), off.end() - 1);
-  }
-  for (const graph::Edge& e : edges.edges()) {
-    const int r = lg.partition_.owner(e.u);
-    const vid_t local = e.u - lg.partition_.begin(r);
-    auto& cur = cursor[static_cast<std::size_t>(r)][static_cast<std::size_t>(local)];
-    lg.adjacency_[static_cast<std::size_t>(r)][static_cast<std::size_t>(cur++)] =
-        e.v;
-  }
+  util::for_each_slot(slots, [&](std::size_t s) {
+    eid_t* next = cursor.data() + s * n;
+    const auto [first, last] = util::slot_range(list.size(), slots, s);
+    for (std::size_t i = first; i < last; ++i) {
+      const graph::Edge e = list[i];
+      const int r = part.owner(e.u);
+      const auto local = static_cast<std::size_t>(e.u - part.begin(r));
+      const auto ri = static_cast<std::size_t>(r);
+      lg.adjacency_[ri][static_cast<std::size_t>(
+          lg.offsets_[ri][local] + next[e.u]++)] = e.v;
+    }
+  });
   return lg;
 }
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 namespace dbfs::dist {
 
 Partition2D::Partition2D(const graph::EdgeList& edges, vid_t n,
@@ -14,25 +16,50 @@ Partition2D::Partition2D(const graph::EdgeList& edges, vid_t n,
   blocks_ = BlockPartition(n, s);
   triangular_ = triangular;
 
-  std::vector<std::vector<sparse::Triple>> triples(
-      static_cast<std::size_t>(grid.ranks()));
-  for (const graph::Edge& e : edges.edges()) {
-    // Edge u -> v lands at matrix entry (row v, col u): pre-transposed.
-    vid_t row = e.v;
-    vid_t col = e.u;
-    if (triangular) {
-      // Keep only the upper wedge: a symmetric input carries both {u,v}
-      // and {v,u}; the one whose entry falls strictly below the diagonal
-      // is dropped (its mirror is kept by the other orientation).
-      if (row > col) continue;
+  const std::vector<graph::Edge>& list = edges.edges();
+  const auto ranks = static_cast<std::size_t>(grid.ranks());
+  const std::size_t slots = util::counting_slots(list.size(), ranks);
+  const auto for_each_entry = [&](std::size_t slot, auto&& entry) {
+    const auto [first, last] = util::slot_range(list.size(), slots, slot);
+    for (std::size_t k = first; k < last; ++k) {
+      // Edge u -> v lands at matrix entry (row v, col u): pre-transposed.
+      const vid_t row = list[k].v;
+      const vid_t col = list[k].u;
+      // Triangular storage keeps only the upper wedge: a symmetric input
+      // carries both {u,v} and {v,u}; the one whose entry falls strictly
+      // below the diagonal is dropped (its mirror is kept by the other
+      // orientation).
+      if (triangular && row > col) continue;
+      const int i = blocks_.owner(row);
+      const int j = blocks_.owner(col);
+      entry(static_cast<std::size_t>(grid.rank_of(i, j)),
+            sparse::Triple{row - blocks_.begin(i), col - blocks_.begin(j)});
     }
-    const int i = blocks_.owner(row);
-    const int j = blocks_.owner(col);
-    triples[static_cast<std::size_t>(grid.rank_of(i, j))].push_back(
-        sparse::Triple{row - blocks_.begin(i), col - blocks_.begin(j)});
-  }
+  };
 
-  blocks_dcsc_.reserve(static_cast<std::size_t>(grid.ranks()));
+  // Count each slot's entries per rank, size every rank's triples
+  // exactly, then place each slot's entries in input order: sorted input
+  // gives every block its triples already in (col, row) order.
+  std::vector<eid_t> cursor(slots * ranks, 0);
+  util::for_each_slot(slots, [&](std::size_t slot) {
+    eid_t* count = cursor.data() + slot * ranks;
+    for_each_entry(slot, [count](std::size_t r, const sparse::Triple&) {
+      ++count[r];
+    });
+  });
+  const std::vector<eid_t> totals = util::slot_starts(cursor, slots);
+  std::vector<std::vector<sparse::Triple>> triples(ranks);
+  for (std::size_t r = 0; r < ranks; ++r) {
+    triples[r].resize(static_cast<std::size_t>(totals[r]));
+  }
+  util::for_each_slot(slots, [&](std::size_t slot) {
+    eid_t* next = cursor.data() + slot * ranks;
+    for_each_entry(slot, [&](std::size_t r, const sparse::Triple& t) {
+      triples[r][static_cast<std::size_t>(next[r]++)] = t;
+    });
+  });
+
+  blocks_dcsc_.reserve(ranks);
   for (int rank = 0; rank < grid.ranks(); ++rank) {
     const int i = grid.row_of(rank);
     const int j = grid.col_of(rank);

@@ -1,8 +1,10 @@
 #include "graph/builder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "graph/permutation.hpp"
+#include "util/parallel.hpp"
 
 namespace dbfs::graph {
 
@@ -16,15 +18,35 @@ BuiltGraph build_graph(EdgeList input, const BuildOptions& opts) {
     apply_permutation(input, perm);
     out.new_to_old = perm.inverse().mapping();
   }
-  if (opts.symmetrize) {
-    input.symmetrize();
-  }
   // Deduplicate once here so every downstream structure (serial CSR, 1D
   // local CSRs, 2D DCSC blocks) sees the identical edge multiset — edge
-  // counts and TEPS denominators then agree across algorithms.
-  input.sort_and_dedup();
-  out.csr = CsrGraph::from_edges(input, /*dedup=*/true, /*drop_loops=*/true);
-  out.edges = std::move(input);
+  // counts and TEPS denominators then agree across algorithms. The CSR
+  // kernel mirrors, sorts and deduplicates; the edge list is read back
+  // off it, sorted by (u, v) with no self-loops.
+  out.csr = opts.symmetrize ? CsrGraph::symmetric_from_edges(input)
+                            : CsrGraph::from_edges(input);
+  out.edges = EdgeList{input.num_vertices()};
+  input = EdgeList{};
+
+  const std::vector<eid_t>& off = out.csr.offsets();
+  const std::vector<vid_t>& adj = out.csr.adjacency();
+  std::vector<Edge>& list = out.edges.edges();
+  list.resize(adj.size());
+  const auto slots = static_cast<std::size_t>(util::host_threads());
+  util::for_each_slot(slots, [&](std::size_t s) {
+    const auto [first, last] = util::slot_range(list.size(), slots, s);
+    if (first == last) return;
+    // The vertex whose block holds edge `first`.
+    auto u = static_cast<vid_t>(
+        std::upper_bound(off.begin(), off.end(), static_cast<eid_t>(first)) -
+        off.begin() - 1);
+    for (std::size_t i = first; i < last; ++i) {
+      while (off[static_cast<std::size_t>(u) + 1] <= static_cast<eid_t>(i)) {
+        ++u;
+      }
+      list[i] = Edge{u, adj[i]};
+    }
+  });
   return out;
 }
 

@@ -1,7 +1,9 @@
 // High-level graph construction pipeline: generator output -> (optional
 // vertex shuffle) -> (optional symmetrization) -> CSR. This mirrors the
 // Graph500 "kernel 1" construction step and the paper's §4.4 load
-// balancing practice (random relabeling before partitioning).
+// balancing practice (random relabeling before partitioning). Every
+// stage but the Fisher–Yates shuffle itself runs on the host threads,
+// and the result does not depend on how many there are.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,11 @@ struct BuiltGraph {
                                     ///< TEPS denominator per Graph500 rules
 };
 
-/// Run the full pipeline. The input edge list is consumed.
+/// Run the full pipeline. The input edge list is consumed. The result is
+/// what symmetrize + sort_and_dedup + CsrGraph::from_edges would give,
+/// built without the doubled list or a global sort: the CSR kernel
+/// mirrors each non-loop edge as it counts, and `edges` is read back off
+/// the CSR.
 BuiltGraph build_graph(EdgeList input, const BuildOptions& opts = {});
 
 struct DegreeStats {

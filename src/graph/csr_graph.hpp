@@ -21,8 +21,15 @@ class CsrGraph {
   /// Build from an edge list interpreted as *directed* adjacencies
   /// (call EdgeList::symmetrize first for undirected graphs). Duplicate
   /// edges are kept unless `dedup`; self-loops kept unless `drop_loops`.
+  /// Runs on the host threads (util::for_each_slot); the result does not
+  /// depend on their number.
   static CsrGraph from_edges(const EdgeList& edges, bool dedup = true,
                              bool drop_loops = true);
+
+  /// The CSR of `edges` with each non-loop edge's mirror (v,u) added,
+  /// deduplicated and without self-loops: from_edges after
+  /// EdgeList::symmetrize, without building the doubled list.
+  static CsrGraph symmetric_from_edges(const EdgeList& edges);
 
   vid_t num_vertices() const noexcept {
     return offsets_.empty() ? 0 : static_cast<vid_t>(offsets_.size()) - 1;
@@ -48,6 +55,13 @@ class CsrGraph {
   eid_t max_degree() const noexcept;
 
  private:
+  /// The one kernel behind both builders: count → prefix → place →
+  /// per-vertex sort (and unique). Edges are cut into contiguous slots
+  /// with their own counters and placed stably, so no result depends on
+  /// which thread ran which slot.
+  static CsrGraph build(const EdgeList& edges, bool dedup, bool drop_loops,
+                        bool mirror);
+
   std::vector<eid_t> offsets_;   // size n+1
   std::vector<vid_t> adjacency_; // size m, sorted per block
 };

@@ -1,12 +1,19 @@
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace dbfs::graph {
 
 namespace {
+
+/// Edges per generation chunk: each chunk jumps its own copy of the
+/// stream to its first draw, so the chunks run on any thread in any
+/// order and the output stays the single stream's, bit for bit.
+constexpr std::size_t kRmatChunk = std::size_t{1} << 15;
 
 // One R-MAT edge: descend `scale` levels of the recursive quadrant
 // subdivision. With `noise` enabled the quadrant probabilities are
@@ -62,16 +69,34 @@ EdgeList generate_rmat(const RmatParams& params) {
   if (params.a < 0 || params.b < 0 || params.c < 0 || sum > 1.0 + 1e-12) {
     throw std::invalid_argument("generate_rmat: invalid probabilities");
   }
+  if (params.edge_factor < 0 ||
+      static_cast<std::uint64_t>(params.edge_factor) >
+          (~std::uint64_t{0} >> params.scale)) {
+    throw std::invalid_argument(
+        "generate_rmat: edge_factor must be non-negative, and "
+        "edge_factor * 2^scale must fit in 64 bits");
+  }
 
   const vid_t n = vid_t{1} << params.scale;
-  const eid_t m = static_cast<eid_t>(params.edge_factor) * n;
+  const auto m = static_cast<std::size_t>(params.edge_factor) *
+                 static_cast<std::size_t>(n);
   EdgeList edges{n};
-  edges.reserve(static_cast<std::size_t>(m));
+  std::vector<Edge>& out = edges.edges();
+  out.resize(m);
 
-  util::Xoshiro256 rng{params.seed};
-  for (eid_t i = 0; i < m; ++i) {
-    edges.edges().push_back(rmat_edge(params, rng));
-  }
+  // Edge i takes draws [i·d, (i+1)·d) of the one stream seeded by
+  // `seed`: one per level, plus four jitters per level with noise.
+  const std::uint64_t d = static_cast<std::uint64_t>(params.scale) *
+                          (params.noise ? 5 : 1);
+  const std::size_t chunks = (m + kRmatChunk - 1) / kRmatChunk;
+  util::for_each_slot(chunks, [&](std::size_t c) {
+    util::Xoshiro256 rng{params.seed};
+    rng.advance(static_cast<std::uint64_t>(c * kRmatChunk) * d);
+    const std::size_t last = std::min(m, (c + 1) * kRmatChunk);
+    for (std::size_t i = c * kRmatChunk; i < last; ++i) {
+      out[i] = rmat_edge(params, rng);
+    }
+  });
   return edges;
 }
 

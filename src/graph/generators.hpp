@@ -27,6 +27,14 @@ struct RmatParams {
 };
 
 /// Generate an R-MAT edge list (directed; callers typically symmetrize).
+/// Edge i is drawn from draws [i·d, (i+1)·d) of one xoshiro256** stream
+/// seeded by `seed`, where d = scale, or 5·scale with noise (one draw per
+/// level plus four jitters). The edges are generated in fixed chunks of
+/// 2^15 on the host threads, each chunk jumping its own copy of the
+/// stream to its first draw (Xoshiro256::advance), so the output is that
+/// one stream's, bit for bit, at any thread count. Throws
+/// std::invalid_argument for a scale outside [1, 40], probabilities that
+/// are negative or sum past 1, or a negative edge_factor.
 EdgeList generate_rmat(const RmatParams& params);
 
 struct ErdosRenyiParams {

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <utility>
 
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace dbfs::graph {
@@ -45,10 +46,15 @@ bool Permutation::is_valid() const {
 }
 
 void apply_permutation(EdgeList& edges, const Permutation& perm) {
-  for (Edge& e : edges.edges()) {
-    e.u = perm(e.u);
-    e.v = perm(e.v);
-  }
+  std::vector<Edge>& list = edges.edges();
+  const auto slots = static_cast<std::size_t>(util::host_threads());
+  util::for_each_slot(slots, [&](std::size_t s) {
+    const auto [first, last] = util::slot_range(list.size(), slots, s);
+    for (std::size_t i = first; i < last; ++i) {
+      list[i].u = perm(list[i].u);
+      list[i].v = perm(list[i].v);
+    }
+  });
 }
 
 }  // namespace dbfs::graph

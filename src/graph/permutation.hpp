@@ -38,7 +38,7 @@ class Permutation {
   std::vector<vid_t> map_;
 };
 
-/// Relabel both endpoints of every edge in place.
+/// Relabel both endpoints of every edge in place, on the host threads.
 void apply_permutation(EdgeList& edges, const Permutation& perm);
 
 }  // namespace dbfs::graph

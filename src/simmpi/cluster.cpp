@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "model/cost.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/parallel.hpp"
 
 namespace dbfs::simmpi {
 
@@ -26,56 +22,15 @@ Cluster::Cluster(int ranks, model::MachineModel machine, int threads_per_rank)
   }
 }
 
-namespace {
-
-/// Run phase(0) .. phase(count - 1) across the host threads. A chunk is
-/// a quarter of one thread's even share, capped at 16 slots, so a
-/// 32-member row group on 4 threads runs as 16 chunks of 2 rather than
-/// two chunks of 16. An exception must not leave the parallel region:
-/// each is caught in its slot, the lowest slot's is kept, and it is
-/// rethrown once every slot has run.
-template <typename Phase>
-void run_slots(std::size_t count, const Phase& phase) {
-  int threads = 1;
-#ifdef _OPENMP
-  threads = omp_get_max_threads();
-#endif
-  const auto n = static_cast<std::ptrdiff_t>(count);
-  const auto chunk = std::clamp<std::ptrdiff_t>(n / (4 * threads), 1, 16);
-  std::exception_ptr error;
-  std::ptrdiff_t error_slot = n;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, chunk)
-#endif
-  for (std::ptrdiff_t slot = 0; slot < n; ++slot) {
-    try {
-      phase(slot);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical(dbfs_rank_phase_error)
-#endif
-      if (slot < error_slot) {
-        error_slot = slot;
-        error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-}  // namespace
-
 void Cluster::for_each_rank(const std::function<void(int)>& phase) const {
-  run_slots(static_cast<std::size_t>(ranks_),
-            [&phase](std::ptrdiff_t r) { phase(static_cast<int>(r)); });
+  util::for_each_slot(static_cast<std::size_t>(ranks_),
+                      [&phase](std::size_t r) { phase(static_cast<int>(r)); });
 }
 
 void Cluster::for_each_rank(
     std::span<const int> group,
     const std::function<void(std::size_t)>& phase) const {
-  run_slots(group.size(), [&phase](std::ptrdiff_t slot) {
-    phase(static_cast<std::size_t>(slot));
-  });
+  util::for_each_slot(group.size(), phase);
 }
 
 void Cluster::set_fault_plan(FaultPlan plan) {

@@ -7,13 +7,14 @@
 // data through the collectives in comm.hpp, which price the transfer and
 // synchronize the participants' clocks.
 //
-// `for_each_rank` is the one place host threads enter: a phase runs on
-// every rank (or every slot of a group) in parallel under OpenMP, and
-// an exception a phase throws comes back to the caller. Clock charges,
-// collectives and observer calls are never made from a phase; the caller
-// issues them afterwards on its own thread, in one fixed order. That rule
-// is what keeps reports and every observer artifact byte-identical at any
-// host thread count.
+// `for_each_rank` is the one place host threads enter a distributed
+// search: a phase runs on every rank (or every slot of a group) through
+// the library's one executor, util::for_each_slot, and an exception a
+// phase throws comes back to the caller. Clock charges, collectives and
+// observer calls are never made from a phase; the caller issues them
+// afterwards on its own thread, in one fixed order. That rule is what
+// keeps reports and every observer artifact byte-identical at any host
+// thread count.
 #pragma once
 
 #include <algorithm>
@@ -66,12 +67,13 @@ class Cluster {
   TrafficMeter& traffic() noexcept { return traffic_; }
   const TrafficMeter& traffic() const noexcept { return traffic_; }
 
-  /// Run a local phase on every rank, in parallel under OpenMP (serially
-  /// without it). Phases must touch only rank-private state — enforced by
-  /// convention, so a race would be real — and must not charge clocks,
-  /// call collectives or reach the observers: the caller does that after
-  /// the phase, in program order. If phases throw, every other rank's phase
-  /// still runs and the exception of the lowest rank is rethrown here.
+  /// Run a local phase on every rank, in parallel on the host threads
+  /// (util::for_each_slot). Phases must touch only rank-private state —
+  /// enforced by convention, so a race would be real — and must not
+  /// charge clocks, call collectives or reach the observers: the caller
+  /// does that after the phase, in program order. If phases throw, every
+  /// other rank's phase still runs and the exception of the lowest rank
+  /// is rethrown here.
   void for_each_rank(const std::function<void(int)>& phase) const;
 
   /// The same for one group (a row, a column, the world): runs

@@ -12,10 +12,14 @@ DcscMatrix DcscMatrix::from_triples(vid_t nrows, vid_t ncols,
       throw std::invalid_argument("DcscMatrix: triple out of range");
     }
   }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              return a.col != b.col ? a.col < b.col : a.row < b.row;
-            });
+  const auto by_col_row = [](const Triple& a, const Triple& b) {
+    return a.col != b.col ? a.col < b.col : a.row < b.row;
+  };
+  // Partition2D places sorted input stably, so its triples arrive in
+  // order and skip the sort.
+  if (!std::is_sorted(triples.begin(), triples.end(), by_col_row)) {
+    std::sort(triples.begin(), triples.end(), by_col_row);
+  }
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
 
   DcscMatrix m;

@@ -42,13 +42,7 @@ class Xoshiro256 {
 
   constexpr result_type operator()() noexcept {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    step(state_);
     return result;
   }
 
@@ -88,9 +82,31 @@ class Xoshiro256 {
     state_[3] = s3;
   }
 
+  /// Skip the next `steps` draws exactly: afterwards the stream is where
+  /// `steps` calls of operator() would leave it. The state update is
+  /// linear over GF(2), so this applies T^(2^i) for each set bit i of
+  /// `steps` — at most 64 products of a 256×256 bit matrix with the
+  /// state. The 64 powers (512 KiB, static storage) are built once per
+  /// process on first use. Lets parallel workers start at any draw of
+  /// one stream (see graph::generate_rmat).
+  void advance(std::uint64_t steps) noexcept;
+
  private:
+  friend struct JumpPowers;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// The state update of one draw, without its output.
+  static constexpr void step(std::uint64_t (&s)[4]) noexcept {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
   }
 
   std::uint64_t state_[4]{};

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/validator.hpp"
+#include "test_helpers.hpp"
 
 namespace dbfs::graph {
 namespace {
@@ -55,6 +58,37 @@ TEST(Rmat, RejectsBadParameters) {
   p.a = 0.9;
   p.b = 0.9;
   EXPECT_THROW(generate_rmat(p), std::invalid_argument);
+  p = RmatParams{};
+  p.scale = 10;
+  p.edge_factor = -1;
+  try {
+    generate_rmat(p);
+    ADD_FAILURE() << "a negative edge factor was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("edge_factor"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The stream is pinned to the output of the single-stream generator: the
+// FNV-1a digest and byte length of scale-15 edges (edge factor 16, seed
+// 1), with noise on and off.
+TEST(Rmat, StreamIsPinned) {
+  const auto pin = [](bool noise) {
+    RmatParams p;
+    p.scale = 15;
+    p.noise = noise;
+    const EdgeList e = generate_rmat(p);
+    std::string bytes(e.edges().size() * sizeof(Edge), '\0');
+    std::memcpy(bytes.data(), e.edges().data(), bytes.size());
+    return test::pin_of(bytes);
+  };
+  const test::Pin noisy = pin(true);
+  EXPECT_EQ(noisy.fnv, 0x65c00b94c218747bULL);
+  EXPECT_EQ(noisy.bytes, 524288u * 16u);
+  const test::Pin pure = pin(false);
+  EXPECT_EQ(pure.fnv, 0x70497533c8fcc3d9ULL);
+  EXPECT_EQ(pure.bytes, 524288u * 16u);
 }
 
 TEST(ErdosRenyi, EdgeCountNearExpectation) {

@@ -70,6 +70,26 @@ TEST(Xoshiro256, NextDoubleRoughlyUniform) {
   }
 }
 
+TEST(Xoshiro256, AdvanceMatchesRepeatedDraws) {
+  for (std::uint64_t k : {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 1000ULL,
+                          (1ULL << 20) + 3}) {
+    Xoshiro256 drawn{99};
+    for (std::uint64_t i = 0; i < k; ++i) drawn();
+    Xoshiro256 jumped{99};
+    jumped.advance(k);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(jumped(), drawn()) << "k = " << k;
+  }
+  // advance(a) then advance(b) lands where advance(a + b) does.
+  const std::uint64_t a = 0x123456789ULL;
+  const std::uint64_t b = 0xfedcba987654ULL;
+  Xoshiro256 split{5};
+  split.advance(a);
+  split.advance(b);
+  Xoshiro256 whole{5};
+  whole.advance(a + b);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(split(), whole());
+}
+
 TEST(Xoshiro256, NextBelowRespectsBound) {
   Xoshiro256 rng{13};
   for (std::uint64_t bound : {1ULL, 2ULL, 7ULL, 1000ULL, 1ULL << 40}) {

@@ -238,6 +238,31 @@ TEST(CandidateCodec, BitmapWidthBeyondThePayloadThrows) {
   }
 }
 
+TEST(CandidateCodec, ItemCountBeyondThePayloadThrows) {
+  // A kItems frame claiming `count` items over an empty payload; count *
+  // sizeof(item) wraps to 0 for these counts.
+  const auto items_frame = [](std::uint64_t count) {
+    std::vector<std::uint8_t> bytes = {
+        static_cast<std::uint8_t>(BlockEncoding::kItems)};
+    put_uvarint(bytes, count);
+    put_uvarint(bytes, 0);
+    return bytes;
+  };
+  const auto candidates = items_frame(std::uint64_t{1} << 60);
+  ASSERT_EQ(candidates.size(), 11u);
+  ASSERT_EQ((std::uint64_t{1} << 60) * sizeof(Candidate), 0u);
+  std::vector<Candidate> out;
+  EXPECT_THROW(decode_candidate_stream<Candidate>(candidates.data(),
+                                                  candidates.size(), out),
+               WireDecodeError);
+  const auto vertices = items_frame(std::uint64_t{1} << 61);
+  ASSERT_EQ((std::uint64_t{1} << 61) * sizeof(vid_t), 0u);
+  std::vector<vid_t> ids;
+  EXPECT_THROW(
+      decode_candidate_stream<vid_t>(vertices.data(), vertices.size(), ids),
+      WireDecodeError);
+}
+
 TEST(CandidateCodec, GarbageTagThrows) {
   std::vector<std::uint8_t> bytes = {0xEE, 0x01, 0x01, 0x00};
   std::vector<Candidate> out;
