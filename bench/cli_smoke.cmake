@@ -13,6 +13,10 @@
 #   7. a bfs_tool run that dies after the graph is built (unrecoverable
 #      payload corruption) exits 2 with one "error:" line and no usage
 #      text on stderr.
+#   8. a source count below 1 is a bad argument in both tools: exit 2,
+#      naming it, before any graph is built.
+#   9. an engine flag out of range (a rate above 1, a negative count) is
+#      a bad argument: exit 2, naming the flag.
 # Invoked by ctest as
 #   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
 #         -DOUT_DIR=<scratch> -P cli_smoke.cmake
@@ -99,7 +103,40 @@ if(NOT s7_err MATCHES "error: [^\n]*unrecoverable payload-corruption" OR
                       "${s7_err}")
 endif()
 
-message(STATUS "cli_smoke passed: malformed numbers and unknown algorithms "
-               "exit 2, --help runs nothing, engine flags reach "
+# --- 8. zero or negative sources is an error, not an empty run ---------
+run(s8a 2 "${GRAPH500_RUNNER}" 8 64 2d 0)
+run(s8b 2 "${GRAPH500_RUNNER}" 8 64 2d -3)
+run(s8c 2 "${BFS_TOOL}" --algo 2d --scale 8 --cores 4 --sources 0)
+if(NOT s8a_err MATCHES "nsources" OR NOT s8b_err MATCHES "nsources" OR
+   NOT s8c_err MATCHES "--sources" OR s8a_out MATCHES "validated")
+  message(FATAL_ERROR "cli_smoke: a source count below 1 should exit 2 "
+                      "naming it, before any run
+stdout:
+${s8a_out}
+"
+                      "stderr:
+${s8a_err}
+${s8b_err}
+${s8c_err}")
+endif()
+
+# --- 9. out-of-range engine flags are errors, not clamped ---------------
+run(s9a 2 "${BFS_TOOL}" --algo 2d --scale 8 --cores 4 --fail-rate 2)
+run(s9b 2 "${GRAPH500_RUNNER}" 8 16 1d 1 --threads=-2)
+run(s9c 2 "${BENCH_SUITE}" --checkpoint-every=-1 --list)
+if(NOT s9a_err MATCHES "--fail-rate" OR NOT s9b_err MATCHES "--threads" OR
+   NOT s9c_err MATCHES "--checkpoint-every")
+  message(FATAL_ERROR "cli_smoke: an out-of-range engine flag should exit "
+                      "2 naming it
+stderr:
+${s9a_err}
+${s9b_err}
+"
+                      "${s9c_err}")
+endif()
+
+message(STATUS "cli_smoke passed: malformed numbers, unknown algorithms, "
+               "source counts below 1 and out-of-range engine flags exit "
+               "2, --help runs nothing, engine flags reach "
                "graph500_runner and bench_suite in both spellings, and a "
                "run-time fault prints one error line")

@@ -140,6 +140,10 @@ int main(int argc, char** argv) {
     opts.atlas = !atlas_out.empty();
     const std::string flight_out = args.get("flight-out", "");
     const int nsources = static_cast<int>(args.get_int("sources", 4));
+    if (nsources < 1) {
+      throw std::invalid_argument("--sources: expected at least 1 source, "
+                                  "got " + std::to_string(nsources));
+    }
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
     graph::BuildOptions build;

@@ -60,6 +60,10 @@ int run(const dbfs::util::ArgParser& args) {
   };
   const int scale = number(0, "scale", 14);
   const int nsources = number(3, "nsources", 16);
+  if (nsources < 1) {
+    throw std::invalid_argument("nsources: expected at least 1 search key, "
+                                "got " + std::to_string(nsources));
+  }
 
   core::EngineOptions base;
   base.algorithm = positional.size() > 2

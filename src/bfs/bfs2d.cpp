@@ -817,15 +817,14 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   const int p = grid.ranks();
   const int t = opts.threads_per_rank;
   const auto& bl = part.blocks();
-
-  // Owned visited lists: one ascending pass over the distance array, so
-  // each owner's list comes out sorted without a per-rank sort.
-  std::vector<std::vector<vid_t>> visited(static_cast<std::size_t>(p));
-  for (vid_t v = 0; v < n; ++v) {
-    if (out.level[static_cast<std::size_t>(v)] != kUnreached) {
-      visited[static_cast<std::size_t>(vdist.owner_rank(v))].push_back(v);
-    }
-  }
+  // Range bitmaps (comm::decode_vertex_bits' layout) over each row block.
+  const auto words_of = [](vid_t width) {
+    return static_cast<std::size_t>((width + 63) / 64);
+  };
+  const auto has = [](const std::vector<std::uint64_t>& bits, vid_t offset) {
+    return ((bits[static_cast<std::size_t>(offset >> 6)] >> (offset & 63)) &
+            1u) != 0;
+  };
 
   // ---- (a) Frontier/completeness gather over each processor row: every
   // rank of row i ends up holding f_{R_i} (the probe targets) and
@@ -834,24 +833,33 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // row range — length-framed so the concatenated allgatherv stream
   // splits back per contributor:
   //   [uvarint frontier_bytes][uvarint visited_bytes][frontier][visited]
-  // Every rank encodes its contribution in one rank phase; the row loop
-  // then charges, gathers and decodes one row at a time.
+  // Every rank lists its owned visited vertices (ascending, from the
+  // distance array over its own piece) and encodes its contribution in
+  // one rank phase; the row loop then charges, gathers and decodes one
+  // row at a time.
   std::vector<std::vector<std::uint8_t>> contrib(static_cast<std::size_t>(p));
   std::vector<WireTally> senders(static_cast<std::size_t>(p));
   std::vector<double> encode_costs(static_cast<std::size_t>(p), 0.0);
   cluster.for_each_rank([&](int rank) {
     const auto r = static_cast<std::size_t>(rank);
-    const vid_t row_begin = bl.begin(grid.row_of(rank));
-    const vid_t row_end = row_begin + bl.size(grid.row_of(rank));
+    const int i = grid.row_of(rank);
+    const int j = grid.col_of(rank);
+    const vid_t row_begin = bl.begin(i);
+    const vid_t row_end = row_begin + bl.size(i);
+    std::vector<vid_t> visited;
+    for (vid_t v = vdist.piece_begin(i, j); v < vdist.piece_end(i, j); ++v) {
+      if (out.level[static_cast<std::size_t>(v)] != kUnreached) {
+        visited.push_back(v);
+      }
+    }
     comm::WireStats& st = senders[r].stats;
     std::vector<std::uint8_t> fenc;
     std::vector<std::uint8_t> venc;
     comm::encode_vertex_bitmap(fs[r], row_begin, row_end, opts.wire_format,
                                fenc, &st);
-    comm::encode_vertex_bitmap(visited[r], row_begin, row_end,
-                               opts.wire_format, venc, &st);
-    senders[r].pre_bytes =
-        (fs[r].size() + visited[r].size()) * sizeof(vid_t);
+    comm::encode_vertex_bitmap(visited, row_begin, row_end, opts.wire_format,
+                               venc, &st);
+    senders[r].pre_bytes = (fs[r].size() + visited.size()) * sizeof(vid_t);
     auto& dst = contrib[r];
     comm::put_uvarint(dst, fenc.size());
     comm::put_uvarint(dst, venc.size());
@@ -861,9 +869,15 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
         cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
         static_cast<std::size_t>(st.encoded_bytes), t);
   });
-  std::vector<std::vector<vid_t>> row_frontier(static_cast<std::size_t>(s));
-  std::vector<std::vector<vid_t>> row_visited(static_cast<std::size_t>(s));
+  // Each row's gathered sets as range bitmaps over R_i, and the visited
+  // set's size (its item count: the contributors' pieces are disjoint).
+  std::vector<std::vector<std::uint64_t>> row_frontier(
+      static_cast<std::size_t>(s));
+  std::vector<std::vector<std::uint64_t>> row_visited(
+      static_cast<std::size_t>(s));
+  std::vector<std::uint64_t> row_visited_count(static_cast<std::size_t>(s), 0);
   for (int i = 0; i < s; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
     const auto group = grid.row_group(i);
     std::vector<std::vector<std::uint8_t>> enc(group.size());
     std::vector<double> codec_costs(group.size(), 0.0);
@@ -879,6 +893,11 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
     auto bytes = simmpi::checked_allgatherv(cluster, group, std::move(enc),
                                             "2d-bu-frontier",
                                             opts.allgather_algo);
+    const vid_t row_begin = bl.begin(i);
+    const vid_t row_end = row_begin + bl.size(i);
+    row_frontier[ii].assign(words_of(bl.size(i)), 0);
+    row_visited[ii].assign(words_of(bl.size(i)), 0);
+    std::uint64_t frontier_items = 0;
     std::size_t off = 0;
     while (off < bytes.size()) {
       std::uint64_t fbytes = 0;
@@ -890,20 +909,18 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
       if (off + fbytes + vbytes > bytes.size()) {
         throw comm::WireDecodeError("wire: bottom-up contribution overrun");
       }
-      comm::decode_vertex_stream(bytes.data() + off,
-                                 static_cast<std::size_t>(fbytes),
-                                 row_frontier[static_cast<std::size_t>(i)]);
+      frontier_items += comm::decode_vertex_bits(
+          bytes.data() + off, static_cast<std::size_t>(fbytes), row_begin,
+          row_end, row_frontier[ii]);
       off += static_cast<std::size_t>(fbytes);
-      comm::decode_vertex_stream(bytes.data() + off,
-                                 static_cast<std::size_t>(vbytes),
-                                 row_visited[static_cast<std::size_t>(i)]);
+      row_visited_count[ii] += comm::decode_vertex_bits(
+          bytes.data() + off, static_cast<std::size_t>(vbytes), row_begin,
+          row_end, row_visited[ii]);
       off += static_cast<std::size_t>(vbytes);
     }
     const double decode_cost = model::cost_wire_codec(
         cluster.machine(),
-        (row_frontier[static_cast<std::size_t>(i)].size() +
-         row_visited[static_cast<std::size_t>(i)].size()) *
-            sizeof(vid_t),
+        (frontier_items + row_visited_count[ii]) * sizeof(vid_t),
         bytes.size(), t);
     std::vector<double> decode_costs(group.size(), decode_cost);
     cluster.set_compute_phase("wire-decode");
@@ -915,9 +932,11 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // ---- (b) Completeness swap: rank (i,j)'s probe scan filters on the
   // visited status of its *column* range C_j, which is the transpose
   // partner's row range — one pairwise exchange of the assembled
-  // visited_{R_i}, again through the dense-bitmap wire path. Diagonal
-  // ranks keep their own copy for free.
-  std::vector<std::vector<vid_t>> col_visited(static_cast<std::size_t>(p));
+  // visited_{R_i}, again through the dense-bitmap wire path, decoded
+  // into a range bitmap over C_j. Diagonal ranks keep their own copy for
+  // free.
+  std::vector<std::vector<std::uint64_t>> col_visited(
+      static_cast<std::size_t>(p));
   {
     std::vector<std::vector<std::uint8_t>> venc(static_cast<std::size_t>(p));
     std::vector<double> codec_costs(static_cast<std::size_t>(p), 0.0);
@@ -925,11 +944,12 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
     cluster.for_each_rank([&](int r) {
       const auto ri = static_cast<std::size_t>(r);
       const int i = grid.row_of(r);
-      const auto& mine = row_visited[static_cast<std::size_t>(i)];
+      const auto ii = static_cast<std::size_t>(i);
       comm::WireStats& st = swappers[ri].stats;
-      comm::encode_vertex_bitmap(mine, bl.begin(i), bl.begin(i) + bl.size(i),
-                                 opts.wire_format, venc[ri], &st);
-      swappers[ri].pre_bytes = mine.size() * sizeof(vid_t);
+      comm::encode_vertex_bits(row_visited[ii], row_visited_count[ii],
+                               bl.begin(i), bl.begin(i) + bl.size(i),
+                               opts.wire_format, venc[ri], &st);
+      swappers[ri].pre_bytes = row_visited_count[ii] * sizeof(vid_t);
       codec_costs[ri] = model::cost_wire_codec(
           cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
           static_cast<std::size_t>(st.encoded_bytes), t);
@@ -942,11 +962,13 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
                                               "2d-bu-complete");
     cluster.for_each_rank([&](int r) {
       const auto ri = static_cast<std::size_t>(r);
-      comm::decode_vertex_stream(swapped[ri].data(), swapped[ri].size(),
-                                 col_visited[ri]);
+      const int j = grid.col_of(r);
+      col_visited[ri].assign(words_of(bl.size(j)), 0);
+      const std::uint64_t items = comm::decode_vertex_bits(
+          swapped[ri].data(), swapped[ri].size(), bl.begin(j),
+          bl.begin(j) + bl.size(j), col_visited[ri]);
       codec_costs[ri] = model::cost_wire_codec(
-          cluster.machine(), col_visited[ri].size() * sizeof(vid_t),
-          swapped[ri].size(), t);
+          cluster.machine(), items * sizeof(vid_t), swapped[ri].size(), t);
     });
     cluster.set_compute_phase("wire-decode");
     charge_smoothed(cluster, world, codec_costs, opts.load_smoothing);
@@ -955,7 +977,9 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // ---- (c) Local pull step: every stored column still unvisited probes
   // its rows (descending) against the frontier support and stops at the
   // first hit — the per-block max, which the fold's max-parent merge
-  // combines into exactly the parent top-down would have produced.
+  // combines into exactly the parent top-down would have produced. Both
+  // tests read the range bitmaps; a hit's value is the frontier vertex's
+  // global id, the parent it offers.
   std::vector<std::vector<Candidate>> z(static_cast<std::size_t>(p));
   std::vector<double> scan_costs(static_cast<std::size_t>(p), 0.0);
   cluster.for_each_rank([&](int r) {
@@ -964,30 +988,23 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
     const int j = grid.col_of(r);
     const vid_t row_base = bl.begin(i);
     const vid_t col_base = bl.begin(j);
-
-    // Dense frontier support over R_i (value = parent global id).
-    std::vector<vid_t> xval(static_cast<std::size_t>(bl.size(i)), kNoVertex);
-    for (vid_t gv : row_frontier[static_cast<std::size_t>(i)]) {
-      xval[static_cast<std::size_t>(gv - row_base)] = gv;
-    }
-    // Visited mask over C_j from the completeness swap.
-    std::vector<std::uint8_t> done(static_cast<std::size_t>(bl.size(j)), 0);
-    for (vid_t gv : col_visited[ri]) {
-      done[static_cast<std::size_t>(gv - col_base)] = 1;
-    }
+    const auto& frontier = row_frontier[static_cast<std::size_t>(i)];
+    const auto& done = col_visited[ri];
 
     vid_t candidates = 0;
+    vid_t hit = kNoVertex;
     sparse::SpmsvStats st;
     auto zt = sparse::spmsv_bottom_up<vid_t>(
         part.block(r),
-        [&done, &candidates](vid_t c) {
-          if (done[static_cast<std::size_t>(c)] != 0) return false;
+        [&](vid_t c) {
+          if (has(done, c)) return false;
           ++candidates;
           return true;
         },
-        [&xval](vid_t row) -> const vid_t* {
-          const vid_t* v = &xval[static_cast<std::size_t>(row)];
-          return *v == kNoVertex ? nullptr : v;
+        [&](vid_t row) -> const vid_t* {
+          if (!has(frontier, row)) return nullptr;
+          hit = row_base + row;
+          return &hit;
         },
         [](vid_t, vid_t, vid_t fv) { return fv; }, &st);
     z[ri].reserve(static_cast<std::size_t>(zt.nnz()));

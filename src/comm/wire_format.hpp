@@ -16,9 +16,12 @@
 // This header is deliberately independent of the bfs layer: one block
 // codec serves both payloads, templated over the item — a bare vid_t
 // (vertex lists) or any trivially-copyable item exposing
-// `.vertex`/`.parent` members (bfs::Candidate in practice).
+// `.vertex`/`.parent` members (bfs::Candidate in practice). Vertex sets
+// whose owner range is known also encode from, and decode into, word
+// bitmaps over that range (encode_vertex_bits / decode_vertex_bits).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -154,6 +157,44 @@ void put_presence_bitmap(std::vector<std::uint8_t>& out, std::uint64_t base,
     out[bits_at + static_cast<std::size_t>(bit >> 3)] |=
         static_cast<std::uint8_t>(1u << (bit & 7));
   }
+}
+
+// The presence bitmap puts bit b at byte b / 8, bit b % 8: on a
+// little-endian host that is the byte image of 64-bit words holding bit
+// b at word b / 64, bit b % 64, so bitmap blocks are read — and range
+// bitmaps written — a word at a time by plain copies.
+static_assert(std::endian::native == std::endian::little,
+              "the presence bitmap is the little-endian word layout");
+
+/// Throws unless an item block of `count` items of `item_bytes` each
+/// fills exactly `payload_bytes`.
+void check_item_block(std::uint64_t count, std::size_t payload_bytes,
+                      std::size_t item_bytes);
+
+/// A bitmap block's base, width and presence bytes.
+struct BitmapBlock {
+  std::uint64_t base;
+  std::uint64_t width;
+  const std::uint8_t* bits;
+};
+
+/// Read a bitmap block's base and width from payload[pos..) and step
+/// `pos` past its presence bytes; throws when they overrun the payload.
+BitmapBlock read_bitmap_block(const std::uint8_t* payload,
+                              std::size_t payload_bytes, std::size_t& pos);
+
+/// Word w < (width + 63) / 64 of a presence bitmap of `width` bits;
+/// bits past the width in the last byte read as 0, as if never sent.
+inline std::uint64_t bitmap_word(const std::uint8_t* bits, std::uint64_t width,
+                                 std::uint64_t w) noexcept {
+  std::uint64_t word = 0;
+  const std::uint64_t left = width - 64 * w;
+  if (left >= 64) {
+    std::memcpy(&word, bits + 8 * w, sizeof word);
+    return word;
+  }
+  std::memcpy(&word, bits + 8 * w, static_cast<std::size_t>((left + 7) / 8));
+  return word & ((std::uint64_t{1} << left) - 1);
 }
 
 }  // namespace detail
@@ -306,12 +347,7 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
     };
     switch (f.encoding) {
       case BlockEncoding::kItems: {
-        // Divide, never multiply: count * sizeof(C) wraps for counts
-        // near 2^64 / sizeof(C) and would pass an empty payload.
-        if (payload_bytes % sizeof(C) != 0 ||
-            f.count != payload_bytes / sizeof(C)) {
-          throw WireDecodeError("wire: item block size mismatch");
-        }
+        detail::check_item_block(f.count, payload_bytes, sizeof(C));
         const std::size_t at = out.size();
         out.resize(at + static_cast<std::size_t>(f.count));
         std::memcpy(out.data() + at, payload, payload_bytes);
@@ -319,21 +355,17 @@ void decode_candidate_stream(const std::uint8_t* data, std::size_t size,
         break;
       }
       case BlockEncoding::kBitmap: {
-        const std::uint64_t base = get(true);
-        const std::uint64_t width = get(true);
-        // Bound the width by the bits the payload has left before any
-        // arithmetic on it: (width + 7) / 8 wraps for widths near 2^64.
-        if (width > 8 * static_cast<std::uint64_t>(payload_bytes - pos)) {
-          throw WireDecodeError("wire: bitmap block truncated");
-        }
-        const auto bitmap_bytes = static_cast<std::size_t>((width + 7) / 8);
-        const std::uint8_t* bits = payload + pos;
-        pos += bitmap_bytes;
+        const detail::BitmapBlock block =
+            detail::read_bitmap_block(payload, payload_bytes, pos);
         std::uint64_t found = 0;
-        for (std::uint64_t b = 0; b < width; ++b) {
-          if ((bits[static_cast<std::size_t>(b >> 3)] >> (b & 7)) & 1u) {
-            out.push_back(make(static_cast<vid_t>(base + b),
-                               get(detail::kCarriesParent<C>)));
+        for (std::uint64_t w = 0; 64 * w < block.width; ++w) {
+          const std::uint64_t first = block.base + 64 * w;
+          for (std::uint64_t word =
+                   detail::bitmap_word(block.bits, block.width, w);
+               word != 0; word &= word - 1) {
+            out.push_back(
+                make(static_cast<vid_t>(first + std::countr_zero(word)),
+                     get(detail::kCarriesParent<C>)));
             ++found;
           }
         }
@@ -392,5 +424,40 @@ inline void decode_vertex_stream(const std::uint8_t* data, std::size_t size,
 void encode_vertex_bitmap(std::span<const vid_t> sorted, vid_t range_begin,
                           vid_t range_end, WireFormat format,
                           std::vector<std::uint8_t>& out, WireStats* stats);
+
+// ---------- vertex sets held as word bitmaps over an owner range ----------
+//
+// A range bitmap of [range_begin, range_end) holds vertex v at bit
+// (v - range_begin) % 64 of word (v - range_begin) / 64, in
+// (range_end - range_begin + 63) / 64 words. The pair below lets a
+// caller that keeps its sets in this form (the 2D bottom-up level) skip
+// the sorted vertex list on both ends of the wire: the bytes are those
+// of the list forms, so pricing, wire counters and the streams' decoding
+// by decode_vertex_stream do not change.
+
+/// encode_vertex_bitmap for the set held in `words`, a range bitmap of
+/// [range_begin, range_end) with `count` bits set and none at or past
+/// the range's width: appends exactly the bytes encode_vertex_bitmap
+/// appends for the same set's sorted list. A dense set's range-wide block
+/// is its frame, base and width followed by the words' bytes; sparse sets
+/// and non-compressing formats go through encode_vertex_list, fed from
+/// the set bits. count == 0 appends nothing; std::invalid_argument when
+/// `words` is not the range's word count.
+void encode_vertex_bits(std::span<const std::uint64_t> words,
+                        std::uint64_t count, vid_t range_begin,
+                        vid_t range_end, WireFormat format,
+                        std::vector<std::uint8_t>& out, WireStats* stats);
+
+/// decode_vertex_stream into a range bitmap: ORs every vertex of the
+/// framed blocks in data[0..size) into `words`, a range bitmap of
+/// [range_begin, range_end), and returns the number of items decoded
+/// (what decode_vertex_stream would have appended). Bitmap blocks are
+/// read a word at a time. Throws WireDecodeError wherever
+/// decode_vertex_stream does — bad frame, item-size mismatch, truncated
+/// bitmap, bitmap count mismatch — and for any vertex outside the range;
+/// std::invalid_argument when `words` is not the range's word count.
+std::uint64_t decode_vertex_bits(const std::uint8_t* data, std::size_t size,
+                                 vid_t range_begin, vid_t range_end,
+                                 std::span<std::uint64_t> words);
 
 }  // namespace dbfs::comm

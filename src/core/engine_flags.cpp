@@ -67,11 +67,25 @@ EngineOptions apply_engine_flags(const util::ArgParser& args,
       throw std::invalid_argument(std::string("--") + key + ": " + e.what());
     }
   };
-  const auto integer = [](const std::string& v) {
-    return util::parse_number<int>(v);
-  };
   const auto real = [](const std::string& v) {
     return util::parse_number<double>(v);
+  };
+  // Counts and cadences: 0 keeps its documented meaning, a negative
+  // value has none.
+  const auto count = [](const std::string& v) {
+    const int value = util::parse_number<int>(v);
+    if (value < 0) {
+      throw std::invalid_argument("expected a count >= 0, got '" + v + "'");
+    }
+    return value;
+  };
+  const auto probability = [](const std::string& v) {
+    const double value = util::parse_number<double>(v);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      throw std::invalid_argument("expected a probability in [0, 1], got '" +
+                                  v + "'");
+    }
+    return value;
   };
   const auto backend = [](const std::string& v) {
     for (const auto b : {sparse::SpmsvBackend::kAuto,
@@ -81,7 +95,7 @@ EngineOptions apply_engine_flags(const util::ArgParser& args,
     }
     throw std::invalid_argument("unknown spmsv backend: " + v);
   };
-  bind("threads", o.threads_per_rank, integer);
+  bind("threads", o.threads_per_rank, count);
   bind("machine", o.machine, model::preset);
   bind("backend", o.backend, backend);
   if (args.has("triangular")) {
@@ -95,18 +109,18 @@ EngineOptions apply_engine_flags(const util::ArgParser& args,
   });
   bind("straggler", o.faults.compute_stragglers, util::parse_rank_factors);
   bind("degrade-nic", o.faults.nic_stragglers, util::parse_rank_factors);
-  bind("fail-rate", o.faults.collective_fail_rate, real);
-  bind("corrupt-rate", o.faults.corrupt_rate, real);
+  bind("fail-rate", o.faults.collective_fail_rate, probability);
+  bind("corrupt-rate", o.faults.corrupt_rate, probability);
   bind("corrupt-mode", o.faults.corrupt_kind, simmpi::parse_corrupt_kind);
   // Last of the fault flags: a kill: or flip: spec keeps the plan the
   // flags above built, a JSON file replaces it.
   bind("fault-plan", o.faults, [&o](const std::string& v) {
     return simmpi::load_fault_plan(v, o.faults);
   });
-  bind("checkpoint-every", o.recover.checkpoint_every, integer);
-  bind("audit-every", o.recover.audit_every, integer);
+  bind("checkpoint-every", o.recover.checkpoint_every, count);
+  bind("audit-every", o.recover.audit_every, count);
   bind("recover-policy", o.recover.policy, recover::parse_policy);
-  bind("spare-ranks", o.recover.spare_ranks, integer);
+  bind("spare-ranks", o.recover.spare_ranks, count);
   return o;
 }
 

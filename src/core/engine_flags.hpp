@@ -20,7 +20,11 @@ void describe_engine_flags(util::ArgParser& args);
 
 /// `base` with every engine flag present in `args` applied; an absent
 /// flag leaves its field as `base` has it. A malformed value throws
-/// std::invalid_argument whose message starts with the flag.
+/// std::invalid_argument whose message starts with the flag, and so does
+/// a value out of range: a negative --threads, --checkpoint-every,
+/// --audit-every or --spare-ranks, or a --fail-rate or --corrupt-rate
+/// outside [0, 1]. --alpha and --beta take any number (<= 0 derives the
+/// threshold from the machine model).
 EngineOptions apply_engine_flags(const util::ArgParser& args,
                                  EngineOptions base);
 

@@ -138,6 +138,49 @@ INSTANTIATE_TEST_SUITE_P(Wire, DiropWireSweep,
                            return comm::to_string(info.param);
                          });
 
+TEST(Bfs2DDirop, PullParentsEqualTopDownParents) {
+  // The pull step's per-block max-row hit, merged by max parent, is the
+  // parent top-down picks: hybrid and forced bottom-up runs must return
+  // the top-down tree bit for bit. 3x3 to 11x11 grids cut these graphs
+  // into row blocks that are not multiples of 8 or 64, so the bottom-up
+  // level's range bitmaps end mid-word and mid-byte.
+  graph::WebcrawlParams crawl;
+  crawl.num_vertices = 1009;
+  crawl.target_diameter = 30;
+  const std::pair<const char*, graph::BuiltGraph> graphs[] = {
+      {"rmat10", test::rmat_graph(10)},
+      {"webcrawl1009", graph::build_graph(graph::generate_webcrawl(crawl))},
+      {"rmat11-ef4", test::rmat_graph(11, 4)},
+  };
+  for (const auto& [name, built] : graphs) {
+    const vid_t n = built.csr.num_vertices();
+    const auto src = test::hub_source(built.csr);
+    for (int cores : {9, 25, 49, 121}) {
+      for (comm::WireFormat format :
+           {comm::WireFormat::kRaw, comm::WireFormat::kSieve,
+            comm::WireFormat::kBitmap, comm::WireFormat::kVarint,
+            comm::WireFormat::kAuto}) {
+        SCOPED_TRACE(::testing::Message() << name << " cores=" << cores
+                                          << " wire="
+                                          << comm::to_string(format));
+        const auto run = [&](DirectionMode mode) {
+          auto opts = dirop_opts(cores, mode);
+          opts.wire_format = format;
+          Bfs2D bfs{built.edges, n, opts};
+          return bfs.run(src);
+        };
+        const auto top_down = run(DirectionMode::kTopDown);
+        for (DirectionMode mode :
+             {DirectionMode::kHybrid, DirectionMode::kBottomUp}) {
+          const auto pulled = run(mode);
+          EXPECT_EQ(pulled.parent, top_down.parent) << to_string(mode);
+          EXPECT_EQ(pulled.level, top_down.level) << to_string(mode);
+        }
+      }
+    }
+  }
+}
+
 TEST(Bfs2DDirop, BottomUpWireCompressesAtLeastAsWellAsTopDown) {
   // Acceptance criterion: under the auto codec, the dense bottom-up
   // frontier/completeness exchanges must ship at a bytes-per-raw-byte

@@ -293,6 +293,41 @@ TEST(EngineFlags, MalformedValuesThrowNamingTheFlag) {
   }
 }
 
+TEST(EngineFlags, RejectsOutOfRangeValues) {
+  // A count or cadence below 0 and a rate outside [0, 1] have no meaning:
+  // each is rejected naming its flag, as a malformed number is.
+  const std::pair<const char*, const char*> bad[] = {
+      {"threads", "-2"},          {"checkpoint-every", "-1"},
+      {"audit-every", "-4"},      {"spare-ranks", "-1"},
+      {"fail-rate", "2"},         {"fail-rate", "-0.1"},
+      {"fail-rate", "nan"},       {"corrupt-rate", "-0.5"},
+      {"corrupt-rate", "1.0001"},
+  };
+  for (const auto& [key, value] : bad) {
+    const std::string arg = std::string("--") + key + "=" + value;
+    const auto args = parse({"prog", arg.c_str()});
+    const std::string message = thrown_message(
+        [&] { (void)core::apply_engine_flags(args, hopper_base()); });
+    EXPECT_TRUE(starts_with(message, std::string("--") + key + ": "))
+        << arg << ": " << message;
+  }
+  // The ends of each range stay valid, and --alpha/--beta <= 0 still
+  // mean "derive the threshold from the machine model".
+  const auto args =
+      parse({"prog", "--threads=0", "--checkpoint-every=0", "--audit-every=0",
+             "--spare-ranks=0", "--fail-rate=1", "--corrupt-rate=0",
+             "--alpha=-1", "--beta=0"});
+  const EngineOptions o = core::apply_engine_flags(args, hopper_base());
+  EXPECT_EQ(o.threads_per_rank, 0);
+  EXPECT_EQ(o.recover.checkpoint_every, 0);
+  EXPECT_EQ(o.recover.audit_every, 0);
+  EXPECT_EQ(o.recover.spare_ranks, 0);
+  EXPECT_EQ(o.faults.collective_fail_rate, 1.0);
+  EXPECT_EQ(o.faults.corrupt_rate, 0.0);
+  EXPECT_EQ(o.alpha, -1.0);
+  EXPECT_EQ(o.beta, 0.0);
+}
+
 TEST(EngineFlags, PaperAlgorithmsAreTheFourEngines) {
   EXPECT_EQ(core::parse_paper_algorithm("1d"), core::Algorithm::kOneDFlat);
   EXPECT_EQ(core::parse_paper_algorithm("1d-hybrid"),

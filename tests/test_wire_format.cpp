@@ -437,6 +437,198 @@ TEST(WireGolden, EncodersEmitPinnedBytes) {
   }
 }
 
+// ---------- vertex sets as range bitmaps ----------
+
+constexpr WireFormat kAllFormats[] = {WireFormat::kRaw, WireFormat::kSieve,
+                                      WireFormat::kBitmap, WireFormat::kVarint,
+                                      WireFormat::kAuto};
+
+/// The range bitmap of [begin, begin + width) holding `sorted`.
+std::vector<std::uint64_t> range_bits(const std::vector<vid_t>& sorted,
+                                      vid_t begin, vid_t width) {
+  std::vector<std::uint64_t> words(static_cast<std::size_t>((width + 63) / 64),
+                                   0);
+  for (vid_t v : sorted) {
+    const vid_t off = v - begin;
+    words[static_cast<std::size_t>(off / 64)] |= std::uint64_t{1}
+                                                 << (off % 64);
+  }
+  return words;
+}
+
+/// `count` vertices of [begin, begin + width), the first at begin +
+/// first and, from two on, the last at the range's end, spread evenly.
+std::vector<vid_t> spread_set(vid_t begin, vid_t width, vid_t count,
+                              vid_t first = 0) {
+  std::vector<vid_t> set;
+  for (vid_t k = 0; k < count; ++k) {
+    set.push_back(begin + first +
+                  (count == 1 ? 0 : k * (width - first - 1) / (count - 1)));
+  }
+  return set;
+}
+
+/// encode_vertex_bits must write encode_vertex_bitmap's bytes and stats,
+/// and decode_vertex_bits must read back decode_vertex_stream's set and
+/// count, for `sorted` over [begin, begin + width) in every format.
+void expect_bits_match_lists(const std::vector<vid_t>& sorted, vid_t begin,
+                             vid_t width) {
+  const vid_t end = begin + width;
+  const auto words = range_bits(sorted, begin, width);
+  for (WireFormat f : kAllFormats) {
+    SCOPED_TRACE(::testing::Message()
+                 << to_string(f) << " begin=" << begin << " width=" << width
+                 << " count=" << sorted.size()
+                 << " first=" << (sorted.empty() ? -1 : sorted.front()));
+    std::vector<std::uint8_t> from_list = {0xAB};  // appends, not assigns
+    std::vector<std::uint8_t> from_bits = {0xAB};
+    WireStats list_stats;
+    WireStats bits_stats;
+    encode_vertex_bitmap(sorted, begin, end, f, from_list, &list_stats);
+    encode_vertex_bits(words, sorted.size(), begin, end, f, from_bits,
+                       &bits_stats);
+    ASSERT_EQ(hex(from_bits), hex(from_list));
+    EXPECT_EQ(bits_stats.raw_bytes, list_stats.raw_bytes);
+    EXPECT_EQ(bits_stats.encoded_bytes, list_stats.encoded_bytes);
+    EXPECT_EQ(bits_stats.items, list_stats.items);
+    EXPECT_EQ(bits_stats.blocks_items, list_stats.blocks_items);
+    EXPECT_EQ(bits_stats.blocks_bitmap, list_stats.blocks_bitmap);
+    EXPECT_EQ(bits_stats.blocks_varint, list_stats.blocks_varint);
+
+    std::vector<vid_t> listed;
+    decode_vertex_stream(from_list.data() + 1, from_list.size() - 1, listed);
+    EXPECT_EQ(listed, sorted);
+    std::vector<std::uint64_t> decoded(words.size(), 0);
+    EXPECT_EQ(decode_vertex_bits(from_list.data() + 1, from_list.size() - 1,
+                                 begin, end, decoded),
+              listed.size());
+    EXPECT_EQ(decoded, words);
+  }
+}
+
+TEST(VertexBits, MatchTheListFormsAtEveryWidthAndDensity) {
+  // Empty, one vertex, just under and exactly 1/8 of the range (where the
+  // range-wide bitmap takes over), and full; widths around word and byte
+  // edges; range begins with and without a word-aligned base.
+  for (vid_t width : {1, 7, 8, 63, 64, 65, 4097}) {
+    const vid_t eighth = (width + 7) / 8;
+    for (vid_t begin : {vid_t{0}, vid_t{61}, vid_t{1000003}}) {
+      for (vid_t count : {vid_t{0}, vid_t{1}, eighth - 1, eighth, width}) {
+        expect_bits_match_lists(spread_set(begin, width, count), begin,
+                                width);
+      }
+    }
+  }
+}
+
+TEST(VertexBits, BlockBasesOffTheWordGrid) {
+  // Sparse sets ship as blocks based at their first vertex; starting it
+  // at offsets 57-63 of a word makes every decoded word straddle two.
+  for (vid_t width : {vid_t{65}, vid_t{128}, vid_t{4097}}) {
+    for (vid_t first = 57; first <= 63; ++first) {
+      for (vid_t count : {vid_t{1}, vid_t{2}, vid_t{9}, (width - first) / 9}) {
+        if (count > width - first) continue;  // not a set
+        expect_bits_match_lists(spread_set(5, width, count, first), 5,
+                                width);
+      }
+    }
+  }
+  // Random dense and sparse sets, seeded.
+  util::Xoshiro256 rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto width = static_cast<vid_t>(1 + rng.next_below(300));
+    const auto begin = static_cast<vid_t>(rng.next_below(1000));
+    const std::uint64_t keep = 1 + rng.next_below(16);  // 1/keep density
+    std::vector<vid_t> set;
+    for (vid_t v = begin; v < begin + width; ++v) {
+      if (rng.next_below(keep) == 0) set.push_back(v);
+    }
+    expect_bits_match_lists(set, begin, width);
+  }
+}
+
+/// One kBitmap frame of `count` items: base, width, then `bits`.
+std::vector<std::uint8_t> bitmap_block(std::uint64_t count, std::uint64_t base,
+                                       std::uint64_t width,
+                                       const std::vector<std::uint8_t>& bits) {
+  std::vector<std::uint8_t> payload;
+  put_uvarint(payload, base);
+  put_uvarint(payload, width);
+  payload.insert(payload.end(), bits.begin(), bits.end());
+  std::vector<std::uint8_t> bytes = {
+      static_cast<std::uint8_t>(BlockEncoding::kBitmap)};
+  put_uvarint(bytes, count);
+  put_uvarint(bytes, payload.size());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+TEST(VertexBits, BitsPastTheWidthAreIgnored) {
+  // Width 13 in a 64-vertex range: the last byte's top three bits are
+  // set on the wire but lie past the block, so neither decoder sees them.
+  const auto bytes = bitmap_block(13, 100, 13, {0xFF, 0xFF});
+  std::vector<vid_t> listed;
+  decode_vertex_stream(bytes.data(), bytes.size(), listed);
+  ASSERT_EQ(listed.size(), 13u);
+  std::vector<std::uint64_t> words(1, 0);
+  EXPECT_EQ(decode_vertex_bits(bytes.data(), bytes.size(), 100, 164, words),
+            13u);
+  EXPECT_EQ(words[0], (std::uint64_t{1} << 13) - 1);
+  EXPECT_EQ(words, range_bits(listed, 100, 64));
+}
+
+TEST(VertexBits, MalformedStreamsThrow) {
+  const auto throws = [](const std::vector<std::uint8_t>& bytes, vid_t begin,
+                         vid_t end) {
+    std::vector<std::uint64_t> words(
+        static_cast<std::size_t>((end - begin + 63) / 64), 0);
+    EXPECT_THROW(
+        decode_vertex_bits(bytes.data(), bytes.size(), begin, end, words),
+        WireDecodeError);
+  };
+  // A bitmap that stops short: one bit more than the bytes sent, and a
+  // dense range block cut by one byte.
+  throws(bitmap_block(16, 0, 17, {0xFF, 0xFF}), 0, 64);
+  std::vector<std::uint8_t> dense;
+  encode_vertex_bits(std::vector<std::uint64_t>{~std::uint64_t{0}}, 64, 0, 64,
+                     WireFormat::kAuto, dense, nullptr);
+  throws(std::vector<std::uint8_t>(dense.begin(), dense.end() - 1), 0, 64);
+  // A frame count the bits do not hold.
+  throws(bitmap_block(5, 0, 16, {0x07, 0x00}), 0, 64);
+  // Item blocks whose payload is not count whole vertex ids.
+  std::vector<std::uint8_t> ragged = {
+      static_cast<std::uint8_t>(BlockEncoding::kItems)};
+  put_uvarint(ragged, 1);
+  put_uvarint(ragged, 12);
+  ragged.resize(ragged.size() + 12, 0);
+  throws(ragged, 0, 64);
+  std::vector<std::uint8_t> short_items = {
+      static_cast<std::uint8_t>(BlockEncoding::kItems)};
+  put_uvarint(short_items, 2);
+  put_uvarint(short_items, 8);
+  short_items.resize(short_items.size() + 8, 0);
+  throws(short_items, 0, 64);
+  // A vertex below or above the range, in every block encoding: {10, 40}
+  // decodes into [0, 64) but not into [11, 64) or [0, 40).
+  for (WireFormat f : kAllFormats) {
+    SCOPED_TRACE(to_string(f));
+    std::vector<std::uint8_t> bytes;
+    encode_vertex_list(std::vector<vid_t>{10, 40}, f, bytes, nullptr);
+    std::vector<std::uint64_t> words(1, 0);
+    EXPECT_EQ(decode_vertex_bits(bytes.data(), bytes.size(), 0, 64, words),
+              2u);
+    throws(bytes, 11, 64);
+    throws(bytes, 0, 40);
+  }
+  // The range-wide block itself must fit the range: a 64-wide block based
+  // at 0 decoded into [0, 63) holds vertex 63 past it.
+  throws(dense, 0, 63);
+  // words must be exactly the range's word count.
+  std::vector<std::uint64_t> two(2, 0);
+  EXPECT_THROW(decode_vertex_bits(dense.data(), dense.size(), 0, 64, two),
+               std::invalid_argument);
+}
+
 TEST(Sieve, MarkTestAndMarkAll) {
   Sieve sieve;
   sieve.reset(3, 200);
