@@ -3,7 +3,7 @@
 // Alltoallv; the sieve drops globally-visited targets on the sender and
 // the bitmap/varint codecs compress what remains, with `auto` picking the
 // smaller encoding per (destination, level). BFS outputs are identical in
-// every row — this sweep measures only the metered bytes and the modeled
+// every row — this sweep measures only the metered bytes and the priced
 // time shift (decode cost at beta_L vs bytes saved at beta_N).
 #include "harness/harness.hpp"
 
@@ -63,6 +63,6 @@ int main() {
       "\nexpected: sieve alone roughly halves the alltoall volume on R-MAT "
       "(most candidates re-target visited hubs); auto tracks the best of "
       "bitmap (dense early levels) and varint (sparse tail levels) for the "
-      "largest reduction, at a small modeled encode/decode cost\n");
+      "largest reduction, at a small priced encode/decode cost\n");
   return 0;
 }

@@ -76,9 +76,12 @@ SuiteOptions parse_options(const util::ArgParser& args) {
   }
   opt.algos = split_csv(args.get("algos", "1d,2d"));
   opt.wires = split_csv(args.get("wires", "raw,auto"));
-  opt.cores = static_cast<int>(args.get_int("cores", 64));
-  opt.reps = static_cast<int>(args.get_int("reps", 5));
-  opt.sources = static_cast<int>(args.get_int("sources", 2));
+  opt.cores = util::require_positive(
+      static_cast<int>(args.get_int("cores", 64)), "--cores");
+  opt.reps = util::require_positive(
+      static_cast<int>(args.get_int("reps", 5)), "--reps");
+  opt.sources = util::require_positive(
+      static_cast<int>(args.get_int("sources", 2)), "--sources");
   opt.slow_beta = args.get_double("slow-beta", 1.0);
   opt.list_only = args.get_flag("list");
   core::EngineOptions base;

@@ -17,6 +17,9 @@
 #      naming it, before any graph is built.
 #   9. an engine flag out of range (a rate above 1, a negative count) is
 #      a bad argument: exit 2, naming the flag.
+#  10. a core count, source count or repetition count below 1 is a bad
+#      argument in all three tools: exit 2, naming it, before any graph
+#      is built or any record is written.
 # Invoked by ctest as
 #   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
 #         -DOUT_DIR=<scratch> -P cli_smoke.cmake
@@ -133,6 +136,39 @@ ${s9a_err}
 ${s9b_err}
 "
                       "${s9c_err}")
+endif()
+
+# --- 10. core and repeat counts below 1 are errors, not 1-core runs ------
+set(suite_dir "${OUT_DIR}/s10")
+run(s10a 2 "${BFS_TOOL}" --algo 1d --scale 8 --cores -4 --sources 1)
+run(s10b 2 "${BFS_TOOL}" --algo 1d --scale 8 --cores 0 --sources 1)
+run(s10c 2 "${GRAPH500_RUNNER}" 8 0 1d 1)
+run(s10d 2 "${BENCH_SUITE}" --cores=-4 --scales=10 --algos=1d --wires=raw
+    "--out-dir=${suite_dir}")
+run(s10e 2 "${BENCH_SUITE}" --sources=0 --scales=10 --algos=1d --wires=raw
+    "--out-dir=${suite_dir}")
+run(s10f 2 "${BENCH_SUITE}" --reps=0 --scales=10 --algos=1d --wires=raw
+    "--out-dir=${suite_dir}")
+file(GLOB s10_records "${suite_dir}/BENCH_*.json")
+if(NOT s10a_err MATCHES "--cores" OR NOT s10b_err MATCHES "--cores" OR
+   NOT s10c_err MATCHES "cores" OR NOT s10d_err MATCHES "--cores" OR
+   NOT s10e_err MATCHES "--sources" OR NOT s10f_err MATCHES "--reps" OR
+   "${s10a_out}${s10b_out}${s10c_out}" MATCHES "graph:|largest component" OR
+   s10_records)
+  message(FATAL_ERROR "cli_smoke: a count below 1 should exit 2 naming "
+                      "it, before any graph or record
+stdout:
+${s10a_out}${s10c_out}
+"
+                      "stderr:
+${s10a_err}
+${s10b_err}
+${s10c_err}
+"
+                      "${s10d_err}
+${s10e_err}
+${s10f_err}
+records: ${s10_records}")
 endif()
 
 message(STATUS "cli_smoke passed: malformed numbers, unknown algorithms, "

@@ -51,12 +51,11 @@ int main() {
 
       std::printf("scale %-2d, degree %-5d", cfg.scale, cfg.degree);
       for (Algo a : ScalingRunner::kAll) {
-        const AlgoResult r = runner.point(a, cores);
-        std::printf(" %14.3f%s", r.gteps, r.modeled ? "*" : " ");
+        const MeanTimes r = runner.point(a, cores);
+        std::printf(" %14.3f ", r.gteps);
       }
       std::printf("\n");
     }
-    std::printf("(*) = volume-profile model point\n");
-  }
+    }
   return 0;
 }

@@ -4,8 +4,9 @@
 // contrast to Franklin, the 2D algorithms score *higher* than 1D here —
 // Magny-Cours integer cores got much faster while per-core bisection
 // bandwidth regressed, so communication efficiency decides the race.
-// Flat 1D is not run at 40K cores (its communication already consumed
-// >90% of execution beyond 10-20K, as the paper notes).
+// The paper did not run flat 1D at 40K cores (its communication already
+// consumed >90% of execution beyond 10-20K); the simulator runs it for
+// comparison.
 #include "harness/scaling.hpp"
 
 int main() {

@@ -23,7 +23,7 @@ int main() {
 
   struct Row {
     int cores;
-    AlgoResult results[4];
+    MeanTimes results[4];
   };
   std::vector<Row> rows;
   for (int i = 0; i < 4; ++i) {
@@ -52,8 +52,8 @@ int main() {
   std::printf("\n");
   for (const Row& row : rows) {
     std::printf("%-8d", row.cores);
-    for (const AlgoResult& r : row.results) {
-      std::printf(" %14.6f%s", r.total, r.modeled ? "*" : " ");
+    for (const MeanTimes& r : row.results) {
+      std::printf(" %14.6f ", r.total);
     }
     std::printf("\n");
   }
@@ -64,11 +64,10 @@ int main() {
   std::printf("\n");
   for (const Row& row : rows) {
     std::printf("%-8d", row.cores);
-    for (const AlgoResult& r : row.results) {
-      std::printf(" %14.6f%s", r.comm, r.modeled ? "*" : " ");
+    for (const MeanTimes& r : row.results) {
+      std::printf(" %14.6f ", r.comm);
     }
     std::printf("\n");
   }
-  std::printf("(*) = volume-profile model point\n");
   return 0;
 }

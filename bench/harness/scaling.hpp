@@ -1,30 +1,17 @@
-// Shared engine for the strong-/weak-scaling figures (paper Figs 5-9):
+// Shared engine for the strong-/weak-scaling figures (paper Figs 5-10):
 // runs the four BFS implementations (1D/2D x flat/hybrid) over a list of
-// core counts and prints GTEPS and communication-time series.
-//
-// Data points come from the functional cluster simulator wherever it is
-// affordable; beyond a rank threshold (the 1D simulator's bookkeeping is
-// O(p^2) per level) points are produced by the volume-profile pricing
-// path, calibrated to the largest functional point so the two join
-// smoothly. Each row is tagged with its method ("sim" or "model").
+// core counts on the functional cluster simulator and prints GTEPS and
+// communication-time series. Every point is a simulator run: the
+// exchanges cost O(items + blocks + p) per level, so flat 1D reaches the
+// paper's 40 000 cores.
 #pragma once
 
-#include <algorithm>
 #include <map>
-#include <memory>
+#include <utility>
 
-#include "core/volume_profile.hpp"
 #include "harness/harness.hpp"
 
 namespace dbfs::bench {
-
-struct AlgoResult {
-  double total = 0;   ///< mean simulated seconds per search
-  double comm = 0;    ///< mean per-rank communication seconds
-  double gteps = 0;
-  bool modeled = false;
-  int cores_used = 0;
-};
 
 struct ScalingSpec {
   const char* title;
@@ -34,13 +21,6 @@ struct ScalingSpec {
   std::vector<int> cores;
   int scale;
   int edge_factor;
-  /// Above this many *ranks*, a configuration switches from the
-  /// functional simulator to volume-profile pricing. The 1D simulator's
-  /// exchange bookkeeping is O(ranks^2) per level, so its limit is low;
-  /// the 2D simulator's collectives only span sqrt(p) ranks, so it runs
-  /// functionally at every core count the paper uses.
-  int functional_rank_limit_1d = 2048;
-  int functional_rank_limit_2d = 50000;
 };
 
 enum class Algo { kOneDFlat, kOneDHybrid, kTwoDFlat, kTwoDHybrid };
@@ -66,87 +46,13 @@ class ScalingRunner {
         workload_(workload),
         machine_(scaled_machine(spec.machine,
                                 workload.built.directed_edge_count,
-                                spec.paper_log2_edges)),
-        profile_(core::VolumeProfile::measure(workload.built.csr,
-                                              workload.sources.front())) {}
+                                spec.paper_log2_edges)) {}
 
-  /// Run one (algorithm, cores) point.
-  AlgoResult run(Algo algo, int cores) {
-    const int threads = is_hybrid(algo)
-                            ? core::default_threads_per_rank(machine_)
-                            : 1;
-    const int ranks = std::max(1, cores / threads);
-    const int limit = is_two_d(algo) ? spec_.functional_rank_limit_2d
-                                     : spec_.functional_rank_limit_1d;
-    if (ranks <= limit) {
-      return functional_point(algo, cores, threads);
-    }
-    return modeled_point(algo, cores, threads);
-  }
-
-  /// Print the full table: one row per core count, one column per algo.
-  /// `show_comm` selects the communication-time view (Figs 6, 8, 9b).
-  void print_table(bool show_comm) {
-    std::printf("%-8s", "cores");
-    for (Algo a : kAll) std::printf(" %16s", algo_name(a));
-    std::printf("  %s\n", show_comm ? "(comm seconds, lower=better)"
-                                    : "(GTEPS, higher=better)");
-    for (int cores : spec_.cores) {
-      std::printf("%-8d", cores);
-      for (Algo a : kAll) {
-        const AlgoResult r = point(a, cores);
-        if (show_comm) {
-          std::printf(" %14.6f%s", r.comm, r.modeled ? "*" : " ");
-        } else {
-          std::printf(" %14.3f%s", r.gteps, r.modeled ? "*" : " ");
-        }
-      }
-      std::printf("\n");
-    }
-    std::printf("(*) = volume-profile model point; unstarred = functional "
-                "cluster simulation\n");
-  }
-
-  /// Mean-search-time view (Fig 9a).
-  void print_time_table() {
-    std::printf("%-8s", "cores");
-    for (Algo a : kAll) std::printf(" %16s", algo_name(a));
-    std::printf("  (mean search seconds, lower=better)\n");
-    for (int cores : spec_.cores) {
-      std::printf("%-8d", cores);
-      for (Algo a : kAll) {
-        const AlgoResult r = point(a, cores);
-        std::printf(" %14.6f%s", r.total, r.modeled ? "*" : " ");
-      }
-      std::printf("\n");
-    }
-  }
-
-  AlgoResult point(Algo a, int cores) {
-    const auto key = std::make_pair(static_cast<int>(a), cores);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      it = cache_.emplace(key, run(a, cores)).first;
-    }
-    return it->second;
-  }
-
-  static constexpr Algo kAll[] = {Algo::kOneDFlat, Algo::kOneDHybrid,
-                                  Algo::kTwoDFlat, Algo::kTwoDHybrid};
-
- private:
-  static bool is_hybrid(Algo a) {
-    return a == Algo::kOneDHybrid || a == Algo::kTwoDHybrid;
-  }
-
-  static bool is_two_d(Algo a) {
-    return a == Algo::kTwoDFlat || a == Algo::kTwoDHybrid;
-  }
-
-  AlgoResult functional_point(Algo algo, int cores, int threads) {
+  /// Run one (algorithm, cores) point; the engine gives the hybrid codes
+  /// the machine's default threads per rank.
+  MeanTimes run(Algo algo, int cores) {
     core::EngineOptions opts;
     opts.cores = cores;
-    opts.threads_per_rank = threads;
     opts.machine = machine_;
     switch (algo) {
       case Algo::kOneDFlat:
@@ -162,76 +68,47 @@ class ScalingRunner {
         opts.algorithm = core::Algorithm::kTwoDHybrid;
         break;
     }
-    const MeanTimes mt = run_config(workload_, opts);
-    AlgoResult r;
-    r.total = mt.total;
-    r.comm = mt.comm;
-    r.gteps = mt.gteps;
-    r.cores_used = mt.cores_used;
-    return r;
+    return run_config(workload_, opts);
   }
 
-  AlgoResult modeled_point(Algo algo, int cores, int threads) {
-    core::PricedRun priced;
-    if (is_two_d(algo)) {
-      core::Price2DOptions o;
-      o.cores = cores;
-      o.threads_per_rank = threads;
-      priced = core::price_2d(profile_, machine_, o);
-    } else {
-      core::Price1DOptions o;
-      o.cores = cores;
-      o.threads_per_rank = threads;
-      priced = core::price_1d(profile_, machine_, o);
+  /// Print the full table: one row per core count, one column per algo.
+  /// `show_comm` selects the communication-time view (Figs 6, 8).
+  void print_table(bool show_comm) {
+    std::printf("%-8s", "cores");
+    for (Algo a : kAll) std::printf(" %16s", algo_name(a));
+    std::printf("  %s\n", show_comm ? "(comm seconds, lower=better)"
+                                    : "(GTEPS, higher=better)");
+    for (int cores : spec_.cores) {
+      std::printf("%-8d", cores);
+      for (Algo a : kAll) {
+        const MeanTimes r = point(a, cores);
+        if (show_comm) {
+          std::printf(" %14.6f ", r.comm);
+        } else {
+          std::printf(" %14.3f ", r.gteps);
+        }
+      }
+      std::printf("\n");
     }
-    // One-point calibration against the largest functional configuration
-    // of the same algorithm, so the sim and model series join smoothly.
-    const double c = calibration(algo, threads);
-    AlgoResult r;
-    r.total = priced.total_seconds * c;
-    r.comm = priced.comm_seconds * c;
-    r.gteps = static_cast<double>(workload_.built.directed_edge_count) /
-              r.total / 1e9;
-    r.modeled = true;
-    r.cores_used = priced.cores_used;
-    return r;
   }
 
-  double calibration(Algo algo, int threads) {
-    const auto key = static_cast<int>(algo);
-    auto it = calibration_.find(key);
-    if (it != calibration_.end()) return it->second;
-
-    const int limit = is_two_d(algo) ? spec_.functional_rank_limit_2d
-                                     : spec_.functional_rank_limit_1d;
-    const int anchor_cores = limit * threads;
-    const AlgoResult functional =
-        functional_point(algo, anchor_cores, threads);
-    core::PricedRun priced;
-    if (is_two_d(algo)) {
-      core::Price2DOptions o;
-      o.cores = anchor_cores;
-      o.threads_per_rank = threads;
-      priced = core::price_2d(profile_, machine_, o);
-    } else {
-      core::Price1DOptions o;
-      o.cores = anchor_cores;
-      o.threads_per_rank = threads;
-      priced = core::price_1d(profile_, machine_, o);
+  MeanTimes point(Algo a, int cores) {
+    const auto key = std::make_pair(static_cast<int>(a), cores);
+    auto it = cache_.find(key);
+    if (it == cache_.end()) {
+      it = cache_.emplace(key, run(a, cores)).first;
     }
-    const double c = priced.total_seconds > 0
-                         ? functional.total / priced.total_seconds
-                         : 1.0;
-    calibration_.emplace(key, c);
-    return c;
+    return it->second;
   }
 
+  static constexpr Algo kAll[] = {Algo::kOneDFlat, Algo::kOneDHybrid,
+                                  Algo::kTwoDFlat, Algo::kTwoDHybrid};
+
+ private:
   ScalingSpec spec_;
   const Workload& workload_;
   model::MachineModel machine_;
-  core::VolumeProfile profile_;
-  std::map<std::pair<int, int>, AlgoResult> cache_;
-  std::map<int, double> calibration_;
+  std::map<std::pair<int, int>, MeanTimes> cache_;
 };
 
 }  // namespace dbfs::bench

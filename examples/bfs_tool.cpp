@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
     // Every flag is parsed and checked before the graph is generated.
     core::EngineOptions base;
     base.algorithm = core::parse_algorithm(args.get("algo", "2d-hybrid"));
-    base.cores = static_cast<int>(args.get_int("cores", 1024));
+    base.cores = util::require_positive(
+        static_cast<int>(args.get_int("cores", 1024)), "--cores");
     base.machine = model::hopper();
     base.wire_format =
         comm::parse_wire_format(args.get("wire-format", "raw"));

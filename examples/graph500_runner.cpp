@@ -69,7 +69,7 @@ int run(const dbfs::util::ArgParser& args) {
   base.algorithm = positional.size() > 2
                        ? core::parse_paper_algorithm(positional[2])
                        : core::Algorithm::kTwoDHybrid;
-  base.cores = number(1, "cores", 1024);
+  base.cores = util::require_positive(number(1, "cores", 1024), "cores");
   base.machine = model::hopper();
   base.wire_format = comm::parse_wire_format(args.get("wire-format", "raw"));
   core::EngineOptions opts = core::apply_engine_flags(args, base);

@@ -89,7 +89,7 @@ struct Bfs1D::Impl final : LevelEngine {
   /// Move candidates between ranks and price the exchange according to
   /// the configured CommMode. Returns per-rank received candidates.
   std::vector<std::vector<Candidate>> exchange(
-      simmpi::FlatExchange<Candidate> send) {
+      simmpi::BlockExchange<Candidate> send) {
     const auto p = static_cast<std::size_t>(opts.ranks);
 
     if (opts.comm_mode == CommMode::kAlltoallv) {
@@ -107,10 +107,7 @@ struct Bfs1D::Impl final : LevelEngine {
     // reference code posts per-peer receives and barriers every level),
     // *plus* a message latency per chunk on both the send and the
     // receive side — the overhead an aggregated Alltoallv amortizes away.
-    std::vector<std::vector<Candidate>> recv(p);
-    std::vector<std::uint64_t> sent_bytes(p, 0), recv_bytes(p, 0);
-    std::vector<std::uint64_t> sent_msgs(p, 0), recv_msgs(p, 0);
-    std::uint64_t network_bytes = 0;
+    auto recv = simmpi::route(send, p);
     // Per-edge mode must pay one message per candidate — that is the
     // PBGL-style behavior it models — so it ignores chunk_bytes instead
     // of falling through to the chunked coalescing below.
@@ -118,41 +115,28 @@ struct Bfs1D::Impl final : LevelEngine {
         opts.comm_mode == CommMode::kPerEdgeSends
             ? sizeof(Candidate)
             : std::max<std::size_t>(sizeof(Candidate), opts.chunk_bytes);
+    std::uint64_t network_bytes = 0;
+    std::uint64_t messages = 0;
     for (std::size_t i = 0; i < p; ++i) {
-      std::size_t offset = 0;
-      for (std::size_t j = 0; j < p; ++j) {
-        const auto c = static_cast<std::size_t>(send.counts[i][j]);
-        recv[j].insert(
-            recv[j].end(),
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
-        offset += c;
-        if (i == j || c == 0) continue;
-        const std::uint64_t bytes = c * sizeof(Candidate);
-        const std::uint64_t messages = (bytes + chunk - 1) / chunk;
-        sent_bytes[i] += bytes;
-        recv_bytes[j] += bytes;
-        sent_msgs[i] += messages;
-        recv_msgs[j] += messages;
+      for (const simmpi::Block& b : send.blocks[i]) {
+        if (static_cast<std::size_t>(b.slot) == i) continue;
+        const std::uint64_t bytes =
+            static_cast<std::uint64_t>(b.count) * sizeof(Candidate);
         network_bytes += bytes;
+        messages += (bytes + chunk - 1) / chunk;
       }
-      send.data[i].clear();
-      send.data[i].shrink_to_fit();
     }
     // Priced on mean per-rank volumes for the same reason as the
     // aggregated alltoallv (see comm.hpp): the baselines should not be
-    // additionally penalized by small-instance hub skew. The means stay
+    // additionally penalized by small-instance hub skew. Every message
+    // is paid once by its sender and once by its receiver. The means stay
     // in double: on high-diameter levels a rank ships fewer messages
     // than there are ranks, and integer division would truncate the
     // whole level's traffic to zero.
-    double mean_msgs = 0.0;
-    double mean_bytes = 0.0;
-    for (std::size_t i = 0; i < p; ++i) {
-      mean_msgs += static_cast<double>(sent_msgs[i] + recv_msgs[i]);
-      mean_bytes += static_cast<double>(sent_bytes[i]);
-    }
-    mean_msgs /= static_cast<double>(p);
-    mean_bytes /= static_cast<double>(p);
+    const double mean_msgs =
+        static_cast<double>(2 * messages) / static_cast<double>(p);
+    const double mean_bytes =
+        static_cast<double>(network_bytes) / static_cast<double>(p);
     const double max_cost = simmpi::faulted_cost(
         cluster, world,
         static_cast<double>(opts.ranks) * cluster.machine().alpha_net +
@@ -165,15 +149,14 @@ struct Bfs1D::Impl final : LevelEngine {
         simmpi::Pattern::kPointToPoint, network_bytes,
         [&](obs::CommAtlas::Slice& sl) {
           for (std::size_t i = 0; i < p; ++i) {
-            for (std::size_t j = 0; j < p; ++j) {
-              if (i == j || send.counts[i][j] == 0) continue;
-              sl.add(static_cast<int>(i), static_cast<int>(j),
-                     static_cast<std::uint64_t>(send.counts[i][j]) *
-                         sizeof(Candidate));
+            for (const simmpi::Block& b : send.blocks[i]) {
+              if (static_cast<std::size_t>(b.slot) == i) continue;
+              sl.add(static_cast<int>(i), b.slot,
+                     static_cast<std::uint64_t>(b.count) * sizeof(Candidate));
             }
           }
         });
-    return recv;
+    return std::move(recv.data);
   }
 
   // ---- LevelEngine -----------------------------------------------------
@@ -242,36 +225,29 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
       im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes;
 
   // --- Phase A (Algorithm 2 lines 13-19): scan the local frontier and
-  // bucket (neighbor, parent) candidates by owner with a two-pass counting
-  // sort straight into SendBuf. In hybrid mode each thread's buffers
-  // (lines 8-19) would hold a contiguous slice of the frontier, so their
-  // destination-major merge is this same SendBuf; the threading itself is
-  // priced by the model.
+  // bucket (neighbor, parent) candidates by owner with a stable counting
+  // sort straight into SendBuf, touching only the owners the scan
+  // reaches. In hybrid mode each thread's buffers (lines 8-19) would hold
+  // a contiguous slice of the frontier, so their destination-major merge
+  // is this same SendBuf; the threading itself is priced by the model.
   std::vector<double> phase_costs(static_cast<std::size_t>(p), 0.0);
-  auto send = simmpi::FlatExchange<Candidate>::sized(
+  auto send = simmpi::BlockExchange<Candidate>::sized(
       static_cast<std::size_t>(p));
   std::vector<eid_t> edges_scanned(static_cast<std::size_t>(p), 0);
   im.cluster.for_each_rank([&](int r) {
     const auto ri = static_cast<std::size_t>(r);
-    auto& counts = send.counts[ri];
-    eid_t scanned = 0;
-    for (vid_t u : fs[ri]) {
-      const vid_t local_u = u - part.begin(r);
-      for (vid_t v : im.local.neighbors(r, local_u)) {
-        ++counts[static_cast<std::size_t>(part.owner(v))];
-        ++scanned;
-      }
-    }
-    std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
-    std::partial_sum(counts.begin(), counts.end() - 1, cursor.begin() + 1);
-    send.data[ri].resize(static_cast<std::size_t>(scanned));
-    for (vid_t u : fs[ri]) {
-      const vid_t local_u = u - part.begin(r);
-      for (vid_t v : im.local.neighbors(r, local_u)) {
-        auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
-        send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
-      }
-    }
+    simmpi::pack_blocks<Candidate>(
+        static_cast<std::size_t>(p),
+        [&](auto&& put) {
+          for (vid_t u : fs[ri]) {
+            const vid_t local_u = u - part.begin(r);
+            for (vid_t v : im.local.neighbors(r, local_u)) {
+              put(static_cast<std::size_t>(part.owner(v)), Candidate{v, u});
+            }
+          }
+        },
+        send.data[ri], send.blocks[ri]);
+    const auto scanned = static_cast<eid_t>(send.data[ri].size());
     edges_scanned[ri] = scanned;
 
     model::Work1D work;

@@ -78,7 +78,7 @@ struct Bfs1DOptions {
   /// leaves the run bit-identical to an unfaulted build.
   simmpi::FaultPlan faults;
   /// Fail-stop recovery: checkpoint cadence and shrink-vs-spare policy
-  /// (see recover/checkpoint.hpp). Checkpoints are modeled as overlapped
+  /// (see recover/checkpoint.hpp). Checkpoints are simulated as overlapped
   /// replication, so arming this without scheduling kills leaves the run
   /// and its report bit-identical.
   recover::RecoverOptions recover;

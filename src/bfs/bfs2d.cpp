@@ -668,35 +668,26 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     std::vector<std::vector<Candidate>> received;
     if (!diagonal) {
       auto send =
-          simmpi::FlatExchange<Candidate>::sized(static_cast<std::size_t>(s));
+          simmpi::BlockExchange<Candidate>::sized(static_cast<std::size_t>(s));
       for (int gj = 0; gj < s; ++gj) {
         const int rank = im.grid.rank_of(i, gj);
         const auto& partial = partials[static_cast<std::size_t>(rank)];
         const auto& extra = mirrored[static_cast<std::size_t>(rank)];
-        auto& counts = send.counts[static_cast<std::size_t>(gj)];
-        for (const auto& e : partial.entries()) {
-          ++counts[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
-        }
-        for (const Candidate& c : extra) {
-          ++counts[static_cast<std::size_t>(
-              im.vdist.owner_col(i, c.vertex - row_base))];
-        }
-        std::vector<std::int64_t> cursor(static_cast<std::size_t>(s), 0);
-        std::partial_sum(counts.begin(), counts.end() - 1,
-                         cursor.begin() + 1);
-        auto& data = send.data[static_cast<std::size_t>(gj)];
-        data.resize(partial.entries().size() + extra.size());
-        for (const auto& e : partial.entries()) {
-          auto& cur =
-              cursor[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
-          data[static_cast<std::size_t>(cur++)] =
-              Candidate{row_base + e.index, e.value};
-        }
-        for (const Candidate& c : extra) {
-          auto& cur = cursor[static_cast<std::size_t>(
-              im.vdist.owner_col(i, c.vertex - row_base))];
-          data[static_cast<std::size_t>(cur++)] = c;
-        }
+        simmpi::pack_blocks<Candidate>(
+            static_cast<std::size_t>(s),
+            [&](auto&& put) {
+              for (const auto& e : partial.entries()) {
+                put(static_cast<std::size_t>(im.vdist.owner_col(i, e.index)),
+                    Candidate{row_base + e.index, e.value});
+              }
+              for (const Candidate& c : extra) {
+                put(static_cast<std::size_t>(
+                        im.vdist.owner_col(i, c.vertex - row_base)),
+                    c);
+              }
+            },
+            send.data[static_cast<std::size_t>(gj)],
+            send.blocks[static_cast<std::size_t>(gj)]);
       }
       received = exchange_candidates(im.cluster, row_group, std::move(send),
                                      im.opts.wire_format, im.sieve,

@@ -10,7 +10,7 @@ namespace dbfs::bfs {
 
 std::vector<std::vector<Candidate>> exchange_candidates(
     simmpi::Cluster& cluster, std::span<const int> group,
-    simmpi::FlatExchange<Candidate> send, comm::WireFormat format,
+    simmpi::BlockExchange<Candidate> send, comm::WireFormat format,
     comm::Sieve& sieve, double load_smoothing, const char* site,
     WireTally& tally) {
   if (!comm::wire_sieves(format)) {
@@ -23,31 +23,34 @@ std::vector<std::vector<Candidate>> exchange_candidates(
   }
   const std::size_t g = group.size();
   const int t = cluster.threads_per_rank();
-  auto wire = simmpi::FlatExchange<std::uint8_t>::sized(g);
+  auto wire = simmpi::BlockExchange<std::uint8_t>::sized(g);
   std::vector<double> codec_costs(g, 0.0);
   // Each sender sieves and encodes its own blocks in one rank phase; the
-  // per-sender tallies fold in slot order after it.
+  // per-sender tallies fold in slot order after it. A block the sieve
+  // empties encodes to nothing and ships no wire block.
   std::vector<WireTally> senders(g);
   cluster.for_each_rank(group, [&](std::size_t i) {
     WireTally& mine = senders[i];
     std::vector<Candidate> block;
-    std::size_t offset = 0;
-    for (std::size_t j = 0; j < g; ++j) {
-      const auto c = static_cast<std::size_t>(send.counts[i][j]);
-      block.assign(
-          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
-          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
-      offset += c;
-      mine.pre_bytes += c * sizeof(Candidate);
+    auto from = send.data[i].cbegin();
+    for (const simmpi::Block& b : send.blocks[i]) {
+      block.assign(from, from + b.count);
+      from += b.count;
+      mine.pre_bytes += block.size() * sizeof(Candidate);
       mine.dropped += comm::sieve_and_dedup(sieve, group[i], block,
                                             /*keep_max_parent=*/true);
       const std::size_t at = wire.data[i].size();
       comm::encode_candidates<Candidate>(block, format, wire.data[i],
                                          &mine.stats);
-      wire.counts[i][j] = static_cast<std::int64_t>(wire.data[i].size() - at);
+      if (wire.data[i].size() > at) {
+        wire.blocks[i].push_back(simmpi::Block{
+            b.slot, static_cast<std::int64_t>(wire.data[i].size() - at)});
+      }
     }
     send.data[i].clear();
     send.data[i].shrink_to_fit();
+    send.blocks[i].clear();
+    send.blocks[i].shrink_to_fit();
     codec_costs[i] = model::cost_wire_codec(
         cluster.machine(), static_cast<std::size_t>(mine.stats.raw_bytes),
         static_cast<std::size_t>(mine.stats.encoded_bytes), t);

@@ -20,8 +20,8 @@
 
 namespace dbfs::bfs {
 
-/// Ship `send` (row i: group[i]'s candidates in destination order) to the
-/// owners over `group` in one checked alltoallv at `site`, and return
+/// Ship `send` (slot i: group[i]'s candidates, block by destination) to
+/// the owners over `group` in one checked alltoallv at `site`, and return
 /// each member's received candidates. Raw formats ship the items as they
 /// are. Sieving formats first drop each (sender, destination) block's
 /// targets already marked in the sender's row of `sieve` and its in-level
@@ -40,7 +40,7 @@ namespace dbfs::bfs {
 /// count.
 std::vector<std::vector<Candidate>> exchange_candidates(
     simmpi::Cluster& cluster, std::span<const int> group,
-    simmpi::FlatExchange<Candidate> send, comm::WireFormat format,
+    simmpi::BlockExchange<Candidate> send, comm::WireFormat format,
     comm::Sieve& sieve, double load_smoothing, const char* site,
     WireTally& tally);
 

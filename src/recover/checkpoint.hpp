@@ -3,7 +3,7 @@
 // Level-synchronous BFS has a natural consistency point — the level
 // barrier — so cheap checkpoint/restart is a snapshot of (parents,
 // levels, current frontier) taken after a level completes. The snapshot
-// is modeled as an asynchronous replicated copy (diskless checkpointing
+// is simulated as an asynchronous replicated copy (diskless checkpointing
 // to a partner rank's memory): it is metered in bytes and counted in the
 // recover.* metrics, but overlapped with the traversal, so a run with
 // checkpointing enabled and no failures keeps clocks — and the report —

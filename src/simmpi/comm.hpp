@@ -274,32 +274,121 @@ void maybe_corrupt_one(Cluster& cluster, std::vector<T>& buffer) {
 
 }  // namespace detail
 
-/// Flat CSR-style exchange buffers for world-sized all-to-alls (the 1D
-/// algorithm): `data[gi]` holds rank group[gi]'s outgoing items
-/// concatenated in destination order, `counts[gi][gj]` the item count
-/// bound for group[gj].
-template <typename T>
-struct FlatExchange {
-  std::vector<std::vector<T>> data;
-  std::vector<std::vector<std::int64_t>> counts;
+/// One non-empty block of an all-to-all: `count` items bound for group
+/// slot `slot` (in a send) or arrived from it (in a receive).
+struct Block {
+  int slot = 0;
+  std::int64_t count = 0;
+};
 
-  static FlatExchange sized(std::size_t group_size) {
-    FlatExchange fe;
-    fe.data.resize(group_size);
-    fe.counts.assign(group_size, std::vector<std::int64_t>(group_size, 0));
-    return fe;
+/// The all-to-all's one form. `data[gi]` holds group slot gi's items
+/// block by block, and `blocks[gi]` lists its non-empty blocks in
+/// ascending slot order, so an exchange costs O(items + blocks + g)
+/// however large the group is. A send's blocks name destinations; a
+/// receive's name sources.
+template <typename T>
+struct BlockExchange {
+  std::vector<std::vector<T>> data;
+  std::vector<std::vector<Block>> blocks;
+
+  static BlockExchange sized(std::size_t group_size) {
+    BlockExchange be;
+    be.data.resize(group_size);
+    be.blocks.resize(group_size);
+    return be;
   }
 };
 
-/// All-to-all with per-destination counts over `group`. Returns the
-/// received items per rank (concatenated in source order) plus per-source
-/// counts. Cost: g·αN + maxrank(bytes)·βN,a2a(g) per §5.1.
+/// Fill one sender's `data` and `blocks` by a stable counting sort over
+/// a group of `group_size` slots. `emit(put)` calls put(slot, item) for
+/// every item, in the same order on both of its calls: the first counts,
+/// the second places. Items keep their emit order within a destination,
+/// and destinations ascend. The per-slot counters are a per-thread array
+/// cleared only where touched, so a sender pays O(items + blocks log
+/// blocks), not O(group_size).
+template <typename T, typename Emit>
+void pack_blocks(std::size_t group_size, const Emit& emit,
+                 std::vector<T>& data, std::vector<Block>& blocks) {
+  thread_local std::vector<std::int64_t> zeroed;
+  if (zeroed.size() < group_size) zeroed.resize(group_size, 0);
+  std::int64_t* const at = zeroed.data();
+  blocks.clear();
+  std::size_t items = 0;
+  emit([&](std::size_t slot, const T&) {
+    if (at[slot]++ == 0) blocks.push_back(Block{static_cast<int>(slot), 0});
+    ++items;
+  });
+  std::sort(blocks.begin(), blocks.end(),
+            [](const Block& a, const Block& b) { return a.slot < b.slot; });
+  std::int64_t offset = 0;
+  for (Block& b : blocks) {
+    std::int64_t& cursor = at[static_cast<std::size_t>(b.slot)];
+    b.count = cursor;
+    cursor = offset;
+    offset += b.count;
+  }
+  data.resize(items);
+  emit([&](std::size_t slot, const T& item) {
+    data[static_cast<std::size_t>(at[slot]++)] = item;
+  });
+  for (const Block& b : blocks) at[static_cast<std::size_t>(b.slot)] = 0;
+}
+
+/// Move every sender's blocks to their destinations over a group of
+/// `group_size` slots: each receiver gets one block per sender that
+/// addressed it, in ascending source order. The senders' block lists stay
+/// (pricing and atlas attribution read them); their data is freed.
+/// Throws std::invalid_argument unless every sender's blocks are
+/// non-empty, ascending, inside the group and cover its data exactly.
 template <typename T>
-FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
-                          FlatExchange<T> send,
-                          const char* site = "alltoallv") {
+BlockExchange<T> route(BlockExchange<T>& send, std::size_t group_size) {
+  const std::size_t g = group_size;
+  if (send.data.size() != g || send.blocks.size() != g) {
+    throw std::invalid_argument("route: exchange not sized to the group");
+  }
+  for (std::size_t i = 0; i < g; ++i) {
+    std::size_t covered = 0;
+    int prev = -1;
+    for (const Block& b : send.blocks[i]) {
+      if (b.slot <= prev || b.slot >= static_cast<int>(g) || b.count <= 0) {
+        throw std::invalid_argument(
+            "route: blocks must be non-empty, in range and ascending");
+      }
+      prev = b.slot;
+      covered += static_cast<std::size_t>(b.count);
+    }
+    if (covered != send.data[i].size()) {
+      throw std::invalid_argument("route: blocks do not cover the data");
+    }
+  }
+  // Receivers grow while the senders are freed one by one: reserving
+  // every receiver up front would hold the whole exchange twice at once.
+  BlockExchange<T> recv = BlockExchange<T>::sized(g);
+  for (std::size_t i = 0; i < g; ++i) {
+    auto from = send.data[i].cbegin();
+    for (const Block& b : send.blocks[i]) {
+      auto& to = recv.data[static_cast<std::size_t>(b.slot)];
+      to.insert(to.end(), from, from + b.count);
+      recv.blocks[static_cast<std::size_t>(b.slot)].push_back(
+          Block{static_cast<int>(i), b.count});
+      from += b.count;
+    }
+    send.data[i].clear();
+    send.data[i].shrink_to_fit();
+  }
+  return recv;
+}
+
+/// All-to-all over `group` from each sender's non-empty blocks: routes,
+/// prices, meters, attributes to the atlas and, under a payload-fault
+/// plan, corrupts, all in O(items + blocks + g). Returns what each member
+/// received, in source order. Cost: g·αN + (mean per-rank bytes)·
+/// βN,a2a(g) per §5.1.
+template <typename T>
+BlockExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
+                           BlockExchange<T> send,
+                           const char* site = "alltoallv") {
   const std::size_t g = group.size();
-  FlatExchange<T> recv = FlatExchange<T>::sized(g);
 
   // Byte accounting. The transfer is priced on the *mean* per-rank
   // volume, exactly as §5.1's model does (each rank moves ~m/p words):
@@ -308,30 +397,17 @@ FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
   // overstate the bottleneck. Per-rank skew still shows up as waiting
   // time through the compute-side clocks.
   std::uint64_t total_items = 0;
-  for (std::size_t i = 0; i < g; ++i) {
-    for (std::size_t j = 0; j < g; ++j) {
-      if (i != j) {
-        // Self-sends stay in memory under MPI too; do not meter them.
-        total_items += static_cast<std::uint64_t>(send.counts[i][j]);
+  for (std::size_t i = 0; i < send.blocks.size(); ++i) {
+    for (const Block& b : send.blocks[i]) {
+      // Self-sends stay in memory under MPI too; do not meter them.
+      if (static_cast<std::size_t>(b.slot) != i) {
+        total_items += static_cast<std::uint64_t>(b.count);
       }
     }
   }
   const std::uint64_t bottleneck = total_items / g;
 
-  // Move the payloads.
-  for (std::size_t i = 0; i < g; ++i) {
-    std::size_t offset = 0;
-    for (std::size_t j = 0; j < g; ++j) {
-      const auto c = static_cast<std::size_t>(send.counts[i][j]);
-      recv.counts[j][i] = send.counts[i][j];
-      recv.data[j].insert(recv.data[j].end(),
-                          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
-                          send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
-      offset += c;
-    }
-    send.data[i].clear();
-    send.data[i].shrink_to_fit();
-  }
+  BlockExchange<T> recv = route(send, g);
 
   // Per-rank volume scaled by the node-sharing factor: a hybrid rank
   // owns t cores' bandwidth, while many flat ranks contend for one NIC.
@@ -347,10 +423,9 @@ FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
       cluster, group, cost, site, Pattern::kAlltoallv,
       total_items * sizeof(T), [&](obs::CommAtlas::Slice& sl) {
         for (std::size_t i = 0; i < g; ++i) {
-          for (std::size_t j = 0; j < g; ++j) {
-            const auto bytes =
-                static_cast<std::uint64_t>(recv.counts[j][i]) * sizeof(T);
-            if (bytes == 0) continue;
+          for (const Block& b : send.blocks[i]) {
+            const auto j = static_cast<std::size_t>(b.slot);
+            const auto bytes = static_cast<std::uint64_t>(b.count) * sizeof(T);
             if (i == j) {
               // Self-addressed block: unmetered, but the 1D wire codec
               // counts its encoded bytes, so the local ledger keeps the
@@ -366,6 +441,65 @@ FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
     detail::maybe_corrupt(cluster, recv.data);
   }
   return recv;
+}
+
+/// Dense builder for small groups: `counts[gi][gj]` of the items in
+/// `data[gi]` are bound for group[gj], in destination order. It is only a
+/// builder: alltoallv and checked_alltoallv turn it into blocks on entry
+/// and return the receive with dense per-source `counts`.
+template <typename T>
+struct FlatExchange {
+  std::vector<std::vector<T>> data;
+  std::vector<std::vector<std::int64_t>> counts;
+
+  static FlatExchange sized(std::size_t group_size) {
+    FlatExchange fe;
+    fe.data.resize(group_size);
+    fe.counts.assign(group_size, std::vector<std::int64_t>(group_size, 0));
+    return fe;
+  }
+};
+
+namespace detail {
+
+template <typename T>
+BlockExchange<T> to_blocks(FlatExchange<T> dense) {
+  BlockExchange<T> sparse;
+  sparse.data = std::move(dense.data);
+  sparse.blocks.resize(dense.counts.size());
+  for (std::size_t i = 0; i < dense.counts.size(); ++i) {
+    for (std::size_t j = 0; j < dense.counts[i].size(); ++j) {
+      if (dense.counts[i][j] != 0) {
+        sparse.blocks[i].push_back(
+            Block{static_cast<int>(j), dense.counts[i][j]});
+      }
+    }
+  }
+  return sparse;
+}
+
+template <typename T>
+FlatExchange<T> to_dense(BlockExchange<T> sparse) {
+  FlatExchange<T> dense = FlatExchange<T>::sized(sparse.data.size());
+  for (std::size_t j = 0; j < sparse.blocks.size(); ++j) {
+    for (const Block& b : sparse.blocks[j]) {
+      dense.counts[j][static_cast<std::size_t>(b.slot)] = b.count;
+    }
+  }
+  dense.data = std::move(sparse.data);
+  return dense;
+}
+
+}  // namespace detail
+
+/// alltoallv from the dense builder; `recv.counts[gj][gi]` counts what
+/// group[gj] received from group[gi].
+template <typename T>
+FlatExchange<T> alltoallv(Cluster& cluster, std::span<const int> group,
+                          FlatExchange<T> send,
+                          const char* site = "alltoallv") {
+  return detail::to_dense(
+      alltoallv(cluster, group, detail::to_blocks(std::move(send)), site));
 }
 
 /// Allgather over `group`: every rank ends with the concatenation of all
@@ -571,9 +705,9 @@ std::vector<T> broadcast(Cluster& cluster, std::span<const int> group,
 /// corrupted data never reaches the caller. Without payload faults this
 /// is exactly alltoallv.
 template <typename T>
-FlatExchange<T> checked_alltoallv(Cluster& cluster,
-                                  std::span<const int> group,
-                                  FlatExchange<T> send, const char* site) {
+BlockExchange<T> checked_alltoallv(Cluster& cluster,
+                                   std::span<const int> group,
+                                   BlockExchange<T> send, const char* site) {
   if (!cluster.faults_enabled() || !cluster.faults().payload_faults()) {
     return alltoallv(cluster, group, std::move(send), site);
   }
@@ -583,11 +717,11 @@ FlatExchange<T> checked_alltoallv(Cluster& cluster,
   for (std::size_t i = 0; i < group.size(); ++i) {
     sent[i] = payload_checksum(send.data[i]);
   }
-  const FlatExchange<T> backup = send;
+  const BlockExchange<T> backup = send;
   for (int attempt = 0; attempt <= plan.max_payload_retries; ++attempt) {
-    FlatExchange<T> recv =
+    BlockExchange<T> recv =
         alltoallv(cluster, group,
-                  attempt == 0 ? std::move(send) : FlatExchange<T>(backup),
+                  attempt == 0 ? std::move(send) : BlockExchange<T>(backup),
                   site);
     std::vector<std::uint64_t> delta(group.size(), 0);
     for (std::size_t i = 0; i < group.size(); ++i) {
@@ -604,6 +738,15 @@ FlatExchange<T> checked_alltoallv(Cluster& cluster,
   throw FaultError(site, "payload-corruption",
                    plan.max_payload_retries + 1, -1,
                    cluster.current_level());
+}
+
+/// checked_alltoallv from the dense builder (see alltoallv above).
+template <typename T>
+FlatExchange<T> checked_alltoallv(Cluster& cluster,
+                                  std::span<const int> group,
+                                  FlatExchange<T> send, const char* site) {
+  return detail::to_dense(checked_alltoallv(
+      cluster, group, detail::to_blocks(std::move(send)), site));
 }
 
 /// Checksum-verified allgatherv (see checked_alltoallv). The expected

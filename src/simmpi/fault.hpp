@@ -22,7 +22,7 @@
 //     virtual time or BFS level. The first collective issued on a group
 //     containing the dead rank raises RankFailedError (ULFM-style revoke
 //     semantics: every survivor learns of the death at the same barrier)
-//     after the survivors pay the detection timeout modeled in
+//     after the survivors pay the detection timeout priced by
 //     model::cost_failure_detection. Recovery — shrink to p-1 ranks or
 //     promote a hot spare — lives in src/recover/ and the BFS drivers;
 //   * at-rest memory corruption (silent data corruption) — a scheduled

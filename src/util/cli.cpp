@@ -29,6 +29,14 @@ template std::uint64_t parse_number<std::uint64_t>(const std::string&,
                                                    const std::string&);
 template double parse_number<double>(const std::string&, const std::string&);
 
+int require_positive(int value, const std::string& what) {
+  if (value < 1) {
+    throw std::invalid_argument(what + ": expected at least 1, got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 ArgParser::ArgParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {

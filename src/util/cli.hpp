@@ -17,6 +17,11 @@ namespace dbfs::util {
 template <typename T>
 T parse_number(const std::string& text, const std::string& what = "");
 
+/// `value` when it is at least 1; otherwise std::invalid_argument
+/// "<what>: expected at least 1, got <value>". For the counts no run can
+/// have zero of: cores, sources, repetitions.
+int require_positive(int value, const std::string& what);
+
 class ArgParser {
  public:
   /// `argv`-style input; argv[0] is taken as the program name.

@@ -271,6 +271,131 @@ TEST_P(DifferentialFuzz, ChaosRunsMatchSerialOrFailLoudly) {
   EXPECT_EQ(completed + aborted, 4);
 }
 
+// The shapes a sparse exchange must get right, through the same
+// differential net in plain, recovery (a kill repaired by shrink or by a
+// spare) and SDC (a flip caught by an audit and rolled back) modes, on
+// flat and hybrid 1D, 2D and direction-optimized 2D with a raw and a
+// sieving wire: more ranks than vertices (empty shards; a source with no
+// edges makes a level in which no rank sends anything), a hub larger
+// than a rank's share, grids and rank counts that do not divide n, and
+// graphs made only of duplicate edges. Every run must complete and agree
+// exactly with the serial reference.
+TEST(DifferentialShapes, DegenerateInputsInEveryMode) {
+  struct Shape {
+    const char* name;
+    graph::EdgeList edges;
+    vid_t source;
+    int cores;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"ranks>vertices", test::path_edges(5), 2, 64});
+  graph::EdgeList isolated{9};  // source 0 has no edges at all
+  for (vid_t v = 1; v + 1 < 9; ++v) isolated.add(v, v + 1);
+  isolated.symmetrize();
+  shapes.push_back({"ranks>vertices/isolated-source", isolated, 0, 64});
+  shapes.push_back({"hub>share/from-leaf", test::star_edges(300), 17, 16});
+  shapes.push_back({"hub>share/from-hub", test::star_edges(300), 0, 16});
+  graph::ErdosRenyiParams er;
+  er.num_vertices = 101;  // prime: no grid or rank count divides it
+  er.edge_probability = 0.05;
+  er.seed = 3;
+  const auto odd = graph::build_graph(graph::generate_erdos_renyi(er));
+  shapes.push_back({"indivisible/25", odd.edges,
+                    test::hub_source(odd.csr), 25});
+  shapes.push_back({"indivisible/7", odd.edges, test::hub_source(odd.csr),
+                    7});
+  graph::EdgeList twin{4};  // one edge, forty times over
+  for (int k = 0; k < 40; ++k) twin.add(0, 1);
+  twin.symmetrize();
+  shapes.push_back({"duplicates/one-edge", twin, 1, 4});
+  graph::EdgeList repeated{40};  // ring + chords, each edge 2-4 times
+  util::Xoshiro256 rng{11};
+  for (vid_t v = 0; v < 40; ++v) {
+    const auto copies = 2 + rng.next_below(3);
+    for (std::uint64_t k = 0; k < copies; ++k) {
+      repeated.add(v, (v + 1) % 40);
+      repeated.add((v + 7) % 40, v);
+    }
+  }
+  repeated.symmetrize();
+  shapes.push_back({"duplicates/ring", repeated, 5, 16});
+
+  enum class Mode { kPlain, kShrink, kSpare, kSdc };
+  const simmpi::FlipTarget targets[] = {
+      simmpi::FlipTarget::kParents, simmpi::FlipTarget::kLevels,
+      simmpi::FlipTarget::kVisited, simmpi::FlipTarget::kCheckpoint};
+  int flips = 0;
+  std::int64_t recovered = 0;
+  std::int64_t rolled_back = 0;
+  for (const Shape& shape : shapes) {
+    const auto csr = graph::CsrGraph::from_edges(shape.edges);
+    const auto serial = bfs::serial_bfs(csr, shape.source);
+    const auto reference = graph::reference_levels(csr, shape.source);
+    for (const core::Algorithm algorithm :
+         {core::Algorithm::kOneDFlat, core::Algorithm::kOneDHybrid,
+          core::Algorithm::kTwoDFlat, core::Algorithm::kTwoDHybrid}) {
+      for (const comm::WireFormat wire :
+           {comm::WireFormat::kRaw, comm::WireFormat::kAuto}) {
+        for (const Mode mode :
+             {Mode::kPlain, Mode::kShrink, Mode::kSpare, Mode::kSdc}) {
+          core::EngineOptions opts;
+          opts.algorithm = algorithm;
+          opts.cores = shape.cores;
+          opts.threads_per_rank =
+              algorithm == core::Algorithm::kOneDHybrid ||
+                      algorithm == core::Algorithm::kTwoDHybrid
+                  ? 4
+                  : 1;
+          opts.machine = model::generic();
+          opts.wire_format = wire;
+          if (algorithm == core::Algorithm::kTwoDHybrid) {
+            opts.direction = bfs::DirectionMode::kHybrid;
+          }
+          if (mode == Mode::kShrink || mode == Mode::kSpare) {
+            simmpi::RankKill kill;
+            kill.rank = 1;
+            kill.at_level = 1;
+            opts.faults.rank_kills = {kill};
+            opts.recover.checkpoint_every = 1;
+            opts.recover.policy = mode == Mode::kShrink
+                                      ? recover::Policy::kShrink
+                                      : recover::Policy::kSpare;
+            opts.recover.spare_ranks = 1;
+          } else if (mode == Mode::kSdc) {
+            simmpi::MemFlip flip;
+            flip.rank = 1;
+            flip.at_level = 1;
+            flip.target = targets[flips++ % 4];
+            opts.faults.mem_flips = {flip};
+            opts.recover.audit_every = 1;
+            opts.recover.checkpoint_every = 1;
+          }
+          const std::string label =
+              std::string(shape.name) + "/" + core::to_string(algorithm) +
+              "/" + comm::to_string(wire) + "/mode" +
+              std::to_string(static_cast<int>(mode));
+          try {
+            core::Engine engine{shape.edges, shape.edges.num_vertices(),
+                                opts};
+            const auto out = engine.run(shape.source);
+            EXPECT_EQ(out.level, serial.level) << label;
+            const auto v = graph::validate_bfs_tree(csr, shape.source,
+                                                    out.parent, reference);
+            EXPECT_TRUE(v.ok) << label << ": " << v.error;
+            recovered += out.report.recover.rank_failures;
+            rolled_back += out.report.sdc.rollbacks;
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << label << ": " << e.what();
+          }
+        }
+      }
+    }
+  }
+  // The fault modes did fire: kills were survived and flips rolled back.
+  EXPECT_GT(recovered, 0);
+  EXPECT_GT(rolled_back, 0);
+}
+
 std::vector<FuzzCase> fuzz_cases() {
   std::vector<FuzzCase> cases;
   for (std::uint64_t s = 1; s <= 12; ++s) cases.push_back({s * 7919});

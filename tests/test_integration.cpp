@@ -182,5 +182,50 @@ TEST(Integration, TepsDenominatorIndependentOfAlgorithm) {
             e2.run(source).report.edges_traversed);
 }
 
+// The paper's scaling claims, run on the functional engines at the core
+// counts the figures use (every exchange costs O(items + blocks + p), so
+// tens of thousands of simulated ranks take milliseconds here).
+bfs::RunReport paper_point(const graph::BuiltGraph& built, Algorithm algo,
+                           int cores, const model::MachineModel& machine) {
+  core::EngineOptions opts;
+  opts.algorithm = algo;
+  opts.cores = cores;
+  opts.machine = machine;
+  core::Engine engine{built.edges, built.csr.num_vertices(), opts};
+  return engine.run(test::hub_source(built.csr)).report;
+}
+
+TEST(PaperClaims, TwoDCommBelowOneDAt16384Cores) {
+  // 2D collectives span sqrt(p) ranks, 1D's span all p: the central
+  // claim of the paper.
+  const auto built = test::rmat_graph(10, 16);
+  const auto one_d =
+      paper_point(built, Algorithm::kOneDFlat, 16384, model::hopper());
+  const auto two_d =
+      paper_point(built, Algorithm::kTwoDFlat, 16384, model::hopper());
+  EXPECT_EQ(two_d.cores, 16384);
+  EXPECT_LT(two_d.comm_seconds_mean, one_d.comm_seconds_mean);
+}
+
+TEST(PaperClaims, HybridOneDCommBelowFlatAt8192Cores) {
+  const auto built = test::rmat_graph(10, 16);
+  const auto flat =
+      paper_point(built, Algorithm::kOneDFlat, 8192, model::hopper());
+  const auto hybrid =
+      paper_point(built, Algorithm::kOneDHybrid, 8192, model::hopper());
+  EXPECT_LT(hybrid.ranks, flat.ranks);
+  EXPECT_LT(hybrid.comm_seconds_mean, flat.comm_seconds_mean);
+}
+
+TEST(PaperClaims, OneDCompFallsCommShareRisesWithCores) {
+  const auto built = test::rmat_graph(10, 16);
+  const auto small =
+      paper_point(built, Algorithm::kOneDFlat, 64, model::franklin());
+  const auto large =
+      paper_point(built, Algorithm::kOneDFlat, 4096, model::franklin());
+  EXPECT_LT(large.comp_seconds_mean, small.comp_seconds_mean);
+  EXPECT_GT(large.comm_fraction(), small.comm_fraction());
+}
+
 }  // namespace
 }  // namespace dbfs

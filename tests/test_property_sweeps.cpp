@@ -2,7 +2,6 @@
 // for every configuration in a family, not just hand-picked examples.
 #include <gtest/gtest.h>
 
-#include "core/volume_profile.hpp"
 #include "dist/partition2d.hpp"
 #include "graph/generators.hpp"
 #include "model/cost.hpp"
@@ -102,21 +101,6 @@ TEST_P(MachineSweep, ThreadEfficiencyWithinBounds) {
     const double e = m.thread_efficiency(t);
     EXPECT_GT(e, 0.0);
     EXPECT_LE(e, 1.0);
-  }
-}
-
-TEST_P(MachineSweep, Price1DMonotoneCompInCores) {
-  const auto built = test::rmat_graph(9, 16);
-  const auto profile = core::VolumeProfile::measure(
-      built.csr, test::hub_source(built.csr));
-  const auto machine = model::preset(GetParam());
-  double prev = 1e30;
-  for (int cores : {16, 64, 256, 1024}) {
-    core::Price1DOptions o;
-    o.cores = cores;
-    const auto priced = core::price_1d(profile, machine, o);
-    EXPECT_LT(priced.comp_seconds, prev) << GetParam() << " p=" << cores;
-    prev = priced.comp_seconds;
   }
 }
 

@@ -298,7 +298,7 @@ TEST(Recover, RankFailedErrorNamesRankLevelAndSite) {
 }
 
 // The inertness guarantee: arming checkpoints without scheduling kills
-// must leave the raw report JSON byte-identical (checkpoints are modeled
+// must leave the raw report JSON byte-identical (checkpoints are simulated
 // as overlapped replication and never touch the clocks).
 TEST(Recover, CheckpointingWithoutKillsIsByteIdentical) {
   const auto built = test::rmat_graph(9, 8);
