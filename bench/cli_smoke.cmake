@@ -20,6 +20,8 @@
 #  10. a core count, source count or repetition count below 1 is a bad
 #      argument in all three tools: exit 2, naming it, before any graph
 #      is built or any record is written.
+#  11. a hybrid run asked for fewer cores than one rank's natural thread
+#      count (4 cores on hopper, 6 threads per rank) uses 4 cores, not 6.
 # Invoked by ctest as
 #   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
 #         -DOUT_DIR=<scratch> -P cli_smoke.cmake
@@ -170,6 +172,16 @@ ${s10e_err}
 ${s10f_err}
 records: ${s10_records}")
 endif()
+
+# --- 11. a hybrid run never uses more cores than it was asked for ------
+foreach(algo 1d-hybrid 2d-hybrid)
+  run(s11 0 "${BFS_TOOL}" --algo ${algo} --scale 8 --cores 4
+      --machine hopper --sources 1)
+  if(NOT s11_out MATCHES "4 cores used")
+    message(FATAL_ERROR "cli_smoke: ${algo} on 4 hopper cores should "
+                        "report \"4 cores used\"\nstdout:\n${s11_out}")
+  endif()
+endforeach()
 
 message(STATUS "cli_smoke passed: malformed numbers, unknown algorithms, "
                "source counts below 1 and out-of-range engine flags exit "

@@ -39,8 +39,6 @@ int main() {
     for (const Config& cfg : configs) {
       const Workload w = make_rmat_workload(cfg.scale, cfg.degree, nsources);
       ScalingSpec spec;
-      spec.title = "";
-      spec.paper_ref = "";
       spec.machine = model::franklin();
       // Paper's fixed budget is 2^33 edges across all three configs.
       spec.paper_log2_edges = 33;

@@ -8,7 +8,7 @@
 // We print both heatmaps (percent of the max rank's MPI time, as in the
 // paper's normalization) plus summary ratios.
 #include "harness/harness.hpp"
-#include "obs/imbalance.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -78,12 +78,14 @@ int main() {
     opts.trace = true;  // feed the per-level idle-time profiler
     core::Engine engine{w.built.edges, w.n, opts};
     const auto out = engine.run(w.sources.front());
+    const obs::ImbalanceProfile profile = obs::profile_imbalance(
+        obs::analyze_critical_path(*engine.tracer(), s * s));
     if (kind == dist::VectorDistKind::kDiagonal) {
       diag_report = out.report;
-      diag_profile = obs::profile_imbalance(*engine.tracer(), s * s);
+      diag_profile = profile;
     } else {
       twod_report = out.report;
-      twod_profile = obs::profile_imbalance(*engine.tracer(), s * s);
+      twod_profile = profile;
     }
   }
 

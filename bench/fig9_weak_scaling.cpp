@@ -31,8 +31,6 @@ int main() {
     const int scale = base_scale + i;
     const Workload w = make_rmat_workload(scale, 16, nsources);
     ScalingSpec spec;
-    spec.title = "";
-    spec.paper_ref = "";
     spec.machine = model::franklin();
     spec.paper_log2_edges = 33 + i;  // paper: ~17M edges/core => 2^33 total at 512
     spec.cores = {cores};

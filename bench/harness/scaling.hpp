@@ -14,8 +14,6 @@
 namespace dbfs::bench {
 
 struct ScalingSpec {
-  const char* title;
-  const char* paper_ref;
   model::MachineModel machine;
   double paper_log2_edges;   ///< latency rescale anchor (see scaled_machine)
   std::vector<int> cores;
@@ -71,8 +69,19 @@ class ScalingRunner {
     return run_config(workload_, opts);
   }
 
+  /// Print one figure panel: a header naming the workload, then the
+  /// table. `show_comm` selects the communication-time view (Figs 6, 8)
+  /// of the points the GTEPS view (Figs 5, 7) runs; points are cached, so
+  /// printing both views costs one sweep.
+  void print_panel(const char* title, const char* paper_ref, bool show_comm) {
+    print_header(title, paper_ref,
+                 "ours: scale " + std::to_string(spec_.scale) +
+                     ", edgefactor " + std::to_string(spec_.edge_factor) +
+                     ", latency-rescaled " + spec_.machine.name);
+    print_table(show_comm);
+  }
+
   /// Print the full table: one row per core count, one column per algo.
-  /// `show_comm` selects the communication-time view (Figs 6, 8).
   void print_table(bool show_comm) {
     std::printf("%-8s", "cores");
     for (Algo a : kAll) std::printf(" %16s", algo_name(a));

@@ -220,9 +220,6 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
   const auto& part = im.local.partition();
   const bool wire = im.wire_mode();
   SdcShadow* const shadow = im.driver.shadow();
-  const auto a2a_bytes_before =
-      im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
-      im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes;
 
   // --- Phase A (Algorithm 2 lines 13-19): scan the local frontier and
   // bucket (neighbor, parent) candidates by owner with a stable counting
@@ -296,10 +293,6 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
 
   stats.edges_scanned =
       std::accumulate(edges_scanned.begin(), edges_scanned.end(), eid_t{0});
-  stats.a2a_bytes =
-      im.cluster.traffic().totals(simmpi::Pattern::kAlltoallv).bytes +
-      im.cluster.traffic().totals(simmpi::Pattern::kPointToPoint).bytes -
-      a2a_bytes_before;
   return global_frontier;
 }
 

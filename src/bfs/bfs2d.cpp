@@ -383,14 +383,6 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
       !diagonal && comm::wire_compresses(im.opts.wire_format);
   const bool dirop_on = im.dirop_on();
   SdcShadow* const shadow = im.driver.shadow();
-  auto& traffic = im.cluster.traffic();
-  const auto ag_before =
-      traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
-      traffic.totals(simmpi::Pattern::kBroadcast).bytes;
-  const auto a2a_before =
-      traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
-      traffic.totals(simmpi::Pattern::kGatherv).bytes;
-  const auto tr_before = traffic.totals(simmpi::Pattern::kTranspose).bytes;
 
   // ---- Direction decision (Beamer's alpha-beta rule, priced per the
   // machine model's thresholds when none were given). Every input is
@@ -785,14 +777,6 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
           static_cast<std::int64_t>(wire_level.stats.encoded_bytes);
     }
   }
-  stats.expand_bytes = traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
-                       traffic.totals(simmpi::Pattern::kBroadcast).bytes -
-                       ag_before;
-  stats.a2a_bytes = traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
-                    traffic.totals(simmpi::Pattern::kGatherv).bytes -
-                    a2a_before;
-  stats.other_bytes =
-      traffic.totals(simmpi::Pattern::kTranspose).bytes - tr_before;
   out.report.spmsv_spa_calls +=
       std::accumulate(spa_calls.begin(), spa_calls.end(), std::int64_t{0});
   out.report.spmsv_heap_calls +=

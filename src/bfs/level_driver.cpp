@@ -159,9 +159,17 @@ void LevelDriver::traverse() {
       comp_before = cluster_.clocks().all_compute();
     }
     const double wall_before = cluster_.clocks().max_now();
+    const ColumnTotals traffic_before = column_totals(cluster_.traffic());
 
     global_frontier_ = engine_.step(out, fs_, level_, stats);
 
+    const ColumnTotals traffic = column_totals(cluster_.traffic());
+    const auto moved = [&](TrafficColumn c) {
+      return traffic.bytes_in(c) - traffic_before.bytes_in(c);
+    };
+    stats.a2a_bytes = moved(TrafficColumn::kAlltoall);
+    stats.expand_bytes = moved(TrafficColumn::kAllgather);
+    stats.other_bytes = moved(TrafficColumn::kTranspose);
     stats.newly_visited = global_frontier_;
     stats.wall_seconds = cluster_.clocks().max_now() - wall_before;
     if (observing) {

@@ -64,9 +64,9 @@ class LevelEngine {
 
   /// Run one level: expand the per-rank frontier `fs` (owned global ids)
   /// to distance `level`, updating `out.parent`/`out.level`, leaving the
-  /// next frontier in `fs`, and filling this engine's fields of `stats`
-  /// (edges scanned, traffic split). Ends at the "level-sync" allreduce;
-  /// returns the next global frontier size.
+  /// next frontier in `fs`, and filling `stats.edges_scanned` (LevelDriver
+  /// frames the level's traffic split around the step). Ends at the
+  /// "level-sync" allreduce; returns the next global frontier size.
   virtual vid_t step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
                      level_t level, LevelStats& stats) = 0;
   /// Rank owning `v`'s parent/level entries and frontier slot.

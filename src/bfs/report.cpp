@@ -2,6 +2,8 @@
 // so that header stays dependency-light for downstream users).
 #include "bfs/report.hpp"
 
+#include <iterator>
+
 #include "bfs/finalize.hpp"
 #include "simmpi/cluster.hpp"
 #include "util/stats.hpp"
@@ -34,6 +36,37 @@ DiropDecision beamer_switch(bool was_bottom_up, vid_t frontier, vid_t n,
   return {false, DiropRationale::kTopDownStay};
 }
 
+namespace {
+
+/// The column of each simmpi::Pattern, indexed by the enum. Point-to-point
+/// sends are the baselines' per-peer exchange and Gatherv the diagonal
+/// fold, so both count with the alltoallv they stand in for.
+constexpr TrafficColumn kColumnOf[] = {
+    TrafficColumn::kAlltoall,   // Alltoallv
+    TrafficColumn::kAllgather,  // Allgatherv
+    TrafficColumn::kAllreduce,  // Allreduce
+    TrafficColumn::kAllgather,  // Broadcast
+    TrafficColumn::kAlltoall,   // Gatherv
+    TrafficColumn::kTranspose,  // Transpose
+    TrafficColumn::kAlltoall,   // PointToPoint
+};
+static_assert(std::size(kColumnOf) ==
+              static_cast<std::size_t>(simmpi::Pattern::kCount));
+
+}  // namespace
+
+ColumnTotals column_totals(const simmpi::TrafficMeter& traffic) {
+  ColumnTotals c;
+  for (std::size_t p = 0; p < std::size(kColumnOf); ++p) {
+    const simmpi::PatternTotals& t =
+        traffic.totals(static_cast<simmpi::Pattern>(p));
+    const auto col = static_cast<std::size_t>(kColumnOf[p]);
+    c.bytes[col] += t.bytes;
+    c.rank_seconds[col] += t.rank_seconds;
+  }
+  return c;
+}
+
 void finalize_report(RunReport& report, const simmpi::Cluster& cluster) {
   const auto& clocks = cluster.clocks();
   report.ranks = cluster.ranks();
@@ -52,35 +85,21 @@ void finalize_report(RunReport& report, const simmpi::Cluster& cluster) {
   report.comp_seconds_mean = comp.mean;
   report.comp_seconds_max = comp.max;
 
-  const auto& traffic = cluster.traffic();
-  // Point-to-point sends are the baselines' per-peer exchange, counted
-  // with alltoallv here as in alltoall_seconds and each level's a2a_bytes.
-  report.alltoall_bytes =
-      traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
-      traffic.totals(simmpi::Pattern::kPointToPoint).bytes;
-  report.allgather_bytes =
-      traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
-      traffic.totals(simmpi::Pattern::kBroadcast).bytes +
-      traffic.totals(simmpi::Pattern::kGatherv).bytes;
-  report.transpose_bytes =
-      traffic.totals(simmpi::Pattern::kTranspose).bytes;
-  report.allreduce_bytes =
-      traffic.totals(simmpi::Pattern::kAllreduce).bytes;
-
+  const ColumnTotals traffic = column_totals(cluster.traffic());
   const double ranks = static_cast<double>(cluster.ranks());
-  report.alltoall_seconds =
-      (traffic.totals(simmpi::Pattern::kAlltoallv).rank_seconds +
-       traffic.totals(simmpi::Pattern::kPointToPoint).rank_seconds) /
-      ranks;
-  report.allgather_seconds =
-      (traffic.totals(simmpi::Pattern::kAllgatherv).rank_seconds +
-       traffic.totals(simmpi::Pattern::kBroadcast).rank_seconds +
-       traffic.totals(simmpi::Pattern::kGatherv).rank_seconds) /
-      ranks;
-  report.transpose_seconds =
-      traffic.totals(simmpi::Pattern::kTranspose).rank_seconds / ranks;
-  report.allreduce_seconds =
-      traffic.totals(simmpi::Pattern::kAllreduce).rank_seconds / ranks;
+  const auto column = [&](TrafficColumn c, std::uint64_t& bytes,
+                          double& seconds) {
+    bytes = traffic.bytes_in(c);
+    seconds = traffic.rank_seconds[static_cast<std::size_t>(c)] / ranks;
+  };
+  column(TrafficColumn::kAlltoall, report.alltoall_bytes,
+         report.alltoall_seconds);
+  column(TrafficColumn::kAllgather, report.allgather_bytes,
+         report.allgather_seconds);
+  column(TrafficColumn::kTranspose, report.transpose_bytes,
+         report.transpose_seconds);
+  column(TrafficColumn::kAllreduce, report.allreduce_bytes,
+         report.allreduce_seconds);
 
   eid_t scanned = 0;
   for (const LevelStats& l : report.levels) scanned += l.edges_scanned;

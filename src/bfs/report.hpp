@@ -17,9 +17,12 @@ struct LevelStats {
   vid_t frontier = 0;          ///< global frontier size entering this level
   eid_t edges_scanned = 0;     ///< adjacencies enumerated / SpMSV flops
   vid_t newly_visited = 0;
-  std::uint64_t a2a_bytes = 0;       ///< fold / 1D exchange traffic
-  std::uint64_t expand_bytes = 0;    ///< allgather-or-broadcast traffic
-  std::uint64_t other_bytes = 0;     ///< 2D transpose traffic; 0 in 1D
+  /// This level's share of the run's alltoall, allgather and transpose
+  /// bytes (bfs::TrafficColumn): the fold or 1D exchange, the expand,
+  /// and the 2D transpose (0 in 1D).
+  std::uint64_t a2a_bytes = 0;
+  std::uint64_t expand_bytes = 0;
+  std::uint64_t other_bytes = 0;
   double wall_seconds = 0.0;         ///< simulated level makespan
   double comm_seconds = 0.0;         ///< mean per-rank comm delta
   double comp_seconds = 0.0;         ///< mean per-rank compute delta
@@ -171,12 +174,14 @@ struct RunReport {
   std::vector<double> per_rank_comm;
   std::vector<double> per_rank_comp;
 
+  /// Network bytes per report column (bfs::TrafficColumn files each
+  /// collective pattern under one of these four).
   std::uint64_t alltoall_bytes = 0;
   std::uint64_t allgather_bytes = 0;
   std::uint64_t transpose_bytes = 0;
   std::uint64_t allreduce_bytes = 0;
 
-  /// Modelled transfer seconds per collective pattern (excl. waiting) —
+  /// Mean per-rank modelled transfer seconds per column (excl. waiting) —
   /// the quantities behind the paper's Table 1 percentages.
   double alltoall_seconds = 0.0;
   double allgather_seconds = 0.0;

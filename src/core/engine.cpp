@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -82,6 +83,9 @@ struct Engine::Impl {
       threads = hybrid ? default_threads_per_rank(opts.machine) : 1;
     }
     if (!hybrid && is_distributed(opts.algorithm)) threads = 1;
+    // A hybrid rank holds no more threads than the cores asked for, so a
+    // run never uses more cores than requested.
+    if (hybrid) threads = std::min(threads, std::max(1, opts.cores));
     opts.threads_per_rank = threads;
 
     if (is_distributed(opts.algorithm)) {

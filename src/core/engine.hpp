@@ -58,6 +58,8 @@ struct EngineOptions {
   int cores = 16;
   /// 0 = pick the machine's natural threading degree for hybrid
   /// algorithms (4 on Franklin, 6 on Hopper, per §6), 1 forced for flat.
+  /// A hybrid rank gets at most `cores` threads, so cores_used() never
+  /// exceeds `cores`.
   int threads_per_rank = 0;
   model::MachineModel machine = model::generic();
   sparse::SpmsvBackend backend = sparse::SpmsvBackend::kAuto;

@@ -1,7 +1,6 @@
 #include "model/clocks.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace dbfs::model {
 
@@ -23,24 +22,6 @@ void VirtualClocks::collective(std::span<const int> group,
   } else {
     rescan_max();  // members moved back to a negative-cost end
   }
-}
-
-void VirtualClocks::collective_varying(std::span<const int> group,
-                                       std::span<const double> costs) {
-  assert(group.size() == costs.size());
-  double start = 0.0;
-  for (int r : group) {
-    start = std::max(start, now_[static_cast<std::size_t>(r)]);
-  }
-  double end = start;
-  for (double c : costs) end = std::max(end, start + c);
-  for (int r : group) {
-    const auto i = static_cast<std::size_t>(r);
-    comm_[i] += end - now_[i];
-    now_[i] = end;
-  }
-  // end >= start >= every member's clock: members only move forward.
-  if (!group.empty()) max_now_ = std::max(max_now_, end);
 }
 
 void VirtualClocks::rescan_max() noexcept {

@@ -9,9 +9,9 @@
 // heatmap.
 //
 // The simulated wall clock max_now() is a running maximum, kept current
-// by every method that moves a clock (advance_compute, collective,
-// collective_varying, seed, reset), so reading it costs O(1) — the
-// flight recorder stamps every collective with it.
+// by every method that moves a clock (advance_compute, collective, seed,
+// reset), so reading it costs O(1) — the flight recorder stamps every
+// collective with it.
 #pragma once
 
 #include <algorithm>
@@ -45,13 +45,6 @@ class VirtualClocks {
   /// slowest, then pay `transfer_seconds` together. Waiting + transfer are
   /// both charged to communication time.
   void collective(std::span<const int> group, double transfer_seconds);
-
-  /// A collective where members pay different transfer costs (e.g. a
-  /// gather whose root also performs the merge). `costs[i]` applies to
-  /// group[i]; everyone still leaves at the same time (the max), so
-  /// cheaper members accrue the difference as waiting.
-  void collective_varying(std::span<const int> group,
-                          std::span<const double> costs);
 
   double now(int rank) const noexcept {
     return now_[static_cast<std::size_t>(rank)];

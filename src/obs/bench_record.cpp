@@ -390,6 +390,8 @@ void BenchRecordBuilder::attach_profile(const Tracer* tracer,
   if (tracer != nullptr) {
     const CriticalPathReport cp = analyze_critical_path(*tracer, ranks);
     record_.levels.clear();
+    record_.imbalance.level_ids.clear();
+    record_.imbalance.wait_heatmap.clear();
     for (const LevelAttribution& la : cp.levels) {
       BenchLevelSplit l;
       l.level = la.level;
@@ -406,15 +408,15 @@ void BenchRecordBuilder::attach_profile(const Tracer* tracer,
       l.straggler_rank = la.straggler_rank;
       l.straggler_phase = la.straggler_phase;
       record_.levels.push_back(std::move(l));
+      record_.imbalance.level_ids.push_back(la.level);
+      record_.imbalance.wait_heatmap.push_back(la.wait_by_rank);
     }
 
-    const ImbalanceProfile profile = profile_imbalance(*tracer, ranks);
+    const ImbalanceProfile profile = profile_imbalance(cp);
     record_.imbalance.busy_imbalance = profile.busy_imbalance;
     record_.imbalance.wait_imbalance = profile.wait_imbalance;
     record_.imbalance.wait_fraction = profile.wait_fraction;
     record_.imbalance.straggler_ranks = profile.straggler_ranks;
-    record_.imbalance.level_ids = profile.level_ids;
-    record_.imbalance.wait_heatmap = profile.wait_seconds;
   }
 
   if (metrics != nullptr) {

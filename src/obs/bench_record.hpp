@@ -12,10 +12,11 @@
 //                 per-repetition roll-ups, and the across-repetition
 //                 relative stddevs that bench_diff uses as its noise
 //                 model;
-//   * structure — the per-level compute/wait/transfer split from the
-//                 critical-path pass (Table 1), the per-rank/per-level
-//                 idle-time heatmap from the imbalance profiler (Fig 4),
-//                 and the wire.*/fault.* metric counters.
+//   * structure — from one critical-path pass over the profile run's
+//                 trace: the per-level compute/wait/transfer split
+//                 (Table 1) and the per-rank/per-level idle-time heatmap
+//                 with its imbalance roll-ups (Fig 4); plus the
+//                 wire.*/fault.* metric counters.
 //
 // The JSON schema is versioned (kBenchRecordSchemaVersion); the parser
 // refuses records from a different version with BenchSchemaError so the
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "bfs/report.hpp"
-#include "obs/imbalance.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 

@@ -20,6 +20,7 @@ struct LevelAccum {
   bool seen = false;
   std::vector<double> wait_by_rank;
   std::vector<double> compute_by_rank;
+  std::vector<double> busy_by_rank;  ///< compute + transfer, span order
   /// straggler phase attribution: per rank, per compute-phase seconds
   std::vector<std::map<std::string, double>> phase_by_rank;
   std::map<std::string, double> transfer_by_site;  ///< rank-seconds sums
@@ -89,6 +90,7 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks) {
         acc.end = s.end;
         acc.wait_by_rank.assign(nranks, 0.0);
         acc.compute_by_rank.assign(nranks, 0.0);
+        acc.busy_by_rank.assign(nranks, 0.0);
         acc.phase_by_rank.resize(nranks);
       }
       acc.begin = std::min(acc.begin, s.begin);
@@ -96,12 +98,14 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks) {
       switch (s.kind) {
         case SpanKind::kCompute:
           acc.compute_by_rank[ri] += dur;
+          acc.busy_by_rank[ri] += dur;
           acc.phase_by_rank[ri][s.name] += dur;
           break;
         case SpanKind::kWait:
           acc.wait_by_rank[ri] += dur;
           break;
         case SpanKind::kTransfer:
+          acc.busy_by_rank[ri] += dur;
           acc.transfer_by_site[s.name] += dur;
           break;
       }
@@ -150,6 +154,7 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks) {
     la.wait_p95 = wait.p95;
     la.wait_p99 = wait.p99;
     la.wait_by_rank = std::move(acc.wait_by_rank);
+    la.busy_by_rank = std::move(acc.busy_by_rank);
 
     for (const auto& [site, rank_seconds] : acc.transfer_by_site) {
       la.collective_seconds[site] = rank_seconds / rank_div;
@@ -157,6 +162,48 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks) {
     report.levels.push_back(std::move(la));
   }
   return report;
+}
+
+ImbalanceProfile profile_imbalance(const CriticalPathReport& report) {
+  ImbalanceProfile p;
+  const auto nranks = static_cast<std::size_t>(report.ranks);
+  p.rank_wait_total.assign(nranks, 0.0);
+  p.rank_busy_total.assign(nranks, 0.0);
+  std::map<int, int> busiest_hits;
+  for (const LevelAttribution& la : report.levels) {
+    for (std::size_t r = 0; r < nranks; ++r) {
+      p.rank_wait_total[r] += la.wait_by_rank[r];
+      p.rank_busy_total[r] += la.busy_by_rank[r];
+    }
+    const int busiest = static_cast<int>(
+        std::max_element(la.busy_by_rank.begin(), la.busy_by_rank.end()) -
+        la.busy_by_rank.begin());
+    p.busiest_rank.push_back(busiest);
+    ++busiest_hits[busiest];
+  }
+
+  p.busy_imbalance = util::imbalance(p.rank_busy_total);
+  p.wait_imbalance = util::imbalance(p.rank_wait_total);
+  double wait_sum = 0.0;
+  double busy_sum = 0.0;
+  for (std::size_t r = 0; r < nranks; ++r) {
+    wait_sum += p.rank_wait_total[r];
+    busy_sum += p.rank_busy_total[r];
+  }
+  p.wait_fraction =
+      wait_sum + busy_sum > 0.0 ? wait_sum / (wait_sum + busy_sum) : 0.0;
+
+  // The map hands the ranks over ascending, so the stable sort breaks
+  // ties toward the lower rank.
+  for (const auto& [rank, hits] : busiest_hits) {
+    (void)hits;
+    p.straggler_ranks.push_back(rank);
+  }
+  std::stable_sort(p.straggler_ranks.begin(), p.straggler_ranks.end(),
+                   [&](int a, int b) {
+                     return busiest_hits[a] > busiest_hits[b];
+                   });
+  return p;
 }
 
 void write_critical_path_json(util::JsonWriter& json,

@@ -3,10 +3,13 @@
 // The per-level accounting the paper builds its analysis on (Table 1's
 // communication decomposition, Figure 4's idle-time heatmap) is derived
 // here directly from trace events instead of bespoke accounting inside
-// the algorithms: for each BFS level, which rank was the straggler
-// everyone else waited on, which compute phase made it late, how the wait
-// time distributes across ranks (the heatmap row), and how many mean
-// per-rank seconds each collective pattern contributed.
+// the algorithms, in one walk over the spans: for each BFS level, which
+// rank was the straggler everyone else waited on, which compute phase
+// made it late, how the wait and busy time distribute across ranks (the
+// heatmap rows), and how many mean per-rank seconds each collective
+// pattern contributed. The Figure 4 roll-ups (ImbalanceProfile) are
+// derived from that report, not from a second walk. Spans recorded
+// outside a level (tag -1, e.g. setup) count only in the whole-run sums.
 //
 // Invariants (verified by tests/test_trace.cpp): per-rank sums of
 // compute + wait + transfer spans reconcile with the cluster clocks the
@@ -51,6 +54,8 @@ struct LevelAttribution {
 
   /// Per-rank wait seconds — one row of the Figure 4 idle-time heatmap.
   std::vector<double> wait_by_rank;
+  /// Per-rank busy (compute + transfer) seconds, summed in span order.
+  std::vector<double> busy_by_rank;
 
   /// Mean per-rank transfer seconds by collective site at this level,
   /// i.e. how much each collective contributed to the level.
@@ -83,6 +88,32 @@ struct CriticalPathReport {
 /// Run the pass. `ranks` bounds the heatmap rows; the tracer's own rank
 /// table is used when it is larger.
 CriticalPathReport analyze_critical_path(const Tracer& tracer, int ranks);
+
+/// Figure 4's whole-run roll-ups of a report's per-level wait and busy
+/// rows — what BenchRecord persists into BENCH_*.json so the 1D-vs-2D
+/// vector-distribution story is diffable across changes.
+struct ImbalanceProfile {
+  /// Per-rank sums over the levels of wait_by_rank and busy_by_rank.
+  std::vector<double> rank_wait_total;
+  std::vector<double> rank_busy_total;
+  /// Per level, the busiest rank (ties to the lower rank): the straggler
+  /// by work done, where LevelAttribution::straggler_rank is the
+  /// straggler by wait.
+  std::vector<int> busiest_rank;
+
+  /// max/mean over the rank totals (util::imbalance; 1.0 = balanced).
+  double busy_imbalance = 1.0;
+  double wait_imbalance = 1.0;
+  /// Fraction of all per-rank level seconds spent idling at collectives.
+  double wait_fraction = 0.0;
+  /// Distinct busiest ranks over the run, most often busiest first (ties
+  /// to the lower rank).
+  std::vector<int> straggler_ranks;
+};
+
+/// Roll up a report from analyze_critical_path (every level row holds
+/// `report.ranks` cells).
+ImbalanceProfile profile_imbalance(const CriticalPathReport& report);
 
 /// Serialize as one JSON object (embedded into the run report by
 /// bfs::write_report_json when requested).

@@ -55,15 +55,6 @@ TEST(VirtualClocks, SubgroupCollectiveLeavesOthersUntouched) {
   EXPECT_DOUBLE_EQ(c.now(3), 9.0);
 }
 
-TEST(VirtualClocks, VaryingCostsAllLeaveAtMax) {
-  VirtualClocks c{3};
-  const std::vector<int> group{0, 1, 2};
-  const std::vector<double> costs{1.0, 5.0, 2.0};
-  c.collective_varying(group, costs);
-  for (int r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(c.now(r), 5.0);
-  EXPECT_DOUBLE_EQ(c.comm_time(0), 5.0);
-}
-
 TEST(VirtualClocks, MaxNow) {
   VirtualClocks c{3};
   c.advance_compute(1, 7.0);
@@ -127,12 +118,8 @@ TEST(VirtualClocks, RunningMaxEqualsScanAfterEveryStep) {
       const int op = pick(20);
       if (op < 8) {
         c.advance_compute(pick(static_cast<std::uint64_t>(ranks)), cost());
-      } else if (op < 13) {
-        c.collective(group, cost());
       } else if (op < 17) {
-        std::vector<double> costs;
-        for (std::size_t k = 0; k < group.size(); ++k) costs.push_back(cost());
-        c.collective_varying(group, costs);
+        c.collective(group, cost());
       } else if (op < 19) {
         // Half the seeds land below the furthest clock, half beyond it.
         c.seed(c.max_now() * 2.0 * rng.next_double());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "bfs/serial.hpp"
 #include "graph/components.hpp"
 #include "test_helpers.hpp"
@@ -51,6 +54,33 @@ TEST(Engine, HybridDefaultsToMachineThreading) {
   opts.machine = model::franklin();
   Engine franklin_engine{built.edges, n, opts};
   EXPECT_EQ(franklin_engine.options().threads_per_rank, 4);
+}
+
+TEST(Engine, HybridNeverExceedsRequestedCores) {
+  const auto built = test::rmat_graph(8);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+  for (const model::MachineModel& machine :
+       {model::hopper(), model::franklin()}) {
+    for (Algorithm a : {Algorithm::kOneDHybrid, Algorithm::kTwoDHybrid}) {
+      for (int cores = 1; cores <= 7; ++cores) {
+        EngineOptions opts;
+        opts.algorithm = a;
+        opts.cores = cores;
+        opts.machine = machine;
+        Engine engine{built.edges, n, opts};
+        const std::string label = machine.name + "/" + to_string(a) +
+                                  "/cores=" + std::to_string(cores);
+        const int threads =
+            std::min(cores, default_threads_per_rank(machine));
+        EXPECT_LE(engine.cores_used(), cores) << label;
+        EXPECT_EQ(engine.options().threads_per_rank, threads) << label;
+        const bfs::RunReport r = engine.run(source).report;
+        EXPECT_EQ(r.threads_per_rank, threads) << label;
+        EXPECT_EQ(r.cores, engine.cores_used()) << label;
+      }
+    }
+  }
 }
 
 TEST(Engine, FlatForcesSingleThreading) {

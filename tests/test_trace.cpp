@@ -1,7 +1,8 @@
-// Observability-layer tests: the tracer and metrics primitives and the
+// Observability-layer tests: the tracer and metrics primitives, the
 // reconciliation of trace spans against the RunReport the same run
 // produced (the clocks and the trace are two views of one virtual
-// timeline — they must agree to float tolerance). That attaching
+// timeline — they must agree to float tolerance), and the Figure 4
+// profile derived from the critical-path pass. That attaching
 // observers never perturbs a run is proven in test_observers.cpp.
 #include "obs/trace.hpp"
 
@@ -188,38 +189,53 @@ TEST(Trace, SpansReconcileWithRunReportClocks) {
 
 TEST(CriticalPath, DecompositionMatchesReportCollectiveSeconds) {
   const auto built = test::rmat_graph(9);
-  obs::Tracer tracer;
-  bfs::Bfs2DOptions opts;
-  opts.cores = 16;
-  opts.observers.tracer = &tracer;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
-  const auto out = bfs.run(test::hub_source(built.csr));
-  const bfs::RunReport& r = out.report;
+  for (const dist::VectorDistKind layout :
+       {dist::VectorDistKind::kTwoD, dist::VectorDistKind::kDiagonal}) {
+    const char* label = dist::to_string(layout);
+    obs::Tracer tracer;
+    bfs::Bfs2DOptions opts;
+    opts.cores = 16;
+    opts.vector_dist = layout;
+    opts.observers.tracer = &tracer;
+    bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+    const auto out = bfs.run(test::hub_source(built.csr));
+    const bfs::RunReport& r = out.report;
 
-  const obs::CriticalPathReport cp =
-      obs::analyze_critical_path(tracer, r.ranks);
-  EXPECT_EQ(cp.ranks, r.ranks);
-  EXPECT_NEAR(cp.total_seconds, r.total_seconds, kTol);
-  EXPECT_EQ(cp.levels.size(), r.levels.size());
+    const obs::CriticalPathReport cp =
+        obs::analyze_critical_path(tracer, r.ranks);
+    EXPECT_EQ(cp.ranks, r.ranks) << label;
+    EXPECT_NEAR(cp.total_seconds, r.total_seconds, kTol) << label;
+    EXPECT_EQ(cp.levels.size(), r.levels.size()) << label;
 
-  // Table 1: the per-pattern transfer means recomputed from trace events
-  // alone must equal the report's per-collective seconds, which the
-  // simulator accounted independently through the traffic meter.
-  const auto mean_of = [&](const std::string& pattern) {
-    for (const obs::PatternDecomposition& d : cp.decomposition) {
-      if (d.pattern == pattern) return d.transfer_mean;
+    // Table 1: the per-pattern transfer means recomputed from trace
+    // events alone must equal the report's per-column seconds, which the
+    // simulator accounted independently through the traffic meter. The
+    // diagonal layout folds with a Gatherv and expands with a Broadcast.
+    const auto mean_of = [&](const std::string& pattern) {
+      for (const obs::PatternDecomposition& d : cp.decomposition) {
+        if (d.pattern == pattern) return d.transfer_mean;
+      }
+      return 0.0;
+    };
+    if (layout == dist::VectorDistKind::kDiagonal) {
+      EXPECT_GT(mean_of("Gatherv"), 0.0);
+      EXPECT_GT(mean_of("Broadcast"), 0.0);
     }
-    return 0.0;
-  };
-  EXPECT_NEAR(mean_of("Alltoallv"), r.alltoall_seconds, kTol);
-  EXPECT_NEAR(mean_of("Allgatherv"), r.allgather_seconds, kTol);
-  EXPECT_NEAR(mean_of("Transpose"), r.transpose_seconds, kTol);
-  EXPECT_NEAR(mean_of("Allreduce"), r.allreduce_seconds, kTol);
-  EXPECT_GT(cp.transfer_total(), 0.0);
+    EXPECT_NEAR(mean_of("Alltoallv") + mean_of("Gatherv"),
+                r.alltoall_seconds, kTol)
+        << label;
+    EXPECT_NEAR(mean_of("Allgatherv") + mean_of("Broadcast"),
+                r.allgather_seconds, kTol)
+        << label;
+    EXPECT_NEAR(mean_of("Transpose"), r.transpose_seconds, kTol) << label;
+    EXPECT_NEAR(mean_of("Allreduce"), r.allreduce_seconds, kTol) << label;
+    EXPECT_GT(cp.transfer_total(), 0.0) << label;
 
-  // Whole-run comm split: transfer + wait means equal the report's mean
-  // per-rank comm seconds.
-  EXPECT_NEAR(cp.transfer_mean + cp.wait_mean, r.comm_seconds_mean, kTol);
+    // Whole-run comm split: transfer + wait means equal the report's mean
+    // per-rank comm seconds.
+    EXPECT_NEAR(cp.transfer_mean + cp.wait_mean, r.comm_seconds_mean, kTol)
+        << label;
+  }
 }
 
 TEST(CriticalPath, FindsThePlantedStraggler) {
@@ -324,6 +340,79 @@ TEST(Trace, ReportJsonEmbedsObserverSections) {
   const bfs::ReportJsonOptions plain;
   EXPECT_EQ(bfs::report_to_json(out.report, plain),
             bfs::report_to_json(out.report));
+}
+
+// The Figure 4 profile over a hand-built trace with known wait and busy
+// seconds:
+// rank 0: level 0 = 1.0s compute + 0.5s wait; level 1 = 2.0s compute +
+//         1.0s transfer.
+// rank 1: level 0 = 0.5s compute + 1.0s wait; level 1 = 1.0s compute.
+// Plus a level -1 setup span that the per-level rows must ignore.
+obs::Tracer imbalance_trace() {
+  obs::Tracer t{2};
+  t.set_level(-1);
+  t.record(0, obs::SpanKind::kCompute, "setup", "", 0.0, 10.0);
+  t.set_level(0);
+  t.record(0, obs::SpanKind::kCompute, "scan", "", 0.0, 1.0);
+  t.record(0, obs::SpanKind::kWait, "fold", "alltoallv", 1.0, 1.5);
+  t.record(1, obs::SpanKind::kCompute, "scan", "", 0.0, 0.5);
+  t.record(1, obs::SpanKind::kWait, "fold", "alltoallv", 0.5, 1.5);
+  t.set_level(1);
+  t.record(0, obs::SpanKind::kCompute, "scan", "", 1.5, 3.5);
+  t.record(0, obs::SpanKind::kTransfer, "fold", "alltoallv", 3.5, 4.5);
+  t.record(1, obs::SpanKind::kCompute, "scan", "", 1.5, 2.5);
+  return t;
+}
+
+TEST(ImbalanceProfile, PerLevelMatricesAndTotals) {
+  const obs::CriticalPathReport cp =
+      obs::analyze_critical_path(imbalance_trace(), 2);
+  EXPECT_EQ(cp.ranks, 2);
+  ASSERT_EQ(cp.levels.size(), 2u);
+  EXPECT_EQ(cp.levels[0].level, 0);
+  EXPECT_EQ(cp.levels[1].level, 1);
+
+  EXPECT_EQ(cp.levels[0].wait_by_rank, (std::vector<double>{0.5, 1.0}));
+  EXPECT_EQ(cp.levels[1].wait_by_rank, (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(cp.levels[0].busy_by_rank, (std::vector<double>{1.0, 0.5}));
+  // Compute + transfer.
+  EXPECT_EQ(cp.levels[1].busy_by_rank, (std::vector<double>{3.0, 1.0}));
+
+  // The level -1 setup span contributes nowhere.
+  const obs::ImbalanceProfile p = obs::profile_imbalance(cp);
+  EXPECT_EQ(p.rank_busy_total, (std::vector<double>{4.0, 1.5}));
+  EXPECT_EQ(p.rank_wait_total, (std::vector<double>{0.5, 1.0}));
+}
+
+TEST(ImbalanceProfile, ImbalanceStatisticsAndStragglers) {
+  const obs::CriticalPathReport cp =
+      obs::analyze_critical_path(imbalance_trace(), 2);
+  const obs::ImbalanceProfile p = obs::profile_imbalance(cp);
+
+  // util::imbalance convention: max over mean.
+  EXPECT_DOUBLE_EQ(p.busy_imbalance, 4.0 / 2.75);
+  EXPECT_DOUBLE_EQ(p.wait_imbalance, 1.0 / 0.75);
+  EXPECT_DOUBLE_EQ(p.wait_fraction, 1.5 / 7.0);
+
+  // Rank 0 does the most work at both levels, while at level 0 rank 0
+  // also waits least: both straggler notions name it there.
+  EXPECT_EQ(p.busiest_rank, (std::vector<int>{0, 0}));
+  EXPECT_EQ(p.straggler_ranks, (std::vector<int>{0}));
+  EXPECT_EQ(cp.levels[0].straggler_rank, 0);
+}
+
+TEST(ImbalanceProfile, EmptyTraceIsBalanced) {
+  const obs::CriticalPathReport cp =
+      obs::analyze_critical_path(obs::Tracer{4}, 4);
+  const obs::ImbalanceProfile p = obs::profile_imbalance(cp);
+  EXPECT_EQ(cp.ranks, 4);
+  EXPECT_TRUE(cp.levels.empty());
+  EXPECT_EQ(p.rank_wait_total, (std::vector<double>(4, 0.0)));
+  EXPECT_DOUBLE_EQ(p.busy_imbalance, 1.0);
+  EXPECT_DOUBLE_EQ(p.wait_imbalance, 1.0);
+  EXPECT_DOUBLE_EQ(p.wait_fraction, 0.0);
+  EXPECT_TRUE(p.busiest_rank.empty());
+  EXPECT_TRUE(p.straggler_ranks.empty());
 }
 
 }  // namespace
