@@ -39,12 +39,13 @@ int main() {
               "BFS time (ms)", "GTEPS");
   for (auto mode : {bfs::PartitionMode::kUniform,
                     bfs::PartitionMode::kEdgeBalanced}) {
-    bfs::Bfs1DOptions opts;
-    opts.ranks = ranks;
-    opts.machine = machine;
-    opts.partition_mode = mode;
-    opts.load_smoothing = 0.0;  // imbalance is the subject
-    bfs::Bfs1D bfs{w.built.edges, w.n, opts};
+    // Exact per-rank volumes: imbalance is the subject.
+    bfs::Bfs1D bfs{w.built.edges, w.n,
+                   {.algorithm = core::Algorithm::kOneDFlat,
+                    .cores = ranks,
+                    .machine = machine,
+                    .partition_mode = mode,
+                    .load_smoothing = 0.0}};
 
     std::vector<double> loads;
     {

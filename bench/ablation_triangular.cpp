@@ -28,7 +28,6 @@ void run_case(const char* name, const Workload& w,
     opts.cores = cores;
     opts.machine = machine;
     opts.triangular_storage = triangular;
-    core::Engine engine{w.built.edges, w.n, opts};
     const MeanTimes mt = run_config(w, opts);
 
     // Memory measured on a standalone partition with the same grid.

@@ -3,7 +3,10 @@
 #      (>= 6 records — the bench_suite matrix at scales 14-16).
 #   2. A fresh scale-14 suite run must diff clean against them: the
 #      simulator is virtual-time deterministic, so identical seeds give
-#      identical numbers and any delta is a real code change.
+#      identical numbers and any delta is a real code change. Its five
+#      records must also equal the committed ones byte for byte, so a
+#      baseline that lacks a field the current code writes (or holds a
+#      number inside bench_diff's noise band) fails too.
 #   3. A deliberately slowed run (--slow-beta=2 doubles the per-byte
 #      network cost) must be flagged as a regression — proving the gate
 #      actually fires and is not vacuously green.
@@ -77,6 +80,26 @@ if(NOT diff_out MATCHES "0 regression")
                       "${diff_out}")
 endif()
 
+file(GLOB regenerated "${OUT_DIR}/current/BENCH_*.json")
+set(stale "")
+foreach(record IN LISTS regenerated)
+  get_filename_component(name "${record}" NAME)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                          "${BASELINE_DIR}/${name}" "${record}"
+                  RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    list(APPEND stale "${name}")
+  endif()
+endforeach()
+list(LENGTH regenerated nregenerated)
+if(stale OR NOT nregenerated EQUAL 5)
+  message(FATAL_ERROR "bench_smoke: of ${nregenerated} regenerated "
+                      "scale-14 records (5 expected), these differ from the "
+                      "committed baselines: ${stale}. Refresh all 15 with "
+                      "the two bench_suite invocations in EXPERIMENTS.md "
+                      "and name what moved in the change.")
+endif()
+
 # Doubling beta_net must trip the gate: comm time roughly doubles, far
 # outside any noise band.
 execute_process(
@@ -124,4 +147,4 @@ if(NOT bad_rc EQUAL 2 OR NOT bad_err MATCHES "bench_suite: bad value")
 endif()
 
 message(STATUS "bench_smoke passed: ${nbaselines} baselines, identical-seed "
-               "rerun clean, 2x beta_net flagged and diagnosed")
+               "rerun byte-identical, 2x beta_net flagged and diagnosed")

@@ -60,7 +60,6 @@ struct SuiteOptions {
   std::vector<int> scales;
   std::vector<std::string> algos;
   std::vector<std::string> wires;
-  int cores = 0;
   int reps = 0;
   int sources = 0;
   double slow_beta = 1.0;
@@ -76,7 +75,8 @@ SuiteOptions parse_options(const util::ArgParser& args) {
   }
   opt.algos = split_csv(args.get("algos", "1d,2d"));
   opt.wires = split_csv(args.get("wires", "raw,auto"));
-  opt.cores = util::require_positive(
+  core::EngineOptions base;
+  base.cores = util::require_positive(
       static_cast<int>(args.get_int("cores", 64)), "--cores");
   opt.reps = util::require_positive(
       static_cast<int>(args.get_int("reps", 5)), "--reps");
@@ -84,7 +84,6 @@ SuiteOptions parse_options(const util::ArgParser& args) {
       static_cast<int>(args.get_int("sources", 2)), "--sources");
   opt.slow_beta = args.get_double("slow-beta", 1.0);
   opt.list_only = args.get_flag("list");
-  core::EngineOptions base;
   base.machine = model::hopper();
   opt.engine = core::apply_engine_flags(args, base);
   return opt;
@@ -107,7 +106,7 @@ std::vector<BenchSpec> plan_records(const SuiteOptions& opt) {
                     (direction != bfs::DirectionMode::kTopDown
                          ? bfs::to_string(direction)
                          : wire) +
-                    "_c" + std::to_string(opt.cores);
+                    "_c" + std::to_string(opt.engine.cores);
         spec.created_by = "bench_suite";
         spec.scale = scale;
         spec.edge_factor = 16;
@@ -116,7 +115,6 @@ std::vector<BenchSpec> plan_records(const SuiteOptions& opt) {
         spec.paper_log2_edges = 33.0;  // the scale-29, ef-16 paper runs
         spec.engine = opt.engine;
         spec.engine.algorithm = core::parse_paper_algorithm(algo);
-        spec.engine.cores = opt.cores;
         spec.engine.machine.beta_net *= opt.slow_beta;
         spec.engine.wire_format = comm::parse_wire_format(wire);
         specs.push_back(std::move(spec));
@@ -170,7 +168,7 @@ int main(int argc, char** argv) {
   std::printf("bench_suite: %zu scale(s) x %zu algo(s) x %zu wire(s), "
               "%d cores, %d reps x %d sources%s\n",
               opt.scales.size(), opt.algos.size(), opt.wires.size(),
-              opt.cores, opt.reps, opt.sources,
+              opt.engine.cores, opt.reps, opt.sources,
               opt.slow_beta != 1.0 ? "  [SLOWED beta]" : "");
 
   int written = 0;

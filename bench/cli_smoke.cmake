@@ -22,6 +22,9 @@
 #      is built or any record is written.
 #  11. a hybrid run asked for fewer cores than one rank's natural thread
 #      count (4 cores on hopper, 6 threads per rank) uses 4 cores, not 6.
+#  12. a generator scale outside [1, 40] is a bad argument: exit 2,
+#      naming --scale, before anything is generated (2^scale would
+#      overflow or shift by a negative amount).
 # Invoked by ctest as
 #   cmake -DBFS_TOOL=<exe> -DGRAPH500_RUNNER=<exe> -DBENCH_SUITE=<exe>
 #         -DOUT_DIR=<scratch> -P cli_smoke.cmake
@@ -183,8 +186,19 @@ foreach(algo 1d-hybrid 2d-hybrid)
   endif()
 endforeach()
 
+# --- 12. a generator scale outside [1, 40] is rejected up front -------
+foreach(bad "--gen;er;--scale;64" "--gen;webcrawl;--scale;-1")
+  run(s12 2 "${BFS_TOOL}" ${bad} --algo 1d --cores 4 --sources 1)
+  if(NOT s12_err MATCHES "--scale" OR s12_out MATCHES "graph:")
+    message(FATAL_ERROR "cli_smoke: ${bad} should exit 2 naming --scale "
+                        "before generating\nstdout:\n${s12_out}\n"
+                        "stderr:\n${s12_err}")
+  endif()
+endforeach()
+
 message(STATUS "cli_smoke passed: malformed numbers, unknown algorithms, "
-               "source counts below 1 and out-of-range engine flags exit "
+               "source counts below 1, out-of-range engine flags and "
+               "generator scales exit "
                "2, --help runs nothing, engine flags reach "
                "graph500_runner and bench_suite in both spellings, and a "
                "run-time fault prints one error line")

@@ -55,11 +55,9 @@ int main() {
     int idx = 0;
     for (auto algo : {model::AllgatherAlgo::kRing,
                       model::AllgatherAlgo::kAuto}) {
-      bfs::Bfs2DOptions bopts;
-      bopts.cores = cores;
-      bopts.machine = machine;
-      bopts.allgather_algo = algo;
-      bfs::Bfs2D bfs{w.built.edges, w.n, bopts};
+      bfs::Bfs2D bfs{
+          w.built.edges, w.n,
+          {.cores = cores, .machine = machine, .allgather_algo = algo}};
       double total = 0;
       for (vid_t source : w.sources) {
         total += bfs.run(source).report.total_seconds;

@@ -33,7 +33,7 @@ int main() {
             "}, latency-rescaled franklin");
 
     std::printf("%-22s", "config");
-    for (Algo a : ScalingRunner::kAll) std::printf(" %16s", algo_name(a));
+    print_column_names();
     std::printf("  (GTEPS)\n");
 
     for (const Config& cfg : configs) {
@@ -48,8 +48,8 @@ int main() {
       ScalingRunner runner{spec, w};
 
       std::printf("scale %-2d, degree %-5d", cfg.scale, cfg.degree);
-      for (Algo a : ScalingRunner::kAll) {
-        const MeanTimes r = runner.point(a, cores);
+      for (const Column& c : kColumns) {
+        const MeanTimes r = runner.point(c.algorithm, cores);
         std::printf(" %14.3f ", r.gteps);
       }
       std::printf("\n");

@@ -49,8 +49,8 @@ int main() {
 
   // The paper's headline: communication reduced by up to 3.5x relative
   // to the flat 1D code. Report the measured ratio at the top end.
-  const MeanTimes flat1d = b.point(Algo::kOneDFlat, 20000);
-  const MeanTimes hyb2d = b.point(Algo::kTwoDHybrid, 20000);
+  const MeanTimes flat1d = b.point(core::Algorithm::kOneDFlat, 20000);
+  const MeanTimes hyb2d = b.point(core::Algorithm::kTwoDHybrid, 20000);
   std::printf("\ncomm(1D Flat)/comm(2D Hybrid) at 20000 cores: %.2fx "
               "(paper: up to 3.5x)\n",
               flat1d.comm / hyb2d.comm);

@@ -40,13 +40,15 @@ int main() {
     Row row;
     row.cores = cores;
     int k = 0;
-    for (Algo a : ScalingRunner::kAll) row.results[k++] = runner.point(a, cores);
+    for (const Column& c : kColumns) {
+      row.results[k++] = runner.point(c.algorithm, cores);
+    }
     rows.push_back(row);
   }
 
   std::printf("\n(a) mean search time (seconds; flat line = ideal)\n");
   std::printf("%-8s", "cores");
-  for (Algo a : ScalingRunner::kAll) std::printf(" %16s", algo_name(a));
+  print_column_names();
   std::printf("\n");
   for (const Row& row : rows) {
     std::printf("%-8d", row.cores);
@@ -58,7 +60,7 @@ int main() {
 
   std::printf("\n(b) communication time (seconds)\n");
   std::printf("%-8s", "cores");
-  for (Algo a : ScalingRunner::kAll) std::printf(" %16s", algo_name(a));
+  print_column_names();
   std::printf("\n");
   for (const Row& row : rows) {
     std::printf("%-8d", row.cores);

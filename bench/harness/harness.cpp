@@ -21,8 +21,7 @@ Workload make_rmat_workload(int scale, int edge_factor, int nsources,
 MeanTimes run_config(const Workload& w, core::EngineOptions opts) {
   core::Engine engine{w.built.edges, w.n, opts};
   MeanTimes mt;
-  mt.cores_used = engine.cores_used();
-  double teps_recip_sum = 0.0;
+  std::vector<double> teps;
   for (vid_t source : w.sources) {
     const auto out = engine.run(source);
     mt.total += out.report.total_seconds;
@@ -32,7 +31,7 @@ MeanTimes run_config(const Workload& w, core::EngineOptions opts) {
     mt.alltoall += out.report.alltoall_seconds;
     mt.a2a_bytes += out.report.alltoall_bytes;
     mt.ag_bytes += out.report.allgather_bytes;
-    teps_recip_sum += 1.0 / out.report.teps(w.built.directed_edge_count);
+    teps.push_back(out.report.teps(w.built.directed_edge_count));
   }
   const auto k = static_cast<double>(w.sources.size());
   mt.total /= k;
@@ -40,7 +39,7 @@ MeanTimes run_config(const Workload& w, core::EngineOptions opts) {
   mt.comp /= k;
   mt.allgather /= k;
   mt.alltoall /= k;
-  mt.gteps = k / teps_recip_sum / 1e9;  // harmonic mean
+  mt.gteps = util::summarize(teps).harmonic_mean / 1e9;
   return mt;
 }
 

@@ -3,11 +3,7 @@
 // uses (run_config), and the BenchRunner that turns one benchmark
 // configuration into a machine-readable obs::BenchRecord — the
 // BENCH_<name>.json artifacts bench_suite emits and bench_diff gates on.
-//
-// This file absorbs the former bench/bench_common.hpp and, together with
-// harness/scaling.hpp, the former bench/scaling_common.hpp; the printed
-// one-block-per-figure output convention is unchanged, so the combined
-// bench output still doubles as the EXPERIMENTS.md raw data.
+// The printed blocks are the EXPERIMENTS.md raw data (bench/expected/).
 #pragma once
 
 #include <cmath>
@@ -60,7 +56,6 @@ struct MeanTimes {
   double alltoall = 0;   ///< mean fold-side transfer seconds
   std::uint64_t a2a_bytes = 0;  ///< summed over sources
   std::uint64_t ag_bytes = 0;
-  int cores_used = 0;
 };
 
 MeanTimes run_config(const Workload& w, core::EngineOptions opts);

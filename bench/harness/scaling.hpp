@@ -21,20 +21,23 @@ struct ScalingSpec {
   int edge_factor;
 };
 
-enum class Algo { kOneDFlat, kOneDHybrid, kTwoDFlat, kTwoDHybrid };
+/// The four codes every scaling figure compares, in column order, with
+/// the names the paper's legends give them.
+struct Column {
+  core::Algorithm algorithm;
+  const char* name;
+};
 
-inline const char* algo_name(Algo a) {
-  switch (a) {
-    case Algo::kOneDFlat:
-      return "1D Flat MPI";
-    case Algo::kOneDHybrid:
-      return "1D Hybrid";
-    case Algo::kTwoDFlat:
-      return "2D Flat MPI";
-    case Algo::kTwoDHybrid:
-      return "2D Hybrid";
-  }
-  return "?";
+inline constexpr Column kColumns[] = {
+    {core::Algorithm::kOneDFlat, "1D Flat MPI"},
+    {core::Algorithm::kOneDHybrid, "1D Hybrid"},
+    {core::Algorithm::kTwoDFlat, "2D Flat MPI"},
+    {core::Algorithm::kTwoDHybrid, "2D Hybrid"},
+};
+
+/// One right-aligned header cell per column.
+inline void print_column_names() {
+  for (const Column& c : kColumns) std::printf(" %16s", c.name);
 }
 
 class ScalingRunner {
@@ -45,29 +48,6 @@ class ScalingRunner {
         machine_(scaled_machine(spec.machine,
                                 workload.built.directed_edge_count,
                                 spec.paper_log2_edges)) {}
-
-  /// Run one (algorithm, cores) point; the engine gives the hybrid codes
-  /// the machine's default threads per rank.
-  MeanTimes run(Algo algo, int cores) {
-    core::EngineOptions opts;
-    opts.cores = cores;
-    opts.machine = machine_;
-    switch (algo) {
-      case Algo::kOneDFlat:
-        opts.algorithm = core::Algorithm::kOneDFlat;
-        break;
-      case Algo::kOneDHybrid:
-        opts.algorithm = core::Algorithm::kOneDHybrid;
-        break;
-      case Algo::kTwoDFlat:
-        opts.algorithm = core::Algorithm::kTwoDFlat;
-        break;
-      case Algo::kTwoDHybrid:
-        opts.algorithm = core::Algorithm::kTwoDHybrid;
-        break;
-    }
-    return run_config(workload_, opts);
-  }
 
   /// Print one figure panel: a header naming the workload, then the
   /// table. `show_comm` selects the communication-time view (Figs 6, 8)
@@ -84,13 +64,13 @@ class ScalingRunner {
   /// Print the full table: one row per core count, one column per algo.
   void print_table(bool show_comm) {
     std::printf("%-8s", "cores");
-    for (Algo a : kAll) std::printf(" %16s", algo_name(a));
+    print_column_names();
     std::printf("  %s\n", show_comm ? "(comm seconds, lower=better)"
                                     : "(GTEPS, higher=better)");
     for (int cores : spec_.cores) {
       std::printf("%-8d", cores);
-      for (Algo a : kAll) {
-        const MeanTimes r = point(a, cores);
+      for (const Column& c : kColumns) {
+        const MeanTimes r = point(c.algorithm, cores);
         if (show_comm) {
           std::printf(" %14.6f ", r.comm);
         } else {
@@ -101,23 +81,25 @@ class ScalingRunner {
     }
   }
 
-  MeanTimes point(Algo a, int cores) {
-    const auto key = std::make_pair(static_cast<int>(a), cores);
+  /// One (algorithm, cores) point, run once; the engine gives the hybrid
+  /// codes the machine's default threads per rank.
+  MeanTimes point(core::Algorithm algorithm, int cores) {
+    const auto key = std::make_pair(algorithm, cores);
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-      it = cache_.emplace(key, run(a, cores)).first;
+      const MeanTimes times = run_config(
+          workload_,
+          {.algorithm = algorithm, .cores = cores, .machine = machine_});
+      it = cache_.emplace(key, times).first;
     }
     return it->second;
   }
-
-  static constexpr Algo kAll[] = {Algo::kOneDFlat, Algo::kOneDHybrid,
-                                  Algo::kTwoDFlat, Algo::kTwoDHybrid};
 
  private:
   ScalingSpec spec_;
   const Workload& workload_;
   model::MachineModel machine_;
-  std::map<std::pair<int, int>, MeanTimes> cache_;
+  std::map<std::pair<core::Algorithm, int>, MeanTimes> cache_;
 };
 
 }  // namespace dbfs::bench

@@ -26,7 +26,7 @@ namespace {
 
 using namespace dbfs;
 
-graph::EdgeList load_or_generate(const util::ArgParser& args) {
+graph::EdgeList load_or_generate(const util::ArgParser& args, int scale) {
   const std::string input = args.get("input", "");
   if (!input.empty()) {
     if (input.size() > 4 && input.substr(input.size() - 4) == ".mtx") {
@@ -39,7 +39,6 @@ graph::EdgeList load_or_generate(const util::ArgParser& args) {
   }
 
   const std::string gen = args.get("gen", "rmat");
-  const int scale = static_cast<int>(args.get_int("scale", 14));
   const int degree = static_cast<int>(args.get_int("degree", 16));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (gen == "rmat") {
@@ -145,11 +144,17 @@ int main(int argc, char** argv) {
                                   "got " + std::to_string(nsources));
     }
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const std::int64_t scale = args.get_int("scale", 14);
+    if (scale < 1 || scale > 40) {  // generate_rmat's range; 2^scale fits
+      throw std::invalid_argument("--scale: expected 1 to 40, got " +
+                                  std::to_string(scale));
+    }
 
     graph::BuildOptions build;
     build.shuffle = !args.get_flag("no-shuffle");
     build.shuffle_seed = seed + 0x5eed;
-    auto built = graph::build_graph(load_or_generate(args), build);
+    auto built = graph::build_graph(
+        load_or_generate(args, static_cast<int>(scale)), build);
     const vid_t n = built.csr.num_vertices();
     std::printf("graph: n=%lld m=%lld (directed input %lld)\n",
                 static_cast<long long>(n),

@@ -17,22 +17,60 @@ namespace dbfs::bfs {
 
 namespace {
 
-const char* mode_name(CommMode mode) {
-  switch (mode) {
-    case CommMode::kAlltoallv:
-      return "alltoallv";
-    case CommMode::kChunkedSends:
-      return "chunked";
-    case CommMode::kPerEdgeSends:
-      return "per-edge";
+/// How one code of the 1D family prices the same data movement. Ours
+/// aggregates each level into one Alltoallv; the baselines flush
+/// per-destination buffers as individually latencied messages and pay
+/// extra per scanned edge and per peer per level (touching every
+/// destination's buffer costs CPU time however little it holds).
+struct Code {
+  core::Algorithm algorithm;
+  const char* label;  ///< before the "-flat"/"-hybrid" suffix
+  std::size_t chunk_bytes;  ///< bytes per message; 0 = one Alltoallv
+  double extra_dram_ops_per_edge;  ///< priced at alpha_local(1e9) each
+  double per_peer_level_seconds;
+};
+
+constexpr Code kCodes[] = {
+    {core::Algorithm::kOneDFlat, "1d-alltoallv", 0, 0.0, 0.0},
+    {core::Algorithm::kOneDHybrid, "1d-alltoallv", 0, 0.0, 0.0},
+    // The Graph 500 reference code (v2.1 "simple"), which flat 1D beats
+    // by 2.72-4.13x (§6): few-KB coalescing buffers flushed when full,
+    // owners re-derived by division, an oversized queue.
+    {core::Algorithm::kGraph500Ref, "graph500-ref-chunked", 4 * 1024, 2.0,
+     5.0e-8},
+    // PBGL (Table 2): one "discover" message per candidate through a
+    // generic buffer, hash-map property lookups per visit, and microseconds
+    // per peer to flush the buffers each level — what stops it scaling.
+    {core::Algorithm::kPbglLike, "pbgl-like-per-edge", sizeof(Candidate),
+     6.0, 1.5e-6},
+};
+
+const Code& code_of(core::Algorithm a) {
+  for (const Code& code : kCodes) {
+    if (code.algorithm == a) return code;
   }
-  return "?";
+  throw std::invalid_argument("Bfs1D: not a 1D algorithm");
+}
+
+/// `opts` as `code` runs it: a baseline is flat MPI on raw structs with
+/// smoothed pricing and default recovery, whatever was asked for.
+core::EngineOptions as_run(core::EngineOptions opts, const Code& code) {
+  opts.threads_per_rank = core::rank_threads(opts);
+  if (code.chunk_bytes > 0) {
+    opts.wire_format = comm::WireFormat::kRaw;
+    opts.load_smoothing = 1.0;
+    opts.recover = {};
+  }
+  return opts;
 }
 
 }  // namespace
 
 struct Bfs1D::Impl final : LevelEngine {
-  Bfs1DOptions opts;
+  const Code& code;
+  core::EngineOptions opts;  ///< as_run: the options this code runs with
+  int ranks;
+  double extra_per_edge_seconds;
   vid_t n;
   dist::LocalGraph1D local;
   simmpi::Cluster cluster;
@@ -44,8 +82,9 @@ struct Bfs1D::Impl final : LevelEngine {
   LevelDriver driver;
 
   static dist::LocalGraph1D make_local(const graph::EdgeList& edges,
-                                       vid_t n, const Bfs1DOptions& opts) {
-    if (opts.partition_mode == PartitionMode::kEdgeBalanced) {
+                                       vid_t n, PartitionMode mode,
+                                       int ranks) {
+    if (mode == PartitionMode::kEdgeBalanced) {
       // A rank's per-level work is its out-edges scanned *plus* the
       // candidates arriving for its owned vertices, so balance on both
       // endpoints. On a symmetrized input this doubles every count
@@ -58,41 +97,44 @@ struct Bfs1D::Impl final : LevelEngine {
         ++degrees[static_cast<std::size_t>(e.v)];
       }
       return dist::LocalGraph1D::build_with_partition(
-          edges, dist::BlockPartition::edge_balanced(degrees, opts.ranks));
+          edges, dist::BlockPartition::edge_balanced(degrees, ranks));
     }
-    return dist::LocalGraph1D::build(edges, n, opts.ranks);
+    return dist::LocalGraph1D::build(edges, n, ranks);
   }
 
-  Impl(const graph::EdgeList& edges, vid_t num_vertices, Bfs1DOptions options)
-      : opts(std::move(options)),
+  Impl(const graph::EdgeList& edges, vid_t num_vertices,
+       const core::EngineOptions& options, obs::Observers observers)
+      : code(code_of(options.algorithm)),
+        opts(as_run(options, code)),
+        ranks(std::max(1, opts.cores / opts.threads_per_rank)),
+        extra_per_edge_seconds(code.extra_dram_ops_per_edge *
+                               opts.machine.alpha_local(1e9)),
         n(num_vertices),
-        local(make_local(edges, num_vertices, opts)),
-        cluster(opts.ranks, opts.machine, opts.threads_per_rank),
-        world(static_cast<std::size_t>(opts.ranks)),
+        local(make_local(edges, num_vertices, opts.partition_mode, ranks)),
+        cluster(ranks, opts.machine, opts.threads_per_rank),
+        world(static_cast<std::size_t>(ranks)),
         driver(*this, cluster, world, n, opts.recover, "1d-level") {
     std::iota(world.begin(), world.end(), 0);
     cluster.set_fault_plan(opts.faults);
     // 1D = a degenerate 1×p grid: the single row group is the world, so
     // no off-diagonal atlas pair ever classifies as subcommunicator-local.
-    cluster.attach(opts.observers, 1, opts.ranks);
+    cluster.attach(observers, 1, ranks);
     if (!opts.faults.rank_kills.empty() &&
         opts.recover.policy == recover::Policy::kShrink) {
       edges_keep = edges;
     }
   }
 
-  bool wire_mode() const {
-    return opts.comm_mode == CommMode::kAlltoallv &&
-           comm::wire_sieves(opts.wire_format);
-  }
+  /// The baselines always run raw (see as_run).
+  bool wire_mode() const { return comm::wire_sieves(opts.wire_format); }
 
-  /// Move candidates between ranks and price the exchange according to
-  /// the configured CommMode. Returns per-rank received candidates.
+  /// Move candidates between ranks and price the exchange as the code
+  /// does. Returns per-rank received candidates.
   std::vector<std::vector<Candidate>> exchange(
       simmpi::BlockExchange<Candidate> send) {
-    const auto p = static_cast<std::size_t>(opts.ranks);
+    const auto p = static_cast<std::size_t>(ranks);
 
-    if (opts.comm_mode == CommMode::kAlltoallv) {
+    if (code.chunk_bytes == 0) {
       WireTally wl;
       auto recv = exchange_candidates(cluster, world, std::move(send),
                                       opts.wire_format, sieve,
@@ -108,13 +150,7 @@ struct Bfs1D::Impl final : LevelEngine {
     // *plus* a message latency per chunk on both the send and the
     // receive side — the overhead an aggregated Alltoallv amortizes away.
     auto recv = simmpi::route(send, p);
-    // Per-edge mode must pay one message per candidate — that is the
-    // PBGL-style behavior it models — so it ignores chunk_bytes instead
-    // of falling through to the chunked coalescing below.
-    const std::size_t chunk =
-        opts.comm_mode == CommMode::kPerEdgeSends
-            ? sizeof(Candidate)
-            : std::max<std::size_t>(sizeof(Candidate), opts.chunk_bytes);
+    const std::size_t chunk = code.chunk_bytes;
     std::uint64_t network_bytes = 0;
     std::uint64_t messages = 0;
     for (std::size_t i = 0; i < p; ++i) {
@@ -139,10 +175,10 @@ struct Bfs1D::Impl final : LevelEngine {
         static_cast<double>(network_bytes) / static_cast<double>(p);
     const double max_cost = simmpi::faulted_cost(
         cluster, world,
-        static_cast<double>(opts.ranks) * cluster.machine().alpha_net +
+        static_cast<double>(ranks) * cluster.machine().alpha_net +
             model::cost_chunked_sends(cluster.machine(), mean_msgs,
                                       mean_bytes * cluster.nic_factor(),
-                                      opts.ranks),
+                                      ranks),
         "1d-chunked");
     simmpi::meter_collective(
         cluster, world, max_cost, "1d-chunked",
@@ -171,13 +207,13 @@ struct Bfs1D::Impl final : LevelEngine {
     return wire_mode() ? &sieve : nullptr;
   }
 
-  std::pair<int, int> shape() const override { return {1, opts.ranks}; }
+  std::pair<int, int> shape() const override { return {1, ranks}; }
 
   /// Drop to p-1 ranks and re-partition every vertex onto them.
   bool shrink() override {
-    if (opts.ranks < 2) return false;
-    --opts.ranks;
-    local = make_local(edges_keep, n, opts);
+    if (ranks < 2) return false;
+    --ranks;
+    local = make_local(edges_keep, n, opts.partition_mode, ranks);
     return true;
   }
 
@@ -186,8 +222,9 @@ struct Bfs1D::Impl final : LevelEngine {
   }
 };
 
-Bfs1D::Bfs1D(const graph::EdgeList& edges, vid_t n, Bfs1DOptions opts)
-    : impl_(std::make_unique<Impl>(edges, n, std::move(opts))) {
+Bfs1D::Bfs1D(const graph::EdgeList& edges, vid_t n,
+             const core::EngineOptions& opts, obs::Observers observers)
+    : impl_(std::make_unique<Impl>(edges, n, opts, observers)) {
   if (n < 1) throw std::invalid_argument("Bfs1D: empty graph");
 }
 
@@ -197,7 +234,11 @@ const dist::BlockPartition& Bfs1D::partition() const {
   return impl_->local.partition();
 }
 
-int Bfs1D::ranks() const { return impl_->opts.ranks; }
+int Bfs1D::ranks() const { return impl_->ranks; }
+
+int Bfs1D::cores_used() const {
+  return impl_->ranks * impl_->opts.threads_per_rank;
+}
 
 BfsOutput Bfs1D::run(vid_t source) {
   Impl& im = *impl_;
@@ -205,8 +246,7 @@ BfsOutput Bfs1D::run(vid_t source) {
     throw std::out_of_range("Bfs1D: source out of range");
   }
   BfsOutput out;
-  out.report.algorithm = std::string(im.opts.label) + "-" +
-                         mode_name(im.opts.comm_mode) +
+  out.report.algorithm = std::string(im.code.label) +
                          (im.opts.threads_per_rank > 1 ? "-hybrid" : "-flat");
   im.driver.run(source, out);
   return out;
@@ -215,7 +255,7 @@ BfsOutput Bfs1D::run(vid_t source) {
 vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
                         level_t level, LevelStats& stats) {
   Impl& im = *this;
-  const int p = im.opts.ranks;
+  const int p = im.ranks;
   const int t = im.opts.threads_per_rank;
   const auto& part = im.local.partition();
   const bool wire = im.wire_mode();
@@ -253,10 +293,10 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     work.words_packed = 2 * scanned;  // Candidate = 2 words
     work.n_local = part.size(r);
     work.threads = t;
-    work.extra_per_edge_seconds = im.opts.extra_per_edge_seconds;
+    work.extra_per_edge_seconds = im.extra_per_edge_seconds;
     phase_costs[ri] = model::cost_1d_local(im.cluster.machine(), work) +
                       model::cost_thread_barriers(im.cluster.machine(), t, 2) +
-                      static_cast<double>(p) * im.opts.per_peer_level_seconds;
+                      static_cast<double>(p) * im.code.per_peer_level_seconds;
   });
   im.cluster.set_compute_phase("1d-scan");
   charge_smoothed(im.cluster, im.world, phase_costs, im.opts.load_smoothing);

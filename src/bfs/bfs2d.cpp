@@ -20,8 +20,22 @@
 
 namespace dbfs::bfs {
 
+namespace {
+
+/// `opts` with its threads per rank resolved.
+core::EngineOptions as_run(core::EngineOptions opts) {
+  if (opts.algorithm != core::Algorithm::kTwoDFlat &&
+      opts.algorithm != core::Algorithm::kTwoDHybrid) {
+    throw std::invalid_argument("Bfs2D: not a 2D algorithm");
+  }
+  opts.threads_per_rank = core::rank_threads(opts);
+  return opts;
+}
+
+}  // namespace
+
 struct Bfs2D::Impl final : LevelEngine {
-  Bfs2DOptions opts;
+  core::EngineOptions opts;  ///< as_run
   vid_t n;
   simmpi::ProcessGrid grid;
   dist::Partition2D part;
@@ -104,8 +118,9 @@ struct Bfs2D::Impl final : LevelEngine {
     return gathered;
   }
 
-  Impl(const graph::EdgeList& edges, vid_t num_vertices, Bfs2DOptions options)
-      : opts(std::move(options)),
+  Impl(const graph::EdgeList& edges, vid_t num_vertices,
+       const core::EngineOptions& options, obs::Observers observers)
+      : opts(as_run(options)),
         n(num_vertices),
         grid(simmpi::ProcessGrid::closest_square(opts.cores,
                                                  opts.threads_per_rank)),
@@ -119,7 +134,7 @@ struct Bfs2D::Impl final : LevelEngine {
     cluster.set_fault_plan(opts.faults);
     // The pr×pc grid lets the atlas classify expand/fold bytes as
     // row/column-subcommunicator traffic (the 2D locality split).
-    cluster.attach(opts.observers, grid.pr(), grid.pc());
+    cluster.attach(observers, grid.pr(), grid.pc());
     if (!opts.faults.rank_kills.empty() &&
         opts.recover.policy == recover::Policy::kShrink) {
       edges_keep = edges;
@@ -191,7 +206,6 @@ struct Bfs2D::Impl final : LevelEngine {
     if (survivors < 1) return false;
     const int t = opts.threads_per_rank;
     grid = simmpi::ProcessGrid::closest_square(survivors * t, t);
-    opts.cores = grid.ranks() * t;
     part = dist::Partition2D(edges_keep, n, grid, opts.triangular_storage);
     vdist = dist::VectorDist(n, grid, opts.vector_dist);
     spa.assign(static_cast<std::size_t>(grid.ranks()), {});
@@ -275,8 +289,9 @@ DirectionMode parse_direction_mode(const std::string& name) {
   throw std::invalid_argument("unknown direction mode: " + name);
 }
 
-Bfs2D::Bfs2D(const graph::EdgeList& edges, vid_t n, Bfs2DOptions opts)
-    : impl_(std::make_unique<Impl>(edges, n, std::move(opts))) {
+Bfs2D::Bfs2D(const graph::EdgeList& edges, vid_t n,
+             const core::EngineOptions& opts, obs::Observers observers)
+    : impl_(std::make_unique<Impl>(edges, n, opts, observers)) {
   if (n < 1) throw std::invalid_argument("Bfs2D: empty graph");
   if (impl_->opts.triangular_storage &&
       impl_->opts.vector_dist == dist::VectorDistKind::kDiagonal) {
@@ -318,7 +333,7 @@ BfsOutput Bfs2D::run(vid_t source) {
       im.opts.vector_dist == dist::VectorDistKind::kDiagonal;
   BfsOutput out;
   out.report.algorithm =
-      std::string(im.opts.label) +
+      std::string("2d") +
       (im.opts.threads_per_rank > 1 ? "-hybrid" : "-flat") +
       (diagonal ? "-diagvec" : "") +
       (im.opts.triangular_storage ? "-tri" : "") +

@@ -53,7 +53,7 @@ struct WireTally {
 };
 
 /// Charge per-rank compute costs to `group`, blended toward the group
-/// mean by `smoothing` (see Bfs1DOptions::load_smoothing).
+/// mean by `smoothing` (see core::EngineOptions::load_smoothing).
 void charge_smoothed(simmpi::Cluster& cluster, std::span<const int> group,
                      const std::vector<double>& costs, double smoothing);
 

@@ -1,11 +1,8 @@
 #include "core/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "bfs/baseline_graph500.hpp"
-#include "bfs/baseline_pbgl.hpp"
 #include "bfs/bfs1d.hpp"
 #include "bfs/bfs2d.hpp"
 #include "bfs/serial.hpp"
@@ -15,50 +12,44 @@
 
 namespace dbfs::core {
 
+namespace {
+
+/// Each algorithm's report name and its command-line name.
+struct Name {
+  Algorithm algorithm;
+  const char* name;
+  const char* cli;
+};
+
+constexpr Name kNames[] = {
+    {Algorithm::kSerial, "serial", "serial"},
+    {Algorithm::kShared, "shared", "shared"},
+    {Algorithm::kOneDFlat, "1d-flat", "1d"},
+    {Algorithm::kOneDHybrid, "1d-hybrid", "1d-hybrid"},
+    {Algorithm::kTwoDFlat, "2d-flat", "2d"},
+    {Algorithm::kTwoDHybrid, "2d-hybrid", "2d-hybrid"},
+    {Algorithm::kGraph500Ref, "graph500-ref", "graph500-ref"},
+    {Algorithm::kPbglLike, "pbgl-like", "pbgl"},
+};
+
+}  // namespace
+
 const char* to_string(Algorithm a) {
-  switch (a) {
-    case Algorithm::kSerial:
-      return "serial";
-    case Algorithm::kShared:
-      return "shared";
-    case Algorithm::kOneDFlat:
-      return "1d-flat";
-    case Algorithm::kOneDHybrid:
-      return "1d-hybrid";
-    case Algorithm::kTwoDFlat:
-      return "2d-flat";
-    case Algorithm::kTwoDHybrid:
-      return "2d-hybrid";
-    case Algorithm::kGraph500Ref:
-      return "graph500-ref";
-    case Algorithm::kPbglLike:
-      return "pbgl-like";
+  for (const Name& n : kNames) {
+    if (n.algorithm == a) return n.name;
   }
   return "?";
 }
 
 Algorithm parse_algorithm(const std::string& name) {
-  if (name == "serial") return Algorithm::kSerial;
-  if (name == "shared") return Algorithm::kShared;
-  if (name == "1d") return Algorithm::kOneDFlat;
-  if (name == "1d-hybrid") return Algorithm::kOneDHybrid;
-  if (name == "2d") return Algorithm::kTwoDFlat;
-  if (name == "2d-hybrid") return Algorithm::kTwoDHybrid;
-  if (name == "graph500-ref") return Algorithm::kGraph500Ref;
-  if (name == "pbgl") return Algorithm::kPbglLike;
+  for (const Name& n : kNames) {
+    if (name == n.cli) return n.algorithm;
+  }
   throw std::invalid_argument("unknown algorithm: " + name);
 }
 
 bool is_distributed(Algorithm a) {
   return a != Algorithm::kSerial && a != Algorithm::kShared;
-}
-
-int default_threads_per_rank(const model::MachineModel& machine) {
-  // One NUMA domain per rank: 6-way on 24-core Hopper nodes, 4-way on
-  // quad-core Franklin nodes, and likewise for other machines.
-  return machine.cores_per_node >= 24 ? 6
-         : machine.cores_per_node >= 4 ? 4
-                                       : machine.cores_per_node;
 }
 
 struct Engine::Impl {
@@ -76,18 +67,7 @@ struct Engine::Impl {
 
   Impl(const graph::EdgeList& edges, vid_t num_vertices, EngineOptions options)
       : opts(std::move(options)), n(num_vertices) {
-    int threads = opts.threads_per_rank;
-    const bool hybrid = opts.algorithm == Algorithm::kOneDHybrid ||
-                        opts.algorithm == Algorithm::kTwoDHybrid;
-    if (threads <= 0) {
-      threads = hybrid ? default_threads_per_rank(opts.machine) : 1;
-    }
-    if (!hybrid && is_distributed(opts.algorithm)) threads = 1;
-    // A hybrid rank holds no more threads than the cores asked for, so a
-    // run never uses more cores than requested.
-    if (hybrid) threads = std::min(threads, std::max(1, opts.cores));
-    opts.threads_per_rank = threads;
-
+    opts.threads_per_rank = rank_threads(opts);
     if (is_distributed(opts.algorithm)) {
       if (opts.trace) tracer = std::make_unique<obs::Tracer>();
       if (opts.metrics) metrics = std::make_unique<obs::MetricsRegistry>();
@@ -97,65 +77,11 @@ struct Engine::Impl {
       // run and its report are byte-identical with or without it.
       flight = std::make_unique<obs::FlightRecorder>();
       observers = {tracer.get(), metrics.get(), flight.get(), atlas.get()};
-    }
-
-    switch (opts.algorithm) {
-      case Algorithm::kSerial:
-      case Algorithm::kShared:
-        break;
-      case Algorithm::kOneDFlat:
-      case Algorithm::kOneDHybrid: {
-        bfs::Bfs1DOptions o;
-        o.ranks = std::max(1, opts.cores / threads);
-        o.threads_per_rank = threads;
-        o.machine = opts.machine;
-        o.wire_format = opts.wire_format;
-        o.load_smoothing = opts.load_smoothing;
-        o.faults = opts.faults;
-        o.recover = opts.recover;
-        o.observers = observers;
-        one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
-        break;
-      }
-      case Algorithm::kTwoDFlat:
-      case Algorithm::kTwoDHybrid: {
-        bfs::Bfs2DOptions o;
-        o.cores = opts.cores;
-        o.threads_per_rank = threads;
-        o.machine = opts.machine;
-        o.backend = opts.backend;
-        o.vector_dist = opts.vector_dist;
-        o.triangular_storage = opts.triangular_storage;
-        o.wire_format = opts.wire_format;
-        o.load_smoothing = opts.load_smoothing;
-        o.faults = opts.faults;
-        o.recover = opts.recover;
-        o.observers = observers;
-        o.direction = opts.direction;
-        o.alpha = opts.alpha;
-        o.beta = opts.beta;
-        two_d = std::make_unique<bfs::Bfs2D>(edges, n, std::move(o));
-        break;
-      }
-      case Algorithm::kGraph500Ref: {
-        bfs::Graph500RefOptions g;
-        g.ranks = opts.cores;
-        g.machine = opts.machine;
-        auto o = bfs::graph500_reference_options(g);
-        o.faults = opts.faults;
-        o.observers = observers;
-        one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
-        break;
-      }
-      case Algorithm::kPbglLike: {
-        bfs::PbglLikeOptions g;
-        g.ranks = opts.cores;
-        g.machine = opts.machine;
-        auto o = bfs::pbgl_like_options(g);
-        o.faults = opts.faults;
-        o.observers = observers;
-        one_d = std::make_unique<bfs::Bfs1D>(edges, n, std::move(o));
-        break;
+      if (opts.algorithm == Algorithm::kTwoDFlat ||
+          opts.algorithm == Algorithm::kTwoDHybrid) {
+        two_d = std::make_unique<bfs::Bfs2D>(edges, n, opts, observers);
+      } else {
+        one_d = std::make_unique<bfs::Bfs1D>(edges, n, opts, observers);
       }
     }
     // Built last, once the partitioner's transient buffers are freed.
@@ -174,9 +100,7 @@ const EngineOptions& Engine::options() const { return impl_->opts; }
 
 int Engine::cores_used() const {
   if (impl_->two_d) return impl_->two_d->cores_used();
-  if (impl_->one_d) {
-    return impl_->one_d->ranks() * impl_->opts.threads_per_rank;
-  }
+  if (impl_->one_d) return impl_->one_d->cores_used();
   return 1;
 }
 
@@ -194,16 +118,12 @@ const graph::CsrGraph& Engine::csr() const { return impl_->csr; }
 
 bfs::BfsOutput Engine::run(vid_t source) {
   Impl& im = *impl_;
-  switch (im.opts.algorithm) {
-    case Algorithm::kSerial:
-      return bfs::serial_bfs(im.csr, source);
-    case Algorithm::kShared:
-      return bfs::shared_bfs(im.csr, source).out;
-    default:
-      break;
-  }
   if (im.one_d) return im.one_d->run(source);
-  return im.two_d->run(source);
+  if (im.two_d) return im.two_d->run(source);
+  if (im.opts.algorithm == Algorithm::kShared) {
+    return bfs::shared_bfs(im.csr, source).out;
+  }
+  return bfs::serial_bfs(im.csr, source);
 }
 
 BatchResult Engine::run_batch(std::span<const vid_t> sources,

@@ -28,7 +28,7 @@ class Partition2D {
   /// upper triangle is kept. This is the paper's §7 space optimization
   /// ("one can save 50% space by storing only the upper triangle"); the
   /// BFS must then run a transpose product per level to cover the
-  /// mirrored direction (see Bfs2DOptions::triangular_storage).
+  /// mirrored direction (see core::EngineOptions::triangular_storage).
   Partition2D(const graph::EdgeList& edges, vid_t n,
               const simmpi::ProcessGrid& grid, bool triangular = false);
 

@@ -354,11 +354,9 @@ void BenchRecordBuilder::add_repetition(std::uint64_t source_seed,
   rep.validated = validated;
   rep.failed = failed;
 
-  double recip_sum = 0.0;
+  std::vector<double> teps;
   for (const bfs::RunReport& report : reports) {
-    const double teps = report.teps(edge_denominator);
-    teps_samples_.push_back(teps);
-    if (teps > 0.0) recip_sum += 1.0 / teps;
+    teps.push_back(report.teps(edge_denominator));
     rep.mean_seconds += report.total_seconds;
     rep.comm_seconds_mean += report.comm_seconds_mean;
     rep.comp_seconds_mean += report.comp_seconds_mean;
@@ -367,9 +365,10 @@ void BenchRecordBuilder::add_repetition(std::uint64_t source_seed,
     comp_sum_ += report.comp_seconds_mean;
     ++run_count_;
   }
+  rep.harmonic_mean_teps = util::summarize(teps).harmonic_mean;
+  teps_samples_.insert(teps_samples_.end(), teps.begin(), teps.end());
   if (!reports.empty()) {
     const auto k = static_cast<double>(reports.size());
-    rep.harmonic_mean_teps = recip_sum > 0.0 ? k / recip_sum : 0.0;
     rep.mean_seconds /= k;
     rep.comm_seconds_mean /= k;
     rep.comp_seconds_mean /= k;

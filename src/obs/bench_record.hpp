@@ -190,7 +190,9 @@ class BenchRecordBuilder {
 
   /// Fold one repetition's per-source reports into the record: pools the
   /// TEPS samples and appends the repetition roll-up used for the noise
-  /// model. `edge_denominator` is the Graph500 TEPS denominator.
+  /// model. `edge_denominator` is the Graph500 TEPS denominator. The
+  /// roll-up's harmonic mean is util::summarize's, so a zero-TEPS sample
+  /// makes it 0 like the record's pooled one.
   void add_repetition(std::uint64_t source_seed,
                       std::span<const bfs::RunReport> reports,
                       eid_t edge_denominator, int validated = 0,

@@ -1,7 +1,7 @@
 // The one observer pathway: a non-owning handle to the four passive
 // observers (Tracer, MetricsRegistry, FlightRecorder, CommAtlas) and the
-// only way one reaches the simulator. The drivers carry it in their
-// options, simmpi::Cluster holds it, a shrink rebuild hands it on. The
+// only way one reaches the simulator. Engine hands it to the Bfs1D or
+// Bfs2D it builds, simmpi::Cluster holds it, a shrink rebuild hands it on. The
 // simulator never reads an observer back: any subset leaves a run
 // byte-identical except for the per-level comm/comp breakdown a tracer
 // or metrics registry turns on (observing()), as tests/test_observers.cpp

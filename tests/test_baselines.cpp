@@ -2,21 +2,30 @@
 
 #include <cmath>
 
-#include "bfs/baseline_graph500.hpp"
-#include "bfs/baseline_pbgl.hpp"
+#include "bfs/bfs1d.hpp"
 #include "bfs/serial.hpp"
 #include "test_helpers.hpp"
 
 namespace dbfs::bfs {
 namespace {
 
+using core::Algorithm;
+
+core::EngineOptions opts_for(Algorithm algorithm, int cores,
+                             const model::MachineModel& machine) {
+  core::EngineOptions o;
+  o.algorithm = algorithm;
+  o.cores = cores;
+  o.machine = machine;
+  return o;
+}
+
 TEST(Graph500Ref, ProducesCorrectBfs) {
   const auto built = test::rmat_graph(9);
   const vid_t n = built.csr.num_vertices();
-  Graph500RefOptions opts;
-  opts.ranks = 8;
-  opts.machine = model::franklin();
-  Bfs1D baseline{built.edges, n, graph500_reference_options(opts)};
+  Bfs1D baseline{built.edges, n,
+                 opts_for(Algorithm::kGraph500Ref, 8, model::franklin())};
+  EXPECT_EQ(baseline.ranks(), 8);
   const vid_t source = test::hub_source(built.csr);
   const auto out = baseline.run(source);
   const auto serial = serial_bfs(built.csr, source);
@@ -28,15 +37,9 @@ TEST(Graph500Ref, SlowerThanTunedFlat1D) {
   const vid_t n = built.csr.num_vertices();
   const auto machine = model::franklin();
 
-  Bfs1DOptions tuned;
-  tuned.ranks = 64;
-  tuned.machine = machine;
-  Bfs1D ours{built.edges, n, tuned};
-
-  Graph500RefOptions ref_opts;
-  ref_opts.ranks = 64;
-  ref_opts.machine = machine;
-  Bfs1D reference{built.edges, n, graph500_reference_options(ref_opts)};
+  Bfs1D ours{built.edges, n, opts_for(Algorithm::kOneDFlat, 64, machine)};
+  Bfs1D reference{built.edges, n,
+                  opts_for(Algorithm::kGraph500Ref, 64, machine)};
 
   const vid_t source = test::hub_source(built.csr);
   const double ours_t = ours.run(source).report.total_seconds;
@@ -68,14 +71,9 @@ TEST(Graph500Ref, GapGrowsWithConcurrency) {
     const auto machine = model::miniaturized(
         model::franklin(), static_cast<double>(built.directed_edge_count) /
                                std::pow(2.0, 33.0));
-    Bfs1DOptions tuned;
-    tuned.ranks = ranks;
-    tuned.machine = machine;
-    Bfs1D ours{built.edges, n, tuned};
-    Graph500RefOptions ref_opts;
-    ref_opts.ranks = ranks;
-    ref_opts.machine = machine;
-    Bfs1D reference{built.edges, n, graph500_reference_options(ref_opts)};
+    Bfs1D ours{built.edges, n, opts_for(Algorithm::kOneDFlat, ranks, machine)};
+    Bfs1D reference{built.edges, n,
+                    opts_for(Algorithm::kGraph500Ref, ranks, machine)};
     const vid_t source = test::hub_source(built.csr);
     gaps.push_back(reference.run(source).report.total_seconds /
                    ours.run(source).report.total_seconds);
@@ -91,10 +89,9 @@ TEST(Graph500Ref, GapGrowsWithConcurrency) {
 TEST(PbglLike, ProducesCorrectBfs) {
   const auto built = test::rmat_graph(9);
   const vid_t n = built.csr.num_vertices();
-  PbglLikeOptions opts;
-  opts.ranks = 8;
-  opts.machine = model::carver();
-  Bfs1D baseline{built.edges, n, pbgl_like_options(opts)};
+  Bfs1D baseline{built.edges, n,
+                 opts_for(Algorithm::kPbglLike, 8, model::carver())};
+  EXPECT_EQ(baseline.ranks(), 8);
   const vid_t source = test::hub_source(built.csr);
   const auto out = baseline.run(source);
   const auto serial = serial_bfs(built.csr, source);
@@ -108,15 +105,9 @@ TEST(PbglLike, MuchSlowerThanGraph500Ref) {
   const vid_t n = built.csr.num_vertices();
   const auto machine = model::carver();
 
-  PbglLikeOptions pbgl_opts;
-  pbgl_opts.ranks = 64;
-  pbgl_opts.machine = machine;
-  Bfs1D pbgl{built.edges, n, pbgl_like_options(pbgl_opts)};
-
-  Graph500RefOptions ref_opts;
-  ref_opts.ranks = 64;
-  ref_opts.machine = machine;
-  Bfs1D reference{built.edges, n, graph500_reference_options(ref_opts)};
+  Bfs1D pbgl{built.edges, n, opts_for(Algorithm::kPbglLike, 64, machine)};
+  Bfs1D reference{built.edges, n,
+                  opts_for(Algorithm::kGraph500Ref, 64, machine)};
 
   const vid_t source = test::hub_source(built.csr);
   EXPECT_GT(pbgl.run(source).report.total_seconds,
@@ -124,13 +115,45 @@ TEST(PbglLike, MuchSlowerThanGraph500Ref) {
 }
 
 TEST(Baselines, OptionLabelsDistinguishAlgorithms) {
-  EXPECT_EQ(graph500_reference_options({}).label, "graph500-ref");
-  EXPECT_EQ(pbgl_like_options({}).label, "pbgl-like");
-  EXPECT_EQ(graph500_reference_options({}).comm_mode,
-            CommMode::kChunkedSends);
-  EXPECT_EQ(pbgl_like_options({}).comm_mode, CommMode::kPerEdgeSends);
-  EXPECT_GT(pbgl_like_options({}).extra_per_edge_seconds,
-            graph500_reference_options({}).extra_per_edge_seconds);
+  // Each baseline reports its code and exchange in its label, and PBGL's
+  // property-map inner loop costs more per edge than the reference's.
+  const auto built = test::rmat_graph(9);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+  const auto machine = model::franklin();
+  const RunReport ref =
+      Bfs1D{built.edges, n, opts_for(Algorithm::kGraph500Ref, 1, machine)}
+          .run(source)
+          .report;
+  const RunReport pbgl =
+      Bfs1D{built.edges, n, opts_for(Algorithm::kPbglLike, 1, machine)}
+          .run(source)
+          .report;
+  EXPECT_EQ(ref.algorithm, "graph500-ref-chunked-flat");
+  EXPECT_EQ(pbgl.algorithm, "pbgl-like-per-edge-flat");
+  // One rank is one peer, and both runs take the same levels over the
+  // same edges. Their compute gap is PBGL's costlier per-peer flush
+  // (1.5 us against 50 ns per peer per level) plus its extra per-edge
+  // work; what is left once the flush term is taken out must be a
+  // per-edge cost paid on every traversed edge.
+  ASSERT_EQ(pbgl.levels.size(), ref.levels.size());
+  ASSERT_EQ(pbgl.edges_traversed, ref.edges_traversed);
+  ASSERT_GT(ref.edges_traversed, 0);
+  const double flush_gap =
+      static_cast<double>(ref.levels.size()) * (1.5e-6 - 5.0e-8);
+  const double per_edge_gap =
+      (pbgl.comp_seconds_mean - ref.comp_seconds_mean - flush_gap) /
+      static_cast<double>(ref.edges_traversed);
+  EXPECT_GT(per_edge_gap, 1e-9);
+}
+
+TEST(Baselines, RejectNon1DAlgorithms) {
+  const auto edges = test::path_edges(8);
+  for (Algorithm a : {Algorithm::kSerial, Algorithm::kShared,
+                      Algorithm::kTwoDFlat, Algorithm::kTwoDHybrid}) {
+    EXPECT_THROW(Bfs1D(edges, 8, opts_for(a, 4, model::generic())),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

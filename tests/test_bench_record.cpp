@@ -223,6 +223,26 @@ TEST(BenchRecordBuilder, SingleRepetitionHasZeroNoise) {
   EXPECT_EQ(r.teps.count, 1u);
 }
 
+TEST(BenchRecordBuilder, ZeroTepsSampleZeroesEveryHarmonicMean) {
+  // One rule for every harmonic mean a record holds (util::summarize's):
+  // a zero-TEPS sample makes it 0, whether it is the repetition's or the
+  // pooled one.
+  BenchRecordBuilder b;
+  const std::vector<bfs::RunReport> rep0{fake_report(0.5, 0.2, 0.3),
+                                         fake_report(0.0, 0.0, 0.0)};
+  const std::vector<bfs::RunReport> rep1{fake_report(0.5, 0.2, 0.3),
+                                         fake_report(0.25, 0.1, 0.15)};
+  b.add_repetition(1, rep0, 1000);
+  b.add_repetition(2, rep1, 1000);
+  const BenchRecord r = b.finish();
+  ASSERT_EQ(r.repetitions.size(), 2u);
+  EXPECT_EQ(r.repetitions[0].harmonic_mean_teps, 0.0);
+  EXPECT_DOUBLE_EQ(r.repetitions[1].harmonic_mean_teps,
+                   2.0 / (3.0 / 4000.0));
+  EXPECT_EQ(r.teps.harmonic_mean, 0.0);
+  EXPECT_EQ(r.harmonic_mean_teps, 0.0);
+}
+
 // End-to-end: a record produced from a real traced engine run must parse
 // back under the current schema with all three layers populated.
 TEST(BenchRecord, EngineEmittedRecordIsSchemaValid) {

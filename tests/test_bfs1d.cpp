@@ -9,9 +9,11 @@
 namespace dbfs::bfs {
 namespace {
 
-Bfs1DOptions opts_with(int ranks, int threads = 1) {
-  Bfs1DOptions o;
-  o.ranks = ranks;
+core::EngineOptions opts_with(int ranks, int threads = 1) {
+  core::EngineOptions o;
+  o.algorithm = threads > 1 ? core::Algorithm::kOneDHybrid
+                            : core::Algorithm::kOneDFlat;
+  o.cores = ranks * threads;
   o.threads_per_rank = threads;
   o.machine = model::franklin();
   return o;
@@ -132,11 +134,12 @@ TEST(Bfs1D, MoreRanksShiftTimeTowardComm) {
 }
 
 TEST(Bfs1D, ChunkedModeSameAnswerHigherCost) {
+  // The Graph 500 reference code moves the same candidates as flat 1D,
+  // priced as 4 KiB messages instead of one aggregated Alltoallv.
   const auto built = test::rmat_graph(11, 16);
   const vid_t n = built.csr.num_vertices();
   auto chunked_opts = opts_with(8);
-  chunked_opts.comm_mode = CommMode::kChunkedSends;
-  chunked_opts.chunk_bytes = 1024;
+  chunked_opts.algorithm = core::Algorithm::kGraph500Ref;
   Bfs1D aggregated{built.edges, n, opts_with(8)};
   Bfs1D chunked{built.edges, n, chunked_opts};
   const vid_t source = test::hub_source(built.csr);
@@ -157,7 +160,7 @@ TEST(Bfs1D, ChunkedPricingSurvivesMoreRanksThanMessages) {
   // byte term, which must still come out positive.
   const auto edges = test::path_edges(64);
   auto opts = opts_with(48);
-  opts.comm_mode = CommMode::kChunkedSends;
+  opts.algorithm = core::Algorithm::kGraph500Ref;
   opts.machine.alpha_net = 0.0;
   Bfs1D bfs{edges, 64, opts};
   const auto out = bfs.run(0);
@@ -166,15 +169,15 @@ TEST(Bfs1D, ChunkedPricingSurvivesMoreRanksThanMessages) {
 
 TEST(Bfs1D, PerEdgeSendsCostMoreThanChunked) {
   // Regression: per-edge mode used to fall through to the chunked
-  // max(sizeof(Candidate), chunk_bytes) coalescing, so with the default
-  // 16 KiB chunks it priced one message per 16 KiB instead of one per
-  // candidate and was indistinguishable from the chunked baseline.
+  // coalescing, so it priced one message per chunk instead of one per
+  // candidate and was indistinguishable from the chunked baseline. PBGL
+  // sends one message per candidate, the reference code one per 4 KiB.
   const auto built = test::rmat_graph(10, 16);
   const vid_t n = built.csr.num_vertices();
   auto chunked_opts = opts_with(8);
-  chunked_opts.comm_mode = CommMode::kChunkedSends;
+  chunked_opts.algorithm = core::Algorithm::kGraph500Ref;
   auto per_edge_opts = opts_with(8);
-  per_edge_opts.comm_mode = CommMode::kPerEdgeSends;
+  per_edge_opts.algorithm = core::Algorithm::kPbglLike;
   Bfs1D chunked{built.edges, n, chunked_opts};
   Bfs1D per_edge{built.edges, n, per_edge_opts};
   const vid_t source = test::hub_source(built.csr);

@@ -9,8 +9,10 @@
 namespace dbfs::bfs {
 namespace {
 
-Bfs2DOptions opts_with(int cores, int threads = 1) {
-  Bfs2DOptions o;
+core::EngineOptions opts_with(int cores, int threads = 1) {
+  core::EngineOptions o;
+  o.algorithm = threads > 1 ? core::Algorithm::kTwoDHybrid
+                            : core::Algorithm::kTwoDFlat;
   o.cores = cores;
   o.threads_per_rank = threads;
   o.machine = model::franklin();

@@ -14,8 +14,11 @@
 namespace dbfs::bfs {
 namespace {
 
-Bfs2DOptions dirop_opts(int cores, DirectionMode mode, int threads = 1) {
-  Bfs2DOptions o;
+core::EngineOptions dirop_opts(int cores, DirectionMode mode,
+                               int threads = 1) {
+  core::EngineOptions o;
+  o.algorithm = threads > 1 ? core::Algorithm::kTwoDHybrid
+                            : core::Algorithm::kTwoDFlat;
   o.cores = cores;
   o.threads_per_rank = threads;
   o.machine = model::franklin();

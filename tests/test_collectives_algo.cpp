@@ -69,7 +69,7 @@ class AlgoSweep : public ::testing::TestWithParam<AllgatherAlgo> {};
 
 TEST_P(AlgoSweep, Bfs2DAnswerUnchanged) {
   const auto built = test::rmat_graph(9);
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
   opts.allgather_algo = GetParam();
   bfs::Bfs2D run{built.edges, built.csr.num_vertices(), opts};
@@ -94,10 +94,10 @@ INSTANTIATE_TEST_SUITE_P(All, AlgoSweep,
 TEST(AllgatherAlgo, AutoNeverSlowerEndToEnd) {
   // High-diameter graph: many tiny expands, where the switcher helps.
   const auto edges = test::path_edges(300);
-  bfs::Bfs2DOptions ring;
+  core::EngineOptions ring;
   ring.cores = 64;
   ring.machine = model::hopper();
-  bfs::Bfs2DOptions autoalgo = ring;
+  core::EngineOptions autoalgo = ring;
   autoalgo.allgather_algo = AllgatherAlgo::kAuto;
   bfs::Bfs2D a{edges, 300, ring};
   bfs::Bfs2D b{edges, 300, autoalgo};

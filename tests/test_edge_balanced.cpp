@@ -115,8 +115,9 @@ TEST(EdgeBalanced, LocalGraphBuildsWithCustomPartition) {
 TEST(EdgeBalanced, BfsStillCorrect) {
   const auto built = test::rmat_graph(10);
   const vid_t n = built.csr.num_vertices();
-  bfs::Bfs1DOptions opts;
-  opts.ranks = 8;
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kOneDFlat;
+  opts.cores = 8;
   opts.partition_mode = bfs::PartitionMode::kEdgeBalanced;
   bfs::Bfs1D bfs{built.edges, n, opts};
   const vid_t source = test::hub_source(built.csr);
@@ -135,8 +136,9 @@ TEST(EdgeBalanced, CountsBothEndpointsOnUnsymmetrizedInput) {
   const vid_t n = 64;
   graph::EdgeList edges{n};
   for (vid_t v = 1; v < n; ++v) edges.add(v, 0);  // no symmetrize()
-  bfs::Bfs1DOptions opts;
-  opts.ranks = 4;
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kOneDFlat;
+  opts.cores = 4;
   opts.partition_mode = bfs::PartitionMode::kEdgeBalanced;
   bfs::Bfs1D bfs{edges, n, opts};
   const auto& p = bfs.partition();

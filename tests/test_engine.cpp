@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
+#include "bfs/report_json.hpp"
 #include "bfs/serial.hpp"
 #include "graph/components.hpp"
 #include "test_helpers.hpp"
@@ -13,6 +15,25 @@ namespace dbfs::core {
 namespace {
 
 class EngineAlgorithmSweep : public ::testing::TestWithParam<Algorithm> {};
+
+/// What each algorithm reports and uses at 16 Franklin cores (4 threads
+/// per hybrid rank): the label its run reports and cores_used().
+struct Expected {
+  Algorithm algorithm;
+  const char* label;
+  int cores_used;
+};
+
+constexpr Expected kExpected[] = {
+    {Algorithm::kSerial, "serial", 1},
+    {Algorithm::kShared, "shared-benign", 1},
+    {Algorithm::kOneDFlat, "1d-alltoallv-flat", 16},
+    {Algorithm::kOneDHybrid, "1d-alltoallv-hybrid", 16},
+    {Algorithm::kTwoDFlat, "2d-flat", 16},
+    {Algorithm::kTwoDHybrid, "2d-hybrid", 16},
+    {Algorithm::kGraph500Ref, "graph500-ref-chunked-flat", 16},
+    {Algorithm::kPbglLike, "pbgl-like-per-edge-flat", 16},
+};
 
 TEST_P(EngineAlgorithmSweep, MatchesSerialReference) {
   const auto built = test::rmat_graph(9);
@@ -25,6 +46,40 @@ TEST_P(EngineAlgorithmSweep, MatchesSerialReference) {
   const auto out = engine.run(0);
   const auto serial = bfs::serial_bfs(built.csr, 0);
   EXPECT_EQ(out.level, serial.level) << to_string(GetParam());
+
+  const auto* expected =
+      std::find_if(std::begin(kExpected), std::end(kExpected),
+                   [](const Expected& e) { return e.algorithm == GetParam(); });
+  ASSERT_NE(expected, std::end(kExpected));
+  EXPECT_EQ(out.report.algorithm, expected->label);
+  EXPECT_EQ(engine.cores_used(), expected->cores_used);
+}
+
+TEST(Engine, BaselinesIgnoreWireSmoothingAndRecovery) {
+  // The baseline codes ship raw structs, price at smoothed volumes and
+  // have no recovery story; asking for more changes nothing they report.
+  const auto built = test::rmat_graph(10);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+  for (Algorithm a : {Algorithm::kGraph500Ref, Algorithm::kPbglLike}) {
+    EngineOptions plain;
+    plain.algorithm = a;
+    plain.cores = 16;
+    plain.machine = model::franklin();
+    EngineOptions asked = plain;
+    asked.wire_format = comm::WireFormat::kAuto;
+    asked.load_smoothing = 0.0;
+    asked.recover.checkpoint_every = 2;
+    Engine e_plain{built.edges, n, plain};
+    Engine e_asked{built.edges, n, asked};
+    const auto want = e_plain.run(source);
+    const auto got = e_asked.run(source);
+    EXPECT_EQ(got.parent, want.parent) << to_string(a);
+    EXPECT_EQ(bfs::report_to_json(got.report),
+              bfs::report_to_json(want.report))
+        << to_string(a);
+    EXPECT_EQ(e_asked.cores_used(), e_plain.cores_used()) << to_string(a);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

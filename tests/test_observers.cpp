@@ -73,23 +73,16 @@ bfs::BfsOutput run_once(const graph::BuiltGraph& built, vid_t source,
   recover.audit_every = f.audit_every;
   recover.checkpoint_every = f.checkpoint_every;
   const vid_t n = built.csr.num_vertices();
-  if (e.two_d) {
-    bfs::Bfs2DOptions o;
-    o.cores = 16;
-    o.wire_format = e.wire;
-    o.direction = e.direction;
-    o.faults = faults;
-    o.recover = recover;
-    o.observers = observers;
-    return bfs::Bfs2D{built.edges, n, o}.run(source);
-  }
-  bfs::Bfs1DOptions o;
-  o.ranks = 16;
+  core::EngineOptions o;
+  o.algorithm =
+      e.two_d ? core::Algorithm::kTwoDFlat : core::Algorithm::kOneDFlat;
+  o.cores = 16;
   o.wire_format = e.wire;
+  o.direction = e.direction;
   o.faults = faults;
   o.recover = recover;
-  o.observers = observers;
-  return bfs::Bfs1D{built.edges, n, o}.run(source);
+  if (e.two_d) return bfs::Bfs2D{built.edges, n, o, observers}.run(source);
+  return bfs::Bfs1D{built.edges, n, o, observers}.run(source);
 }
 
 /// Runs every engine × fault plan once unobserved and once per observer

@@ -90,7 +90,7 @@ TEST(ReportJson, BalancedBracesAndBrackets) {
   // A structural smoke test standing in for a full JSON parser: every
   // opener has a closer and the object starts/ends correctly.
   const auto built = test::rmat_graph(9);
-  Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
   Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));
@@ -119,7 +119,7 @@ TEST(ReportJson, BalancedBracesAndBrackets) {
 
 TEST(ReportJson, LevelsArrayMatchesReport) {
   const auto built = test::rmat_graph(9);
-  Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
   Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
   const auto out = bfs.run(test::hub_source(built.csr));

@@ -149,11 +149,10 @@ TEST(Trace, SpansReconcileWithRunReportClocks) {
   const auto built = test::rmat_graph(9);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
-  opts.observers.tracer = &tracer;
-  opts.observers.metrics = &metrics;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+                 {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
   const bfs::RunReport& r = out.report;
 
@@ -193,11 +192,10 @@ TEST(CriticalPath, DecompositionMatchesReportCollectiveSeconds) {
        {dist::VectorDistKind::kTwoD, dist::VectorDistKind::kDiagonal}) {
     const char* label = dist::to_string(layout);
     obs::Tracer tracer;
-    bfs::Bfs2DOptions opts;
+    core::EngineOptions opts;
     opts.cores = 16;
     opts.vector_dist = layout;
-    opts.observers.tracer = &tracer;
-    bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+    bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts, {&tracer}};
     const auto out = bfs.run(test::hub_source(built.csr));
     const bfs::RunReport& r = out.report;
 
@@ -241,12 +239,12 @@ TEST(CriticalPath, DecompositionMatchesReportCollectiveSeconds) {
 TEST(CriticalPath, FindsThePlantedStraggler) {
   const auto built = test::rmat_graph(9);
   obs::Tracer tracer;
-  bfs::Bfs1DOptions opts;
-  opts.ranks = 8;
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kOneDFlat;
+  opts.cores = 8;
   opts.load_smoothing = 0.0;  // price real volumes so the slowdown shows
   opts.faults.compute_stragglers = {{3, 16.0}};
-  opts.observers.tracer = &tracer;
-  bfs::Bfs1D bfs{built.edges, built.csr.num_vertices(), opts};
+  bfs::Bfs1D bfs{built.edges, built.csr.num_vertices(), opts, {&tracer}};
   const auto out = bfs.run(test::hub_source(built.csr));
 
   const obs::CriticalPathReport cp =
@@ -286,13 +284,12 @@ TEST(Trace, FaultEventsAreRecorded) {
   const auto built = test::rmat_graph(9);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
   opts.faults.seed = 7;
   opts.faults.collective_fail_rate = 0.05;
-  opts.observers.tracer = &tracer;
-  opts.observers.metrics = &metrics;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+                 {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
 
   ASSERT_GT(out.report.faults.collective_failures, 0)
@@ -316,11 +313,10 @@ TEST(Trace, ReportJsonEmbedsObserverSections) {
   const auto built = test::rmat_graph(9);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 16;
-  opts.observers.tracer = &tracer;
-  opts.observers.metrics = &metrics;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+                 {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
 
   const obs::CriticalPathReport cp =

@@ -110,7 +110,7 @@ class TriangularBfsSweep : public ::testing::TestWithParam<int> {};
 TEST_P(TriangularBfsSweep, MatchesSerial) {
   const auto built = test::rmat_graph(10);
   const vid_t n = built.csr.num_vertices();
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = GetParam();
   opts.machine = model::franklin();
   opts.triangular_storage = true;
@@ -124,7 +124,7 @@ TEST_P(TriangularBfsSweep, MatchesSerial) {
 TEST_P(TriangularBfsSweep, PassesValidation) {
   const auto built = test::rmat_graph(9, 8, 13);
   const vid_t n = built.csr.num_vertices();
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = GetParam();
   opts.machine = model::hopper();
   opts.triangular_storage = true;
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Cores, TriangularBfsSweep,
 
 TEST(TriangularBfs, HighDiameterGraph) {
   const auto edges = test::path_edges(40);
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 9;
   opts.triangular_storage = true;
   bfs::Bfs2D bfs{edges, 40, opts};
@@ -153,7 +153,8 @@ TEST(TriangularBfs, HighDiameterGraph) {
 TEST(TriangularBfs, HybridMode) {
   const auto built = test::rmat_graph(9);
   const vid_t n = built.csr.num_vertices();
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kTwoDHybrid;
   opts.cores = 64;
   opts.threads_per_rank = 4;
   opts.triangular_storage = true;
@@ -165,7 +166,7 @@ TEST(TriangularBfs, HybridMode) {
 
 TEST(TriangularBfs, RejectsDiagonalDistribution) {
   const auto edges = test::path_edges(8);
-  bfs::Bfs2DOptions opts;
+  core::EngineOptions opts;
   opts.cores = 4;
   opts.triangular_storage = true;
   opts.vector_dist = dist::VectorDistKind::kDiagonal;
@@ -177,10 +178,10 @@ TEST(TriangularBfs, SlowerButSameTrafficOrder) {
   // pairwise transpose traffic; it must not explode communication.
   const auto built = test::rmat_graph(11, 16);
   const vid_t n = built.csr.num_vertices();
-  bfs::Bfs2DOptions full;
+  core::EngineOptions full;
   full.cores = 64;
   full.machine = model::franklin();
-  bfs::Bfs2DOptions tri = full;
+  core::EngineOptions tri = full;
   tri.triangular_storage = true;
   bfs::Bfs2D bf{built.edges, n, full};
   bfs::Bfs2D bt{built.edges, n, tri};

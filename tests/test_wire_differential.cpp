@@ -26,16 +26,17 @@ graph::BuiltGraph webcrawl_graph(int scale) {
   return graph::build_graph(graph::generate_webcrawl(params), build);
 }
 
-Bfs1DOptions opts_1d(comm::WireFormat format, int ranks = 8) {
-  Bfs1DOptions o;
-  o.ranks = ranks;
+core::EngineOptions opts_1d(comm::WireFormat format, int ranks = 8) {
+  core::EngineOptions o;
+  o.algorithm = core::Algorithm::kOneDFlat;
+  o.cores = ranks;
   o.machine = model::franklin();
   o.wire_format = format;
   return o;
 }
 
-Bfs2DOptions opts_2d(comm::WireFormat format, int cores = 16) {
-  Bfs2DOptions o;
+core::EngineOptions opts_2d(comm::WireFormat format, int cores = 16) {
+  core::EngineOptions o;
   o.cores = cores;
   o.machine = model::franklin();
   o.wire_format = format;
@@ -177,11 +178,11 @@ TEST(WireDifferential2D, TriangularHybridAutoMatchesRaw) {
   const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   auto raw_opts = opts_2d(comm::WireFormat::kRaw, 36);
+  raw_opts.algorithm = core::Algorithm::kTwoDHybrid;
   raw_opts.threads_per_rank = 4;
   raw_opts.triangular_storage = true;
-  auto wire_opts = opts_2d(comm::WireFormat::kAuto, 36);
-  wire_opts.threads_per_rank = 4;
-  wire_opts.triangular_storage = true;
+  auto wire_opts = raw_opts;
+  wire_opts.wire_format = comm::WireFormat::kAuto;
   Bfs2D raw{built.edges, n, raw_opts};
   Bfs2D wired{built.edges, n, wire_opts};
   const auto raw_out = raw.run(source);
@@ -195,10 +196,11 @@ TEST(WireDifferential1D, HybridAutoMatchesRaw) {
   const auto built = test::rmat_graph(10);
   const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  auto raw_opts = opts_1d(comm::WireFormat::kRaw, 4);
-  raw_opts.threads_per_rank = 4;
-  auto wire_opts = opts_1d(comm::WireFormat::kAuto, 4);
-  wire_opts.threads_per_rank = 4;
+  auto raw_opts = opts_1d(comm::WireFormat::kRaw, 16);
+  raw_opts.algorithm = core::Algorithm::kOneDHybrid;
+  raw_opts.threads_per_rank = 4;  // 4 ranks of 4 threads
+  auto wire_opts = raw_opts;
+  wire_opts.wire_format = comm::WireFormat::kAuto;
   Bfs1D raw{built.edges, n, raw_opts};
   Bfs1D wired{built.edges, n, wire_opts};
   const auto raw_out = raw.run(source);
