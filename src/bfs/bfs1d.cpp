@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -136,7 +137,8 @@ struct Bfs1D::Impl final : LevelEngine {
 
     if (code.chunk_bytes == 0) {
       WireTally wl;
-      auto recv = exchange_candidates(cluster, world, std::move(send),
+      const std::span<const int> groups[] = {world};
+      auto recv = exchange_candidates(cluster, groups, std::move(send),
                                       opts.wire_format, sieve,
                                       opts.load_smoothing, "1d-exchange", wl);
       if (wire_mode()) driver.record_wire(wl, "1d-exchange");

@@ -665,96 +665,119 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
 
   // ---- Fold (line 8): scatter partial results along processor rows to
   // the vector-piece owners, then merge, filter, and update parents
-  // (lines 9-11).
-  std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
-  im.cluster.set_compute_phase("2d-merge");
-  for (int i = 0; i < s; ++i) {
-    const vid_t row_base = blocks.begin(i);
-    const auto row_group = im.grid.row_group(i);
-
-    std::vector<std::vector<Candidate>> received;
-    if (!diagonal) {
-      auto send =
-          simmpi::BlockExchange<Candidate>::sized(static_cast<std::size_t>(s));
-      for (int gj = 0; gj < s; ++gj) {
-        const int rank = im.grid.rank_of(i, gj);
-        const auto& partial = partials[static_cast<std::size_t>(rank)];
-        const auto& extra = mirrored[static_cast<std::size_t>(rank)];
+  // (lines 9-11). As under MPI, every rank takes each stage at once: all
+  // p ranks pack their sends in one phase, every row's senders sieve and
+  // encode and its receivers decode in exchange_candidates' two, and all
+  // owners merge and sort in a fourth. Each phase is sized by the level's
+  // candidates, so a small level stays on the calling thread. The calling
+  // thread charges each row's encode, alltoallv, decode and merge in row
+  // order; the merge is priced from the received counts alone, so it is
+  // charged before any owner has merged.
+  std::size_t candidates = 0;
+  for (int r = 0; r < p; ++r) {
+    candidates += partials[static_cast<std::size_t>(r)].entries().size() +
+                  mirrored[static_cast<std::size_t>(r)].size();
+  }
+  // Each rank blocks its candidates by owner column; on the diagonal
+  // distribution every owner is P(i,i). The partials are freed as they
+  // are packed.
+  auto send =
+      simmpi::BlockExchange<Candidate>::sized(static_cast<std::size_t>(p));
+  im.cluster.for_each_rank(
+      [&](int r) {
+        const auto ri = static_cast<std::size_t>(r);
+        const int i = im.grid.row_of(r);
+        const vid_t row_base = blocks.begin(i);
         simmpi::pack_blocks<Candidate>(
             static_cast<std::size_t>(s),
             [&](auto&& put) {
-              for (const auto& e : partial.entries()) {
+              for (const auto& e : partials[ri].entries()) {
                 put(static_cast<std::size_t>(im.vdist.owner_col(i, e.index)),
                     Candidate{row_base + e.index, e.value});
               }
-              for (const Candidate& c : extra) {
+              for (const Candidate& c : mirrored[ri]) {
                 put(static_cast<std::size_t>(
                         im.vdist.owner_col(i, c.vertex - row_base)),
                     c);
               }
             },
-            send.data[static_cast<std::size_t>(gj)],
-            send.blocks[static_cast<std::size_t>(gj)]);
-      }
-      received = exchange_candidates(im.cluster, row_group, std::move(send),
-                                     im.opts.wire_format, im.sieve,
-                                     im.opts.load_smoothing, "2d-fold",
-                                     wire_level);
-      im.cluster.set_compute_phase("2d-merge");
-    } else {
-      // Diagonal distribution: everything gathers at P(i,i), which then
-      // merges alone while the rest of the row idles (Fig 4).
-      std::vector<std::vector<Candidate>> pieces(
-          static_cast<std::size_t>(s));
-      for (int gj = 0; gj < s; ++gj) {
-        const int rank = im.grid.rank_of(i, gj);
-        auto& piece = pieces[static_cast<std::size_t>(gj)];
-        const auto& partial = partials[static_cast<std::size_t>(rank)];
-        piece.reserve(partial.entries().size());
-        for (const auto& e : partial.entries()) {
-          piece.push_back(Candidate{row_base + e.index, e.value});
-        }
-      }
-      received.assign(static_cast<std::size_t>(s), {});
-      received[static_cast<std::size_t>(i)] = simmpi::gatherv(
-          im.cluster, row_group, static_cast<std::size_t>(i),
-          std::move(pieces), "2d-fold");
-    }
+            send.data[ri], send.blocks[ri]);
+        partials[ri] = {};
+        mirrored[ri] = {};
+      },
+      candidates);
 
-    // Owners merge received candidates by max parent, filter against the
-    // parents array, update, and emit the new piece, sorted because the
-    // expand and the vertex-list codec take ascending input. Merge costs
-    // are smoothed across the row's receivers; in diagonal mode the root
-    // is the only receiver, so its serial merge stays fully concentrated
-    // (the Fig 4 mechanism).
+  // Owners merge received candidates by max parent, filter against the
+  // parents array, update, and emit the new piece, sorted because the
+  // expand and the vertex-list codec take ascending input. Merge costs
+  // are smoothed across the row's receivers; in diagonal mode the root
+  // is the only receiver, so its serial merge stays fully concentrated
+  // (the Fig 4 mechanism).
+  const auto charge_merges = [&](std::size_t row,
+                                 std::span<const std::size_t> received) {
+    const int i = static_cast<int>(row);
     std::vector<double> merge_costs(static_cast<std::size_t>(s), 0.0);
     for (int gj = 0; gj < s; ++gj) {
-      const int rank = im.grid.rank_of(i, gj);
-      const auto ri = static_cast<std::size_t>(rank);
-      const auto& cand = received[static_cast<std::size_t>(gj)];
       if (diagonal && gj != i) continue;
-
-      merge_candidates(cand, rank, level, out,
-                       sieving ? &im.sieve : nullptr, shadow, fs[ri]);
-      std::sort(fs[ri].begin(), fs[ri].end());
-      next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
-
       model::Work2D work;
-      work.fold_received = static_cast<vid_t>(cand.size());
+      work.fold_received =
+          static_cast<vid_t>(received[static_cast<std::size_t>(gj)]);
       work.n_local = im.vdist.piece_size(i, gj);
       work.threads = t;
       merge_costs[static_cast<std::size_t>(gj)] =
           model::cost_2d_local(im.cluster.machine(), work) +
           model::cost_thread_barriers(im.cluster.machine(), t, 2);
     }
+    im.cluster.set_compute_phase("2d-merge");
     if (diagonal) {
       im.cluster.charge_compute(im.grid.rank_of(i, i),
                                 merge_costs[static_cast<std::size_t>(i)]);
     } else {
-      charge_smoothed(im.cluster, row_group, merge_costs,
+      charge_smoothed(im.cluster, im.grid.row_group(i), merge_costs,
                       im.opts.load_smoothing);
     }
+  };
+  std::vector<std::vector<Candidate>> received;
+  if (!diagonal) {
+    // exchange_candidates numbers the members row after row, and `send`
+    // and `received` are indexed by rank: the two agree because the grid
+    // is row-major (ProcessGrid.RowsLaidEndToEndListTheRanksInOrder).
+    std::vector<std::span<const int>> rows;
+    for (int i = 0; i < s; ++i) rows.push_back(im.grid.row_group(i));
+    received = exchange_candidates(im.cluster, rows, std::move(send),
+                                   im.opts.wire_format, im.sieve,
+                                   im.opts.load_smoothing, "2d-fold",
+                                   wire_level, charge_merges);
+  } else {
+    // Diagonal distribution: everything gathers at P(i,i), which then
+    // merges alone while the rest of the row idles (Fig 4).
+    received.resize(static_cast<std::size_t>(p));
+    for (int i = 0; i < s; ++i) {
+      std::vector<std::vector<Candidate>> pieces(static_cast<std::size_t>(s));
+      for (int gj = 0; gj < s; ++gj) {
+        pieces[static_cast<std::size_t>(gj)] = std::move(
+            send.data[static_cast<std::size_t>(im.grid.rank_of(i, gj))]);
+      }
+      auto& root = received[static_cast<std::size_t>(im.grid.rank_of(i, i))];
+      root = simmpi::gatherv(im.cluster, im.grid.row_group(i),
+                             static_cast<std::size_t>(i), std::move(pieces),
+                             "2d-fold");
+      std::vector<std::size_t> counts(static_cast<std::size_t>(s), 0);
+      counts[static_cast<std::size_t>(i)] = root.size();
+      charge_merges(static_cast<std::size_t>(i), counts);
+    }
   }
+  std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
+  im.cluster.for_each_rank(
+      [&](int r) {
+        const auto ri = static_cast<std::size_t>(r);
+        merge_candidates(received[ri], r, level, out,
+                         sieving ? &im.sieve : nullptr, shadow, fs[ri]);
+        std::sort(fs[ri].begin(), fs[ri].end());
+        next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
+        received[ri] = {};
+      },
+      candidates);
 
   if (sieving || wire_expand_on || bottom_up) {
     im.driver.record_wire(wire_level, "2d-exchange");

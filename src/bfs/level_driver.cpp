@@ -43,7 +43,7 @@ vid_t pick_victim(vid_t n, std::uint64_t shape, Pred pred) {
 }  // namespace
 
 void charge_smoothed(simmpi::Cluster& cluster, std::span<const int> group,
-                     const std::vector<double>& costs, double smoothing) {
+                     std::span<const double> costs, double smoothing) {
   double mean = 0.0;
   for (double c : costs) mean += c;
   mean /= static_cast<double>(costs.size());

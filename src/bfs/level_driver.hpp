@@ -55,7 +55,7 @@ struct WireTally {
 /// Charge per-rank compute costs to `group`, blended toward the group
 /// mean by `smoothing` (see core::EngineOptions::load_smoothing).
 void charge_smoothed(simmpi::Cluster& cluster, std::span<const int> group,
-                     const std::vector<double>& costs, double smoothing);
+                     std::span<const double> costs, double smoothing);
 
 /// What a distribution supplies to LevelDriver.
 class LevelEngine {

@@ -22,15 +22,17 @@ Cluster::Cluster(int ranks, model::MachineModel machine, int threads_per_rank)
   }
 }
 
-void Cluster::for_each_rank(const std::function<void(int)>& phase) const {
-  util::for_each_slot(static_cast<std::size_t>(ranks_),
-                      [&phase](std::size_t r) { phase(static_cast<int>(r)); });
+void Cluster::for_each_rank(const std::function<void(int)>& phase,
+                            std::size_t items) const {
+  util::for_each_slot(
+      static_cast<std::size_t>(ranks_),
+      [&phase](std::size_t r) { phase(static_cast<int>(r)); }, items);
 }
 
-void Cluster::for_each_rank(
-    std::span<const int> group,
-    const std::function<void(std::size_t)>& phase) const {
-  util::for_each_slot(group.size(), phase);
+void Cluster::for_each_rank(std::span<const int> group,
+                            const std::function<void(std::size_t)>& phase,
+                            std::size_t items) const {
+  util::for_each_slot(group.size(), phase, items);
 }
 
 void Cluster::set_fault_plan(FaultPlan plan) {

@@ -32,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/traffic.hpp"
+#include "util/parallel.hpp"
 
 namespace dbfs::simmpi {
 
@@ -73,13 +74,16 @@ class Cluster {
   /// charge clocks, call collectives or reach the observers: the caller
   /// does that after the phase, in program order. If phases throw, every
   /// other rank's phase still runs and the exception of the lowest rank
-  /// is rethrown here.
-  void for_each_rank(const std::function<void(int)>& phase) const;
+  /// is rethrown here. `items` sizes the phase: a small one runs on the
+  /// calling thread (util::for_each_slot).
+  void for_each_rank(const std::function<void(int)>& phase,
+                     std::size_t items = util::kUnsized) const;
 
   /// The same for one group (a row, a column, the world): runs
   /// `phase(slot)` for each slot of `group`, whose rank is group[slot].
   void for_each_rank(std::span<const int> group,
-                     const std::function<void(std::size_t)>& phase) const;
+                     const std::function<void(std::size_t)>& phase,
+                     std::size_t items = util::kUnsized) const;
 
   /// Charge modelled local computation to one rank's clock. A fault plan
   /// with compute stragglers scales the charge by the rank's factor —

@@ -18,16 +18,12 @@ int host_threads() {
 }
 
 void for_each_slot(std::size_t count,
-                   const std::function<void(std::size_t)>& phase) {
+                   const std::function<void(std::size_t)>& phase,
+                   std::size_t items) {
   const auto n = static_cast<std::ptrdiff_t>(count);
-  const auto chunk =
-      std::clamp<std::ptrdiff_t>(n / (4 * host_threads()), 1, 16);
   std::exception_ptr error;
   std::ptrdiff_t error_slot = n;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, chunk)
-#endif
-  for (std::ptrdiff_t slot = 0; slot < n; ++slot) {
+  const auto run = [&](std::ptrdiff_t slot) {
     try {
       phase(static_cast<std::size_t>(slot));
     } catch (...) {
@@ -39,6 +35,16 @@ void for_each_slot(std::size_t count,
         error = std::current_exception();
       }
     }
+  };
+  if (items < kInlineWork && count < kInlineWork - items) {
+    for (std::ptrdiff_t slot = 0; slot < n; ++slot) run(slot);
+  } else {
+    const auto chunk =
+        std::clamp<std::ptrdiff_t>(n / (4 * host_threads()), 1, 16);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic, chunk)
+#endif
+    for (std::ptrdiff_t slot = 0; slot < n; ++slot) run(slot);
   }
   if (error) std::rethrow_exception(error);
 }

@@ -24,14 +24,26 @@ namespace dbfs::util {
 /// OpenMP, 1 without it.
 int host_threads();
 
+/// A phase whose items plus slots fall below kInlineWork runs on the
+/// calling thread. Measured on the 2D fold's and the 1D exchange's phases
+/// (EXPERIMENTS.md, "The fold in world phases"): a slot's fixed cost is
+/// about one item's (12-25 ns against 10-40 ns), and a parallel region
+/// costs about 5 us, which four threads win back only past ~500 items.
+inline constexpr std::size_t kInlineWork = std::size_t{1} << 9;
+/// The item count of a phase that states none: it always opens a region.
+inline constexpr std::size_t kUnsized = static_cast<std::size_t>(-1);
+
 /// Run phase(0) .. phase(count - 1) across the host threads (serially
-/// without OpenMP). A chunk is a quarter of one thread's even share,
-/// capped at 16 slots, so a 32-member row group on 4 threads runs as 16
-/// chunks of 2 rather than two chunks of 16. An exception does not leave
-/// the parallel region: each is caught in its slot, the lowest slot's is
-/// kept, and it is rethrown here once every slot has run.
+/// without OpenMP), or on the calling thread when `items` (what the
+/// slots process between them) plus `count` is below kInlineWork. A chunk
+/// is a quarter of one thread's even share, capped at 16 slots, so a
+/// 32-member row group on 4 threads runs as 16 chunks of 2 rather than
+/// two chunks of 16. An exception does not stop the other slots: each is
+/// caught in its slot, the lowest slot's is kept, and it is rethrown here
+/// once every slot has run.
 void for_each_slot(std::size_t count,
-                   const std::function<void(std::size_t)>& phase);
+                   const std::function<void(std::size_t)>& phase,
+                   std::size_t items = kUnsized);
 
 /// The items [first, last) of slot `slot` when `count` items are cut into
 /// `slots` contiguous ranges whose sizes differ by at most one.

@@ -275,6 +275,20 @@ TEST(Cluster, PhaseExceptionReachesTheCaller) {
             "slot 5");
   for (int v : ran) EXPECT_EQ(v, 1);
 
+  // A phase sized small enough to stay on the calling thread keeps the
+  // rule.
+  std::vector<int> ran_inline(64, 0);
+  EXPECT_EQ(rethrown([&] {
+              c.for_each_rank(
+                  [&](int r) {
+                    ran_inline[static_cast<std::size_t>(r)] = 1;
+                    throw_at(static_cast<std::size_t>(r));
+                  },
+                  0);
+            }),
+            "slot 5");
+  for (int v : ran_inline) EXPECT_EQ(v, 1);
+
   std::vector<int> group(32);
   for (std::size_t k = 0; k < group.size(); ++k) {
     group[k] = static_cast<int>(2 * k + 1);

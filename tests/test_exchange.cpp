@@ -1,14 +1,18 @@
 // Tests for the candidate exchange both distributed engines share
-// (bfs/exchange.hpp): the owners' max-parent merge, on its own and under
-// an unaudited at-rest flip in both engines, and the exact library calls
-// the standalone host-clock benchmark (bench/e2e) makes on the same path.
+// (bfs/exchange.hpp): the several-group exchange against one call per
+// group, the owners' max-parent merge, on its own and under an unaudited
+// at-rest flip in both engines, and the exact library calls the
+// standalone host-clock benchmark (bench/e2e) makes on the same path.
 #include "bfs/exchange.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <numeric>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,12 +22,184 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/validator.hpp"
+#include "model/cost.hpp"
 #include "model/machine.hpp"
+#include "obs/observers.hpp"
+#include "obs/trace.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/fault.hpp"
+#include "simmpi/process_grid.hpp"
 
 namespace dbfs::bfs {
 namespace {
+
+// ---- The several-group exchange: a 4×4 grid's fold, all rows in one
+// call against one call per row.
+
+constexpr int kSide = 4;  // rows, and members per row
+constexpr vid_t kFoldN = 512;
+
+std::vector<std::pair<vid_t, vid_t>> pairs_of(const std::vector<Candidate>& c) {
+  std::vector<std::pair<vid_t, vid_t>> out;
+  for (const Candidate& x : c) out.emplace_back(x.vertex, x.parent);
+  return out;
+}
+
+/// Each member's candidates, blocked by destination slot in its row. Every
+/// target is offered twice with different parents, so the sieve's dedup
+/// has work; row 2's senders send nothing.
+simmpi::BlockExchange<Candidate> fold_send() {
+  constexpr auto s = static_cast<std::size_t>(kSide);
+  auto send = simmpi::BlockExchange<Candidate>::sized(s * s);
+  for (std::size_t m = 0; m < s * s; ++m) {
+    if (m / s == 2) continue;
+    simmpi::pack_blocks<Candidate>(
+        s,
+        [&](auto&& put) {
+          for (vid_t k = 0; k < 60; ++k) {
+            const auto v = static_cast<vid_t>(
+                (static_cast<vid_t>(m) * 53 + (k % 30) * 29) % kFoldN);
+            put(static_cast<std::size_t>(v % kSide),
+                Candidate{v, static_cast<vid_t>(m) * 7 + k / 10});
+          }
+        },
+        send.data[m], send.blocks[m]);
+  }
+  return send;
+}
+
+/// A sieve whose rows already hold some visited marks.
+comm::Sieve premarked_sieve() {
+  comm::Sieve sieve;
+  sieve.reset(kSide * kSide, kFoldN);
+  for (int r = 0; r < kSide * kSide; ++r) {
+    for (vid_t v = 0; v < kFoldN; ++v) {
+      if ((v * 3 + r) % 11 == 0) sieve.mark(r, v);
+    }
+  }
+  return sieve;
+}
+
+TEST(FoldExchange, RowsInOneCallMatchOneCallPerRow) {
+  constexpr auto s = static_cast<std::size_t>(kSide);
+  const simmpi::ProcessGrid grid(kSide);
+  std::vector<std::span<const int>> rows;
+  for (int i = 0; i < kSide; ++i) rows.push_back(grid.row_group(i));
+  for (const comm::WireFormat format :
+       {comm::WireFormat::kRaw, comm::WireFormat::kAuto}) {
+    const char* label = comm::to_string(format);
+
+    // Every row in one call, traced; load smoothing 0 charges each rank
+    // exactly its own cost.
+    simmpi::Cluster together(grid.ranks(), model::hopper());
+    obs::Tracer tracer;
+    obs::Observers observers;
+    observers.tracer = &tracer;
+    together.attach(observers, kSide, kSide);
+    comm::Sieve sieve_together = premarked_sieve();
+    WireTally tally_together;
+    std::vector<std::pair<std::size_t, std::vector<std::size_t>>> calls;
+    const auto got = exchange_candidates(
+        together, rows, fold_send(), format, sieve_together, 0.0, "fold",
+        tally_together, [&](std::size_t k, std::span<const std::size_t> n) {
+          calls.emplace_back(k, std::vector<std::size_t>(n.begin(), n.end()));
+        });
+    ASSERT_EQ(got.size(), s * s) << label;
+
+    // One one-group call per row, in row order.
+    simmpi::Cluster apart(grid.ranks(), model::hopper());
+    comm::Sieve sieve_apart = premarked_sieve();
+    WireTally tally_apart;
+    auto send = fold_send();
+    for (std::size_t i = 0; i < s; ++i) {
+      auto row = simmpi::BlockExchange<Candidate>::sized(s);
+      for (std::size_t m = 0; m < s; ++m) {
+        row.data[m] = std::move(send.data[i * s + m]);
+        row.blocks[m] = std::move(send.blocks[i * s + m]);
+      }
+      const std::span<const int> one[] = {rows[i]};
+      const auto row_got =
+          exchange_candidates(apart, one, std::move(row), format, sieve_apart,
+                              0.0, "fold", tally_apart);
+      ASSERT_EQ(calls.size(), s) << label;
+      EXPECT_EQ(calls[i].first, i) << label;
+      for (std::size_t m = 0; m < s; ++m) {
+        EXPECT_EQ(pairs_of(got[i * s + m]), pairs_of(row_got[m]))
+            << label << " member " << i * s + m;
+        EXPECT_EQ(calls[i].second[m], got[i * s + m].size())
+            << label << " member " << i * s + m;
+        if (i == 2) {
+          EXPECT_TRUE(got[i * s + m].empty()) << label;
+        }
+      }
+    }
+    EXPECT_EQ(tally_together.pre_bytes, tally_apart.pre_bytes) << label;
+    EXPECT_EQ(tally_together.dropped, tally_apart.dropped) << label;
+    EXPECT_EQ(tally_together.stats.raw_bytes, tally_apart.stats.raw_bytes);
+    EXPECT_EQ(tally_together.stats.encoded_bytes,
+              tally_apart.stats.encoded_bytes);
+    EXPECT_EQ(tally_together.stats.items, tally_apart.stats.items);
+    EXPECT_EQ(tally_together.stats.blocks_items,
+              tally_apart.stats.blocks_items);
+    EXPECT_EQ(tally_together.stats.blocks_bitmap,
+              tally_apart.stats.blocks_bitmap);
+    EXPECT_EQ(tally_together.stats.blocks_varint,
+              tally_apart.stats.blocks_varint);
+    for (int r = 0; r < grid.ranks(); ++r) {
+      EXPECT_EQ(together.clocks().now(r), apart.clocks().now(r))
+          << label << " rank " << r;
+      EXPECT_EQ(together.clocks().compute_time(r),
+                apart.clocks().compute_time(r))
+          << label << " rank " << r;
+      for (vid_t v = 0; v < kFoldN; ++v) {
+        ASSERT_EQ(sieve_together.test(r, v), sieve_apart.test(r, v))
+            << label << " rank " << r << " vertex " << v;
+      }
+    }
+    if (!comm::wire_sieves(format)) continue;
+    EXPECT_GT(tally_together.dropped, 0u) << label;
+
+    // The decode charges were priced when encoding ended; they must equal
+    // the prices of the decoded streams. Rebuild each receiver's stream
+    // (its senders' sieved, encoded blocks in sender order) and decode it.
+    comm::Sieve oracle = premarked_sieve();
+    auto again = fold_send();
+    std::vector<std::vector<std::uint8_t>> streams(s * s);
+    for (std::size_t m = 0; m < s * s; ++m) {
+      auto from = again.data[m].cbegin();
+      for (const simmpi::Block& b : again.blocks[m]) {
+        std::vector<Candidate> block(from, from + b.count);
+        from += b.count;
+        comm::sieve_and_dedup(oracle, static_cast<int>(m), block, true);
+        comm::encode_candidates<Candidate>(
+            block, format,
+            streams[m / s * s + static_cast<std::size_t>(b.slot)], nullptr);
+      }
+    }
+    for (std::size_t j = 0; j < s * s; ++j) {
+      std::vector<Candidate> decoded;
+      comm::decode_candidate_stream<Candidate>(streams[j].data(),
+                                               streams[j].size(), decoded);
+      EXPECT_EQ(pairs_of(decoded), pairs_of(got[j])) << "receiver " << j;
+      const double price = model::cost_wire_codec(
+          model::hopper(), decoded.size() * sizeof(Candidate),
+          streams[j].size());
+      std::vector<const obs::Span*> charged;
+      for (const obs::Span& span : tracer.spans(static_cast<int>(j))) {
+        if (std::string(span.name) == "wire-decode") charged.push_back(&span);
+      }
+      if (price == 0.0) {
+        EXPECT_TRUE(charged.empty()) << "receiver " << j;
+        continue;
+      }
+      ASSERT_EQ(charged.size(), 1u) << "receiver " << j;
+      EXPECT_EQ(charged[0]->end, charged[0]->begin + price)
+          << "receiver " << j;
+    }
+  }
+}
+
+// ---- The owners' merge.
 
 constexpr vid_t kN = 12;
 constexpr int kRanks = 2;

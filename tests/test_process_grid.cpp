@@ -34,6 +34,18 @@ TEST(ProcessGrid, RowGroupMembers) {
   EXPECT_EQ(row1[2], g.rank_of(1, 2));
 }
 
+// Bfs2D's fold hands exchange_candidates every row at once, which numbers
+// the members row after row; it indexes them by rank, so the rows laid
+// end to end must list the ranks in order.
+TEST(ProcessGrid, RowsLaidEndToEndListTheRanksInOrder) {
+  const ProcessGrid g{4};
+  int next = 0;
+  for (int i = 0; i < g.pr(); ++i) {
+    for (int r : g.row_group(i)) EXPECT_EQ(r, next++);
+  }
+  EXPECT_EQ(next, g.ranks());
+}
+
 TEST(ProcessGrid, ColGroupMembers) {
   const ProcessGrid g{3};
   const auto col2 = g.col_group(2);

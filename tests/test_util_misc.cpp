@@ -1,13 +1,54 @@
-// Mop-up coverage: timers, cluster argument checking.
+// Mop-up coverage: timers, cluster argument checking, where the
+// executor runs a phase.
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "simmpi/cluster.hpp"
+#include "test_helpers.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace dbfs {
 namespace {
+
+/// For each of `slots` slots of one for_each_slot call sized by `items`:
+/// 1 if it ran inside an active parallel region, else 0.
+std::vector<int> ran_in_region(std::size_t slots, std::size_t items) {
+  std::vector<int> parallel(slots, -1);
+  util::for_each_slot(
+      slots,
+      [&](std::size_t s) {
+#ifdef _OPENMP
+        parallel[s] = omp_in_parallel() ? 1 : 0;
+#else
+        parallel[s] = 0;
+#endif
+      },
+      items);
+  return parallel;
+}
+
+TEST(ForEachSlot, PhaseBelowTheInlineWorkStaysOnTheCallingThread) {
+  const test::HostThreads threads(test::kMaxHostThreads);
+  constexpr std::size_t kSlots = 16;
+  const std::vector<int> inline_run(kSlots, 0);
+  const std::vector<int> region(kSlots, test::kMaxHostThreads > 1 ? 1 : 0);
+  // Items plus slots below kInlineWork: no region opens.
+  EXPECT_EQ(ran_in_region(kSlots, util::kInlineWork - kSlots - 1),
+            inline_run);
+  EXPECT_EQ(ran_in_region(kSlots, 0), inline_run);
+  // At kInlineWork, or with no size stated, the host threads run it.
+  EXPECT_EQ(ran_in_region(kSlots, util::kInlineWork - kSlots), region);
+  EXPECT_EQ(ran_in_region(util::kInlineWork, 0), std::vector<int>(
+                util::kInlineWork, test::kMaxHostThreads > 1 ? 1 : 0));
+  EXPECT_EQ(ran_in_region(kSlots, util::kUnsized), region);
+}
 
 TEST(Timer, MeasuresElapsedTime) {
   util::Timer t;
