@@ -8,7 +8,6 @@
 #include "harness/harness.hpp"
 
 #include "bfs/bfs1d.hpp"
-#include "dist/local_graph1d.hpp"
 
 int main() {
   using namespace dbfs;
@@ -40,22 +39,21 @@ int main() {
   for (auto mode : {bfs::PartitionMode::kUniform,
                     bfs::PartitionMode::kEdgeBalanced}) {
     // Exact per-rank volumes: imbalance is the subject.
-    bfs::Bfs1D bfs{w.built.edges, w.n,
+    bfs::Bfs1D bfs{w.built.csr,
                    {.algorithm = core::Algorithm::kOneDFlat,
                     .cores = ranks,
                     .machine = machine,
                     .partition_mode = mode,
                     .load_smoothing = 0.0}};
 
+    // Each rank's edge load: the out-edges of the vertices it owns.
+    const auto& part = bfs.partition();
+    const std::vector<eid_t>& offsets = w.built.csr.offsets();
     std::vector<double> loads;
-    {
-      // Rebuild the same partition's local graph to measure edge loads.
-      const auto& part = bfs.partition();
-      std::vector<eid_t> per_rank(static_cast<std::size_t>(ranks), 0);
-      for (const graph::Edge& e : w.built.edges.edges()) {
-        ++per_rank[static_cast<std::size_t>(part.owner(e.u))];
-      }
-      for (eid_t c : per_rank) loads.push_back(static_cast<double>(c));
+    for (int r = 0; r < ranks; ++r) {
+      loads.push_back(static_cast<double>(
+          offsets[static_cast<std::size_t>(part.end(r))] -
+          offsets[static_cast<std::size_t>(part.begin(r))]));
     }
 
     double total = 0;

@@ -6,7 +6,7 @@
 // shuffle restores near-uniform loads (the Graph500 strategy).
 #include "harness/harness.hpp"
 
-#include "dist/local_graph1d.hpp"
+#include "dist/partition1d.hpp"
 
 int main() {
   using namespace dbfs;
@@ -37,12 +37,16 @@ int main() {
     const auto comps = graph::connected_components(w.built.csr);
     w.sources = graph::sample_sources(w.built.csr, comps, nsources, 3);
 
-    const auto lg = dist::LocalGraph1D::build(w.built.edges, w.n, ranks);
+    // Each rank's edge load: the out-edges of the vertices it owns.
+    const dist::BlockPartition part(w.n, ranks);
+    const std::vector<eid_t>& offsets = w.built.csr.offsets();
     std::vector<double> loads;
     eid_t max_edges = 0;
     for (int r = 0; r < ranks; ++r) {
-      loads.push_back(static_cast<double>(lg.local_edges(r)));
-      max_edges = std::max(max_edges, lg.local_edges(r));
+      const eid_t edges = offsets[static_cast<std::size_t>(part.end(r))] -
+                          offsets[static_cast<std::size_t>(part.begin(r))];
+      loads.push_back(static_cast<double>(edges));
+      max_edges = std::max(max_edges, edges);
     }
 
     core::EngineOptions opts;

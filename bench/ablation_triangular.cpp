@@ -32,7 +32,7 @@ void run_case(const char* name, const Workload& w,
 
     // Memory measured on a standalone partition with the same grid.
     const auto grid = simmpi::ProcessGrid::closest_square(cores);
-    const dist::Partition2D part{w.built.edges, w.n, grid, triangular};
+    const dist::Partition2D part{w.built.csr, grid, triangular};
     std::printf("%-12s %16.2f %16.3f %16.3f\n",
                 triangular ? "triangular" : "full",
                 static_cast<double>(part.memory_bytes()) / 1e6,

@@ -56,7 +56,7 @@ int main() {
     for (auto algo : {model::AllgatherAlgo::kRing,
                       model::AllgatherAlgo::kAuto}) {
       bfs::Bfs2D bfs{
-          w.built.edges, w.n,
+          w.built.csr,
           {.cores = cores, .machine = machine, .allgather_algo = algo}};
       double total = 0;
       for (vid_t source : w.sources) {

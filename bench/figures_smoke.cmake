@@ -1,5 +1,6 @@
-# figures_smoke: each deterministic table and figure binary, run with
-# every DISTBFS_* variable unset, prints exactly bench/expected/<name>.txt.
+# figures_smoke: each deterministic table, figure and partition-ablation
+# binary, run with every DISTBFS_* variable unset, prints exactly
+# bench/expected/<name>.txt.
 # Their stdout is virtual time only, the same bytes at any host thread
 # count. If a figure moves on purpose, regenerate its file and the
 # EXPERIMENTS.md text that quotes it in the same change.
@@ -21,7 +22,10 @@ set(figures
     fig7_strong_scaling_hopper
     fig9_weak_scaling
     fig10_degree_sensitivity
-    fig11_ukunion)
+    fig11_ukunion
+    ablation_partition
+    ablation_shuffle
+    ablation_triangular)
 
 # Child processes inherit this script's environment.
 execute_process(COMMAND "${CMAKE_COMMAND}" -E environment

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The byte-identity matrix: bfs_tool over every distributed engine × wire
-# format × 2D direction × fault plan, at scale 11 on 64 cores, plain and
-# with every observer attached. Each run writes, in its own directory
-# under OUT_DIR, its stdout (the --json report included), its stderr, its
-# exit status and its observer artifacts (trace, atlas, flight recorder;
-# metrics ride in the --json report). Every simulated figure is virtual
+# format × 2D direction × fault plan, plus the 2D engines' triangular
+# storage, at scale 11 on 64 cores, plain and with every observer
+# attached. Each run writes, in its own directory under OUT_DIR, its
+# stdout (the --json report included), its stderr, its exit status and
+# its observer artifacts (trace, atlas, flight recorder; metrics ride in
+# the --json report). Every simulated figure is virtual
 # time, so two builds that should behave alike must produce identical
 # trees:
 #
@@ -14,7 +15,7 @@
 #
 #   bash bench/identity_matrix.sh BFS_TOOL OUT_DIR [--slice]
 #
-# The full matrix is 420 runs (about 6 s on 4 cores); --slice runs a
+# The full matrix is 460 runs (about 6 s on 4 cores); --slice runs a
 # handful of its rows, as the identity_matrix_smoke ctest does. Four
 # runs go at once. OUT_DIR is emptied first.
 set -euo pipefail
@@ -42,9 +43,26 @@ declare -A plans=(
   [faults]="--fault-seed 42 --fail-rate 0.2 --corrupt-rate 0.3 --straggler 3:4.0 --degrade-nic 5:2.0"
 )
 
-# One line per run: its name, then its bfs_tool arguments.
+# One line per run of one engine configuration under every fault plan,
+# plain and observed: its name, then its bfs_tool arguments.
+plan_rows() {
+  local prefix="$1" base="$2" plan obs
+  for plan in none kill-shrink kill-spare flip-audit faults; do
+    for obs in plain observed; do
+      local args="$base ${plans[$plan]}"
+      if [ "$obs" = observed ]; then
+        args+=" --metrics --trace-out trace.json"
+        args+=" --atlas-out atlas.json --flight-out flight.json"
+      fi
+      # No trailing blank: xargs -L would join the next line on.
+      echo "$prefix-$plan-$obs" $args
+    done
+  done
+}
+
 rows() {
-  local algo wire dir plan obs wires dirs
+  local algo wire dir wires dirs
+  local base="--scale 11 --cores 64 --sources 2"
   for algo in 1d 1d-hybrid 2d 2d-hybrid graph500-ref pbgl; do
     case "$algo" in
       graph500-ref | pbgl) wires="raw" ;;  # the baselines run raw only
@@ -56,21 +74,17 @@ rows() {
     esac
     for wire in $wires; do
       for dir in $dirs; do
-        for plan in none kill-shrink kill-spare flip-audit faults; do
-          for obs in plain observed; do
-            local name="$algo-$wire-$dir-$plan-$obs"
-            local args="--algo $algo --scale 11 --cores 64 --sources 2"
-            args+=" --wire-format $wire --direction $dir --json"
-            args+=" ${plans[$plan]}"
-            if [ "$obs" = observed ]; then
-              args+=" --metrics --trace-out trace.json"
-              args+=" --atlas-out atlas.json --flight-out flight.json"
-            fi
-            # No trailing blank: xargs -L would join the next line on.
-            echo "$name" $args
-          done
-        done
+        plan_rows "$algo-$wire-$dir" \
+          "--algo $algo $base --wire-format $wire --direction $dir --json"
       done
+    done
+  done
+  # Triangular storage (the upper wedge, §7) on the 2D engines: top-down
+  # only, as direction optimization needs the full matrix.
+  for algo in 2d 2d-hybrid; do
+    for wire in raw auto; do
+      plan_rows "$algo-tri-$wire-topdown" "--algo $algo $base \
+        --wire-format $wire --direction topdown --triangular --json"
     done
   done
 }

@@ -72,46 +72,46 @@ struct Bfs1D::Impl final : LevelEngine {
   core::EngineOptions opts;  ///< as_run: the options this code runs with
   int ranks;
   double extra_per_edge_seconds;
+  const graph::CsrGraph& csr;
   vid_t n;
-  dist::LocalGraph1D local;
+  dist::BlockPartition part;
   simmpi::Cluster cluster;
   std::vector<int> world;
   comm::Sieve sieve;
-  /// Retained only while shrink recovery is armed: rebuilding a
-  /// (p-1)-rank partition needs the original edges.
-  graph::EdgeList edges_keep;
   LevelDriver driver;
 
-  static dist::LocalGraph1D make_local(const graph::EdgeList& edges,
-                                       vid_t n, PartitionMode mode,
-                                       int ranks) {
+  static dist::BlockPartition make_partition(const graph::CsrGraph& csr,
+                                             PartitionMode mode, int ranks) {
     if (mode == PartitionMode::kEdgeBalanced) {
       // A rank's per-level work is its out-edges scanned *plus* the
       // candidates arriving for its owned vertices, so balance on both
-      // endpoints. On a symmetrized input this doubles every count
+      // endpoints. On a symmetric graph this doubles every count
       // uniformly (the greedy sweep is scale-invariant, boundaries are
-      // unchanged); on an unsymmetrized input it stops a high in-degree
+      // unchanged); on an unsymmetrized one it stops a high in-degree
       // hub's receive volume from being invisible to the partitioner.
-      std::vector<eid_t> degrees(static_cast<std::size_t>(n), 0);
-      for (const graph::Edge& e : edges.edges()) {
-        ++degrees[static_cast<std::size_t>(e.u)];
-        ++degrees[static_cast<std::size_t>(e.v)];
+      const vid_t n = csr.num_vertices();
+      std::vector<eid_t> degrees(static_cast<std::size_t>(n));
+      for (vid_t u = 0; u < n; ++u) {
+        degrees[static_cast<std::size_t>(u)] += csr.degree(u);
+        for (vid_t v : csr.neighbors(u)) {
+          ++degrees[static_cast<std::size_t>(v)];
+        }
       }
-      return dist::LocalGraph1D::build_with_partition(
-          edges, dist::BlockPartition::edge_balanced(degrees, ranks));
+      return dist::BlockPartition::edge_balanced(degrees, ranks);
     }
-    return dist::LocalGraph1D::build(edges, n, ranks);
+    return dist::BlockPartition(csr.num_vertices(), ranks);
   }
 
-  Impl(const graph::EdgeList& edges, vid_t num_vertices,
-       const core::EngineOptions& options, obs::Observers observers)
+  Impl(const graph::CsrGraph& graph, const core::EngineOptions& options,
+       obs::Observers observers)
       : code(code_of(options.algorithm)),
         opts(as_run(options, code)),
         ranks(std::max(1, opts.cores / opts.threads_per_rank)),
         extra_per_edge_seconds(code.extra_dram_ops_per_edge *
                                opts.machine.alpha_local(1e9)),
-        n(num_vertices),
-        local(make_local(edges, num_vertices, opts.partition_mode, ranks)),
+        csr(graph),
+        n(graph.num_vertices()),
+        part(make_partition(graph, opts.partition_mode, ranks)),
         cluster(ranks, opts.machine, opts.threads_per_rank),
         world(static_cast<std::size_t>(ranks)),
         driver(*this, cluster, world, n, opts.recover, "1d-level") {
@@ -120,10 +120,6 @@ struct Bfs1D::Impl final : LevelEngine {
     // 1D = a degenerate 1×p grid: the single row group is the world, so
     // no off-diagonal atlas pair ever classifies as subcommunicator-local.
     cluster.attach(observers, 1, ranks);
-    if (!opts.faults.rank_kills.empty() &&
-        opts.recover.policy == recover::Policy::kShrink) {
-      edges_keep = edges;
-    }
   }
 
   /// The baselines always run raw (see as_run).
@@ -203,7 +199,7 @@ struct Bfs1D::Impl final : LevelEngine {
   vid_t step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
              level_t level, LevelStats& stats) override;
 
-  int owner(vid_t v) const override { return local.partition().owner(v); }
+  int owner(vid_t v) const override { return part.owner(v); }
 
   comm::Sieve* visited_sieve() override {
     return wire_mode() ? &sieve : nullptr;
@@ -211,30 +207,28 @@ struct Bfs1D::Impl final : LevelEngine {
 
   std::pair<int, int> shape() const override { return {1, ranks}; }
 
-  /// Drop to p-1 ranks and re-partition every vertex onto them.
+  /// Drop to p-1 ranks and re-cut the vertex blocks over them.
   bool shrink() override {
     if (ranks < 2) return false;
     --ranks;
-    local = make_local(edges_keep, n, opts.partition_mode, ranks);
+    part = make_partition(csr, opts.partition_mode, ranks);
     return true;
   }
 
-  vid_t shard_size(int rank) const override {
-    return local.partition().size(rank);
-  }
+  vid_t shard_size(int rank) const override { return part.size(rank); }
 };
 
-Bfs1D::Bfs1D(const graph::EdgeList& edges, vid_t n,
-             const core::EngineOptions& opts, obs::Observers observers)
-    : impl_(std::make_unique<Impl>(edges, n, opts, observers)) {
-  if (n < 1) throw std::invalid_argument("Bfs1D: empty graph");
+Bfs1D::Bfs1D(const graph::CsrGraph& csr, const core::EngineOptions& opts,
+             obs::Observers observers)
+    : impl_(std::make_unique<Impl>(csr, opts, observers)) {
+  if (csr.num_vertices() < 1) {
+    throw std::invalid_argument("Bfs1D: empty graph");
+  }
 }
 
 Bfs1D::~Bfs1D() = default;
 
-const dist::BlockPartition& Bfs1D::partition() const {
-  return impl_->local.partition();
-}
+const dist::BlockPartition& Bfs1D::partition() const { return impl_->part; }
 
 int Bfs1D::ranks() const { return impl_->ranks; }
 
@@ -259,7 +253,7 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
   Impl& im = *this;
   const int p = im.ranks;
   const int t = im.opts.threads_per_rank;
-  const auto& part = im.local.partition();
+  const dist::BlockPartition& part = im.part;
   const bool wire = im.wire_mode();
   SdcShadow* const shadow = im.driver.shadow();
 
@@ -279,8 +273,7 @@ vid_t Bfs1D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
         static_cast<std::size_t>(p),
         [&](auto&& put) {
           for (vid_t u : fs[ri]) {
-            const vid_t local_u = u - part.begin(r);
-            for (vid_t v : im.local.neighbors(r, local_u)) {
+            for (vid_t v : im.csr.neighbors(u)) {
               put(static_cast<std::size_t>(part.owner(v)), Candidate{v, u});
             }
           }

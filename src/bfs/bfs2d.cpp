@@ -36,6 +36,7 @@ core::EngineOptions as_run(core::EngineOptions opts) {
 
 struct Bfs2D::Impl final : LevelEngine {
   core::EngineOptions opts;  ///< as_run
+  const graph::CsrGraph& csr;
   vid_t n;
   simmpi::ProcessGrid grid;
   dist::Partition2D part;
@@ -51,9 +52,6 @@ struct Bfs2D::Impl final : LevelEngine {
   // Sender-side visited sieve for the fold exchanges (kRaw leaves every
   // exchange on the legacy path).
   comm::Sieve sieve;
-  /// Retained only while shrink recovery is armed: re-folding the grid
-  /// needs the original edges to rebuild the checkerboard partition.
-  graph::EdgeList edges_keep;
   LevelDriver driver;
   /// Independent replica of the direction-heuristic scalars, updated by
   /// the same legitimate operations as the live ones (never blind-copied
@@ -62,15 +60,14 @@ struct Bfs2D::Impl final : LevelEngine {
   std::array<std::uint64_t, 3> dirop_shadow{};
   std::array<std::uint64_t, 3> dirop_live{};  ///< audit view of the live ones
 
-  /// Direction optimization (opts.direction != kTopDown). `deg` holds
-  /// per-vertex stored-nonzero counts summed over the blocks — exactly
-  /// the adjacencies top-down would scan for that vertex — so the m_f
-  /// allreduce and the m_u ledger below price the same work the engine
-  /// actually does. Degrees are partition-independent, so a shrink
-  /// rebuild keeps them as-is. The m_u/m_f/direction scalars are the
-  /// heuristic's carried state: snapshotted with every checkpoint and
-  /// restored on recovery, so a replay re-takes identical decisions.
-  std::vector<eid_t> deg;
+  /// Direction optimization (opts.direction != kTopDown). Under the full
+  /// storage it requires, `csr.degree(v)` is exactly the stored nonzeros
+  /// of v's column over the blocks — the adjacencies top-down would scan
+  /// for v — so the m_f allreduce and the m_u ledger below price the
+  /// same work the engine actually does, under any grid a shrink leaves.
+  /// The m_u/m_f/direction scalars are the heuristic's carried state:
+  /// snapshotted with every checkpoint and restored on recovery, so a
+  /// replay re-takes identical decisions.
   eid_t dirop_m_u = 0;           ///< m_u: degree-sum not yet frontier-charged
   eid_t dirop_m_f = 0;           ///< m_f of the frontier entering this level
   bool dirop_bottom_up = false;  ///< direction the previous level ran in
@@ -118,14 +115,15 @@ struct Bfs2D::Impl final : LevelEngine {
     return gathered;
   }
 
-  Impl(const graph::EdgeList& edges, vid_t num_vertices,
-       const core::EngineOptions& options, obs::Observers observers)
+  Impl(const graph::CsrGraph& graph, const core::EngineOptions& options,
+       obs::Observers observers)
       : opts(as_run(options)),
-        n(num_vertices),
+        csr(graph),
+        n(graph.num_vertices()),
         grid(simmpi::ProcessGrid::closest_square(opts.cores,
                                                  opts.threads_per_rank)),
-        part(edges, num_vertices, grid, opts.triangular_storage),
-        vdist(num_vertices, grid, opts.vector_dist),
+        part(graph, grid, opts.triangular_storage),
+        vdist(n, grid, opts.vector_dist),
         cluster(grid.ranks(), opts.machine, opts.threads_per_rank),
         world(static_cast<std::size_t>(grid.ranks())),
         spa(static_cast<std::size_t>(grid.ranks())),
@@ -135,28 +133,7 @@ struct Bfs2D::Impl final : LevelEngine {
     // The pr×pc grid lets the atlas classify expand/fold bytes as
     // row/column-subcommunicator traffic (the 2D locality split).
     cluster.attach(observers, grid.pr(), grid.pc());
-    if (!opts.faults.rank_kills.empty() &&
-        opts.recover.policy == recover::Policy::kShrink) {
-      edges_keep = edges;
-    }
     rebuild_thread_pieces();
-    if (opts.direction != DirectionMode::kTopDown) build_degrees();
-  }
-
-  /// Per-vertex stored-nonzero counts, summed over the blocks (duplicates
-  /// and self-loops already resolved by the partitioner, so this matches
-  /// the SpMSV flop accounting exactly).
-  void build_degrees() {
-    deg.assign(static_cast<std::size_t>(n), 0);
-    const auto& bl = part.blocks();
-    for (int r = 0; r < grid.ranks(); ++r) {
-      const vid_t col_base = bl.begin(grid.col_of(r));
-      const auto& a = part.block(r);
-      for (vid_t k = 0; k < a.nzc(); ++k) {
-        deg[static_cast<std::size_t>(col_base + a.nonzero_column_id(k))] +=
-            static_cast<eid_t>(a.nonzero_column(k).size());
-      }
-    }
   }
 
   void rebuild_thread_pieces() {
@@ -206,7 +183,7 @@ struct Bfs2D::Impl final : LevelEngine {
     if (survivors < 1) return false;
     const int t = opts.threads_per_rank;
     grid = simmpi::ProcessGrid::closest_square(survivors * t, t);
-    part = dist::Partition2D(edges_keep, n, grid, opts.triangular_storage);
+    part = dist::Partition2D(csr, grid, opts.triangular_storage);
     vdist = dist::VectorDist(n, grid, opts.vector_dist);
     spa.assign(static_cast<std::size_t>(grid.ranks()), {});
     rebuild_thread_pieces();
@@ -234,8 +211,8 @@ struct Bfs2D::Impl final : LevelEngine {
     } else if (dirop_on()) {
       // The run's initial conditions: nothing explored yet, and the
       // frontier is the source alone.
-      dirop_m_u = part.total_nnz();
-      dirop_m_f = deg[static_cast<std::size_t>(driver.source())];
+      dirop_m_u = csr.num_edges();
+      dirop_m_f = csr.degree(driver.source());
       dirop_bottom_up = false;
     }
     // The one place the replica may copy the live values: both were
@@ -289,10 +266,12 @@ DirectionMode parse_direction_mode(const std::string& name) {
   throw std::invalid_argument("unknown direction mode: " + name);
 }
 
-Bfs2D::Bfs2D(const graph::EdgeList& edges, vid_t n,
-             const core::EngineOptions& opts, obs::Observers observers)
-    : impl_(std::make_unique<Impl>(edges, n, opts, observers)) {
-  if (n < 1) throw std::invalid_argument("Bfs2D: empty graph");
+Bfs2D::Bfs2D(const graph::CsrGraph& csr, const core::EngineOptions& opts,
+             obs::Observers observers)
+    : impl_(std::make_unique<Impl>(csr, opts, observers)) {
+  if (csr.num_vertices() < 1) {
+    throw std::invalid_argument("Bfs2D: empty graph");
+  }
   if (impl_->opts.triangular_storage &&
       impl_->opts.vector_dist == dist::VectorDistKind::kDiagonal) {
     throw std::invalid_argument(
@@ -412,8 +391,8 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
     std::vector<std::int64_t> contrib(static_cast<std::size_t>(p), 0);
     for (int r = 0; r < p; ++r) {
       for (vid_t v : fs[static_cast<std::size_t>(r)]) {
-        contrib[static_cast<std::size_t>(r)] += static_cast<std::int64_t>(
-            im.deg[static_cast<std::size_t>(v)]);
+        contrib[static_cast<std::size_t>(r)] +=
+            static_cast<std::int64_t>(im.csr.degree(v));
       }
     }
     im.dirop_m_f = static_cast<eid_t>(simmpi::allreduce_sum<std::int64_t>(

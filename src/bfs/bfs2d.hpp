@@ -19,7 +19,7 @@
 
 #include "bfs/options.hpp"
 #include "bfs/report.hpp"
-#include "graph/edge_list.hpp"
+#include "graph/csr_graph.hpp"
 #include "obs/observers.hpp"
 #include "simmpi/process_grid.hpp"
 
@@ -27,12 +27,17 @@ namespace dbfs::bfs {
 
 class Bfs2D {
  public:
-  /// Partition `edges` over the closest square grid of cores / threads
-  /// ranks (§6) for a 2D `opts.algorithm`. The observers see the pr×pc
-  /// grid, so the atlas splits row/column traffic (expand, fold) from
-  /// grid-wide traffic — the 2D locality contrast of §6.
-  Bfs2D(const graph::EdgeList& edges, vid_t n,
-        const core::EngineOptions& opts, obs::Observers observers = {});
+  /// Partition the arcs of `csr` over the closest square grid of
+  /// cores / threads ranks (§6) for a 2D `opts.algorithm`. The driver
+  /// keeps a reference to `csr`, which must outlive it: the direction
+  /// heuristic reads its degrees, and a shrink re-partitions from it. The
+  /// observers see the pr×pc grid, so the atlas splits row/column traffic
+  /// (expand, fold) from grid-wide traffic — the 2D locality contrast of
+  /// §6.
+  Bfs2D(const graph::CsrGraph& csr, const core::EngineOptions& opts,
+        obs::Observers observers = {});
+  Bfs2D(graph::CsrGraph&&, const core::EngineOptions&,
+        obs::Observers = {}) = delete;
   ~Bfs2D();
 
   Bfs2D(const Bfs2D&) = delete;

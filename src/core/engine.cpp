@@ -32,6 +32,16 @@ constexpr Name kNames[] = {
     {Algorithm::kPbglLike, "pbgl-like", "pbgl"},
 };
 
+/// `edges`, once `n` is known to be its vertex count.
+const graph::EdgeList& checked(const graph::EdgeList& edges, vid_t n) {
+  if (n < 1) throw std::invalid_argument("Engine: empty graph");
+  if (n != edges.num_vertices()) {
+    throw std::invalid_argument(
+        "Engine: n differs from the edge list's vertex count");
+  }
+  return edges;
+}
+
 }  // namespace
 
 const char* to_string(Algorithm a) {
@@ -54,19 +64,19 @@ bool is_distributed(Algorithm a) {
 
 struct Engine::Impl {
   EngineOptions opts;
-  vid_t n;
+  /// The one graph: what every algorithm traverses and run_batch
+  /// validates against. Bfs1D and Bfs2D keep a reference to it.
+  graph::CsrGraph csr;
   std::unique_ptr<bfs::Bfs1D> one_d;
   std::unique_ptr<bfs::Bfs2D> two_d;
-  /// What kSerial/kShared traverse and run_batch validates against.
-  graph::CsrGraph csr;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::FlightRecorder> flight;
   std::unique_ptr<obs::CommAtlas> atlas;
   obs::Observers observers;  ///< the four above, as the drivers see them
 
-  Impl(const graph::EdgeList& edges, vid_t num_vertices, EngineOptions options)
-      : opts(std::move(options)), n(num_vertices) {
+  Impl(const graph::EdgeList& edges, EngineOptions options)
+      : opts(std::move(options)), csr(graph::CsrGraph::from_edges(edges)) {
     opts.threads_per_rank = rank_threads(opts);
     if (is_distributed(opts.algorithm)) {
       if (opts.trace) tracer = std::make_unique<obs::Tracer>();
@@ -79,20 +89,16 @@ struct Engine::Impl {
       observers = {tracer.get(), metrics.get(), flight.get(), atlas.get()};
       if (opts.algorithm == Algorithm::kTwoDFlat ||
           opts.algorithm == Algorithm::kTwoDHybrid) {
-        two_d = std::make_unique<bfs::Bfs2D>(edges, n, opts, observers);
+        two_d = std::make_unique<bfs::Bfs2D>(csr, opts, observers);
       } else {
-        one_d = std::make_unique<bfs::Bfs1D>(edges, n, opts, observers);
+        one_d = std::make_unique<bfs::Bfs1D>(csr, opts, observers);
       }
     }
-    // Built last, once the partitioner's transient buffers are freed.
-    csr = graph::CsrGraph::from_edges(edges);
   }
 };
 
 Engine::Engine(const graph::EdgeList& edges, vid_t n, EngineOptions opts)
-    : impl_(std::make_unique<Impl>(edges, n, std::move(opts))) {
-  if (n < 1) throw std::invalid_argument("Engine: empty graph");
-}
+    : impl_(std::make_unique<Impl>(checked(edges, n), std::move(opts))) {}
 
 Engine::~Engine() = default;
 

@@ -1,10 +1,10 @@
 // Public facade of the library: pick an algorithm, a simulated machine,
 // and a core count; run validated BFS with full per-level instrumentation.
 // One core::EngineOptions (bfs/options.hpp) describes the run. Engine
-// hands it unchanged to bfs::Bfs1D or bfs::Bfs2D, which read what their
-// algorithm uses; Engine itself resolves the threads per rank, builds the
-// observers, and keeps the CSR that kSerial/kShared traverse and
-// run_batch validates against.
+// builds one CSR and hands it, with the options unchanged, to bfs::Bfs1D
+// or bfs::Bfs2D, which read what their algorithm uses; Engine itself
+// resolves the threads per rank, builds the observers, and keeps the CSR
+// that every algorithm traverses and run_batch validates against.
 //
 //   using namespace dbfs;
 //   auto built = graph::build_graph(graph::generate_rmat({.scale = 16}));
@@ -68,9 +68,11 @@ struct BatchResult {
 class Engine {
  public:
   /// `edges` must already be prepared (shuffled + symmetrized — use
-  /// graph::build_graph); `n` is the vertex count. The engine keeps no
-  /// copy of `edges` (only shrink recovery, when armed, keeps one inside
-  /// Bfs1D or Bfs2D), so they need not outlive it.
+  /// graph::build_graph); `n` is the vertex count and must equal
+  /// edges.num_vertices() (std::invalid_argument otherwise, or when it is
+  /// below 1). The engine builds one CSR from `edges` and keeps no copy
+  /// of them, so they need not outlive it. Every algorithm traverses that
+  /// CSR, deduplicated and without self-loops, whatever the list holds.
   Engine(const graph::EdgeList& edges, vid_t n, EngineOptions opts);
   ~Engine();
 
@@ -99,8 +101,8 @@ class Engine {
   obs::CommAtlas* comm_atlas() const;
   obs::FlightRecorder* flight_recorder() const;
   /// CSR view of the prepared graph, built once in the constructor (with
-  /// CsrGraph::from_edges); the serial and shared algorithms traverse it
-  /// and run_batch validates against it.
+  /// CsrGraph::from_edges); every algorithm traverses it and run_batch
+  /// validates against it.
   const graph::CsrGraph& csr() const;
 
  private:

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dist/partition1d.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
 #include "simmpi/process_grid.hpp"
 #include "sparse/dcsc_matrix.hpp"
@@ -19,8 +20,9 @@ class Partition2D {
  public:
   Partition2D() = default;
 
-  /// Decompose the edge list over a square grid. Row and column blocks
-  /// share the same boundaries (BlockPartition of n over s).
+  /// Decompose the graph's arcs over a square grid. Row and column blocks
+  /// share the same boundaries (BlockPartition of n over s). Keeps no
+  /// reference to `csr`.
   ///
   /// With `triangular` set (requires a symmetric input), only the upper
   /// wedge is stored: entry {u,v} lands once, in block
@@ -29,6 +31,12 @@ class Partition2D {
   /// ("one can save 50% space by storing only the upper triangle"); the
   /// BFS must then run a transpose product per level to cover the
   /// mirrored direction (see core::EngineOptions::triangular_storage).
+  Partition2D(const graph::CsrGraph& csr, const simmpi::ProcessGrid& grid,
+              bool triangular = false);
+
+  /// The partition of CsrGraph::from_edges(edges); `n` must be the list's
+  /// vertex count. Kept for bench/e2e's SpMSV probe, which builds its
+  /// blocks from an edge list; it goes with that benchmark's next change.
   Partition2D(const graph::EdgeList& edges, vid_t n,
               const simmpi::ProcessGrid& grid, bool triangular = false);
 

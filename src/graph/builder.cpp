@@ -1,6 +1,5 @@
 #include "graph/builder.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "graph/permutation.hpp"
@@ -18,34 +17,25 @@ BuiltGraph build_graph(EdgeList input, const BuildOptions& opts) {
     apply_permutation(input, perm);
     out.new_to_old = perm.inverse().mapping();
   }
-  // Deduplicate once here so every downstream structure (serial CSR, 1D
-  // local CSRs, 2D DCSC blocks) sees the identical edge multiset — edge
-  // counts and TEPS denominators then agree across algorithms. The CSR
-  // kernel mirrors, sorts and deduplicates; the edge list is read back
-  // off it, sorted by (u, v) with no self-loops.
+  // Deduplicate once here so every downstream structure (the engine's
+  // CSR, which the 1D scan reads and the 2D blocks are cut from) sees the
+  // identical edge multiset — edge counts and TEPS denominators then
+  // agree across algorithms. The CSR kernel mirrors, sorts and
+  // deduplicates; the edge list is read back off it, sorted by (u, v)
+  // with no self-loops.
   out.csr = opts.symmetrize ? CsrGraph::symmetric_from_edges(input)
                             : CsrGraph::from_edges(input);
   out.edges = EdgeList{input.num_vertices()};
   input = EdgeList{};
 
-  const std::vector<eid_t>& off = out.csr.offsets();
-  const std::vector<vid_t>& adj = out.csr.adjacency();
   std::vector<Edge>& list = out.edges.edges();
-  list.resize(adj.size());
+  list.resize(static_cast<std::size_t>(out.csr.num_edges()));
   const auto slots = static_cast<std::size_t>(util::host_threads());
   util::for_each_slot(slots, [&](std::size_t s) {
     const auto [first, last] = util::slot_range(list.size(), slots, s);
-    if (first == last) return;
-    // The vertex whose block holds edge `first`.
-    auto u = static_cast<vid_t>(
-        std::upper_bound(off.begin(), off.end(), static_cast<eid_t>(first)) -
-        off.begin() - 1);
-    for (std::size_t i = first; i < last; ++i) {
-      while (off[static_cast<std::size_t>(u) + 1] <= static_cast<eid_t>(i)) {
-        ++u;
-      }
-      list[i] = Edge{u, adj[i]};
-    }
+    Edge* next = list.data() + first;
+    out.csr.for_each_arc(static_cast<eid_t>(first), static_cast<eid_t>(last),
+                         [&next](vid_t u, vid_t v) { *next++ = Edge{u, v}; });
   });
   return out;
 }

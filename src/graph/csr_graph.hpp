@@ -5,6 +5,7 @@
 // Vertex ids are 64-bit. The structure is immutable after construction.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -48,6 +49,22 @@ class CsrGraph {
 
   const std::vector<eid_t>& offsets() const noexcept { return offsets_; }
   const std::vector<vid_t>& adjacency() const noexcept { return adjacency_; }
+
+  /// Calls arc(u, v) for the arcs stored at positions [first, last), in
+  /// storage order: by source, each source's targets sorted. Lets a slot
+  /// of util::for_each_slot walk its share of the arcs.
+  template <typename Fn>
+  void for_each_arc(eid_t first, eid_t last, Fn&& arc) const {
+    if (first >= last) return;
+    // The vertex whose block holds arc `first`.
+    auto u = static_cast<std::size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), first) -
+        offsets_.begin() - 1);
+    for (eid_t i = first; i < last; ++i) {
+      while (offsets_[u + 1] <= i) ++u;
+      arc(static_cast<vid_t>(u), adjacency_[static_cast<std::size_t>(i)]);
+    }
+  }
 
   /// True if for every edge (u,v) the reverse (v,u) exists too.
   bool is_symmetric() const;

@@ -2,8 +2,8 @@
 //
 // * R-MAT with the Graph500 parameters (a,b,c,d) = (.59,.19,.19,.05) is
 //   the paper's primary workload (§6).
-// * Erdős–Rényi / uniform-random give the regular-degree contrast case
-//   (the regime Yoo et al.'s BlueGene/L code assumed).
+// * Erdős–Rényi gives the regular-degree contrast case (the regime Yoo
+//   et al.'s BlueGene/L code assumed).
 // * `webcrawl` is our stand-in for the uk-union crawl: a long chain of
 //   power-law communities producing diameter ≈ `target_diameter` with a
 //   low average degree, exercising the many-iterations regime of Fig 11.
@@ -45,15 +45,6 @@ struct ErdosRenyiParams {
 
 /// G(n, p) via geometric skipping, O(m) expected time.
 EdgeList generate_erdos_renyi(const ErdosRenyiParams& params);
-
-struct UniformParams {
-  vid_t num_vertices = 1 << 16;
-  eid_t num_edges = 1 << 20;
-  std::uint64_t seed = 1;
-};
-
-/// Exactly num_edges directed edges with independently uniform endpoints.
-EdgeList generate_uniform(const UniformParams& params);
 
 struct WebcrawlParams {
   vid_t num_vertices = 1 << 18;

@@ -15,8 +15,8 @@ DcscMatrix DcscMatrix::from_triples(vid_t nrows, vid_t ncols,
   const auto by_col_row = [](const Triple& a, const Triple& b) {
     return a.col != b.col ? a.col < b.col : a.row < b.row;
   };
-  // Partition2D places sorted input stably, so its triples arrive in
-  // order and skip the sort.
+  // Partition2D places the CSR's sorted arcs stably, so its triples
+  // arrive in order and skip the sort.
   if (!std::is_sorted(triples.begin(), triples.end(), by_col_row)) {
     std::sort(triples.begin(), triples.end(), by_col_row);
   }

@@ -22,8 +22,7 @@ core::EngineOptions opts_for(Algorithm algorithm, int cores,
 
 TEST(Graph500Ref, ProducesCorrectBfs) {
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D baseline{built.edges, n,
+  Bfs1D baseline{built.csr,
                  opts_for(Algorithm::kGraph500Ref, 8, model::franklin())};
   EXPECT_EQ(baseline.ranks(), 8);
   const vid_t source = test::hub_source(built.csr);
@@ -34,12 +33,10 @@ TEST(Graph500Ref, ProducesCorrectBfs) {
 
 TEST(Graph500Ref, SlowerThanTunedFlat1D) {
   const auto built = test::rmat_graph(11, 16);
-  const vid_t n = built.csr.num_vertices();
   const auto machine = model::franklin();
 
-  Bfs1D ours{built.edges, n, opts_for(Algorithm::kOneDFlat, 64, machine)};
-  Bfs1D reference{built.edges, n,
-                  opts_for(Algorithm::kGraph500Ref, 64, machine)};
+  Bfs1D ours{built.csr, opts_for(Algorithm::kOneDFlat, 64, machine)};
+  Bfs1D reference{built.csr, opts_for(Algorithm::kGraph500Ref, 64, machine)};
 
   const vid_t source = test::hub_source(built.csr);
   const double ours_t = ours.run(source).report.total_seconds;
@@ -64,15 +61,14 @@ TEST(Graph500Ref, GapGrowsWithConcurrency) {
   for (int i = 0; i < 3; ++i) {
     const int ranks = ranks_list[i];
     const auto built = test::rmat_graph(scale_list[i], 16);
-    const vid_t n = built.csr.num_vertices();
     // Miniaturized machine, like the bench harness: fixed latencies are
     // scaled by the problem-size ratio so the compute:latency balance
     // matches the paper's operating point.
     const auto machine = model::miniaturized(
         model::franklin(), static_cast<double>(built.directed_edge_count) /
                                std::pow(2.0, 33.0));
-    Bfs1D ours{built.edges, n, opts_for(Algorithm::kOneDFlat, ranks, machine)};
-    Bfs1D reference{built.edges, n,
+    Bfs1D ours{built.csr, opts_for(Algorithm::kOneDFlat, ranks, machine)};
+    Bfs1D reference{built.csr,
                     opts_for(Algorithm::kGraph500Ref, ranks, machine)};
     const vid_t source = test::hub_source(built.csr);
     gaps.push_back(reference.run(source).report.total_seconds /
@@ -88,9 +84,7 @@ TEST(Graph500Ref, GapGrowsWithConcurrency) {
 
 TEST(PbglLike, ProducesCorrectBfs) {
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D baseline{built.edges, n,
-                 opts_for(Algorithm::kPbglLike, 8, model::carver())};
+  Bfs1D baseline{built.csr, opts_for(Algorithm::kPbglLike, 8, model::carver())};
   EXPECT_EQ(baseline.ranks(), 8);
   const vid_t source = test::hub_source(built.csr);
   const auto out = baseline.run(source);
@@ -102,12 +96,10 @@ TEST(PbglLike, MuchSlowerThanGraph500Ref) {
   // Table 2's ordering: PBGL is the slowest implementation by a wide
   // margin (10x+ behind the tuned codes).
   const auto built = test::rmat_graph(10, 16);
-  const vid_t n = built.csr.num_vertices();
   const auto machine = model::carver();
 
-  Bfs1D pbgl{built.edges, n, opts_for(Algorithm::kPbglLike, 64, machine)};
-  Bfs1D reference{built.edges, n,
-                  opts_for(Algorithm::kGraph500Ref, 64, machine)};
+  Bfs1D pbgl{built.csr, opts_for(Algorithm::kPbglLike, 64, machine)};
+  Bfs1D reference{built.csr, opts_for(Algorithm::kGraph500Ref, 64, machine)};
 
   const vid_t source = test::hub_source(built.csr);
   EXPECT_GT(pbgl.run(source).report.total_seconds,
@@ -118,15 +110,14 @@ TEST(Baselines, OptionLabelsDistinguishAlgorithms) {
   // Each baseline reports its code and exchange in its label, and PBGL's
   // property-map inner loop costs more per edge than the reference's.
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   const auto machine = model::franklin();
   const RunReport ref =
-      Bfs1D{built.edges, n, opts_for(Algorithm::kGraph500Ref, 1, machine)}
+      Bfs1D{built.csr, opts_for(Algorithm::kGraph500Ref, 1, machine)}
           .run(source)
           .report;
   const RunReport pbgl =
-      Bfs1D{built.edges, n, opts_for(Algorithm::kPbglLike, 1, machine)}
+      Bfs1D{built.csr, opts_for(Algorithm::kPbglLike, 1, machine)}
           .run(source)
           .report;
   EXPECT_EQ(ref.algorithm, "graph500-ref-chunked-flat");
@@ -148,10 +139,10 @@ TEST(Baselines, OptionLabelsDistinguishAlgorithms) {
 }
 
 TEST(Baselines, RejectNon1DAlgorithms) {
-  const auto edges = test::path_edges(8);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(8));
   for (Algorithm a : {Algorithm::kSerial, Algorithm::kShared,
                       Algorithm::kTwoDFlat, Algorithm::kTwoDHybrid}) {
-    EXPECT_THROW(Bfs1D(edges, 8, opts_for(a, 4, model::generic())),
+    EXPECT_THROW(Bfs1D(g, opts_for(a, 4, model::generic())),
                  std::invalid_argument);
   }
 }

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bfs/serial.hpp"
 #include "graph/validator.hpp"
 #include "test_helpers.hpp"
 
 namespace dbfs::bfs {
 namespace {
+
+// The driver keeps a reference to the graph it reads, so a temporary
+// graph must not bind to it.
+static_assert(std::is_constructible_v<Bfs1D, const graph::CsrGraph&,
+                                      const core::EngineOptions&>);
+static_assert(!std::is_constructible_v<Bfs1D, graph::CsrGraph&&,
+                                       const core::EngineOptions&>);
 
 core::EngineOptions opts_with(int ranks, int threads = 1) {
   core::EngineOptions o;
@@ -23,8 +32,7 @@ class Bfs1DRankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(Bfs1DRankSweep, MatchesSerialOnRmat) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D bfs{built.edges, n, opts_with(GetParam())};
+  Bfs1D bfs{built.csr, opts_with(GetParam())};
   const auto out = bfs.run(0);
   const auto serial = serial_bfs(built.csr, 0);
   EXPECT_EQ(out.level, serial.level);
@@ -32,8 +40,7 @@ TEST_P(Bfs1DRankSweep, MatchesSerialOnRmat) {
 
 TEST_P(Bfs1DRankSweep, PassesValidation) {
   const auto built = test::rmat_graph(10, 8, 7);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D bfs{built.edges, n, opts_with(GetParam())};
+  Bfs1D bfs{built.csr, opts_with(GetParam())};
   const auto out = bfs.run(3);
   const auto v = graph::validate_bfs_tree(
       built.csr, 3, out.parent, graph::reference_levels(built.csr, 3));
@@ -44,16 +51,16 @@ INSTANTIATE_TEST_SUITE_P(Ranks, Bfs1DRankSweep,
                          ::testing::Values(1, 2, 3, 4, 8, 16, 64));
 
 TEST(Bfs1D, PathGraphManyLevels) {
-  const auto edges = test::path_edges(64);
-  Bfs1D bfs{edges, 64, opts_with(4)};
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(64));
+  Bfs1D bfs{g, opts_with(4)};
   const auto out = bfs.run(0);
   for (vid_t v = 0; v < 64; ++v) EXPECT_EQ(out.level[v], v);
   EXPECT_EQ(out.report.levels.size(), 64u);
 }
 
 TEST(Bfs1D, DisconnectedComponentUnreached) {
-  const auto edges = test::two_triangles();
-  Bfs1D bfs{edges, 7, opts_with(3)};
+  const auto g = graph::CsrGraph::from_edges(test::two_triangles());
+  Bfs1D bfs{g, opts_with(3)};
   const auto out = bfs.run(0);
   EXPECT_EQ(out.level[3], kUnreached);
   EXPECT_EQ(out.parent[6], kNoVertex);
@@ -61,8 +68,8 @@ TEST(Bfs1D, DisconnectedComponentUnreached) {
 }
 
 TEST(Bfs1D, SourceOnNonZeroRank) {
-  const auto edges = test::path_edges(40);
-  Bfs1D bfs{edges, 40, opts_with(4)};
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(40));
+  Bfs1D bfs{g, opts_with(4)};
   const auto out = bfs.run(35);  // owned by the last rank
   EXPECT_EQ(out.level[35], 0);
   EXPECT_EQ(out.level[0], 35);
@@ -71,9 +78,8 @@ TEST(Bfs1D, SourceOnNonZeroRank) {
 
 TEST(Bfs1D, HybridMatchesFlat) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D flat{built.edges, n, opts_with(8, 1)};
-  Bfs1D hybrid{built.edges, n, opts_with(2, 4)};
+  Bfs1D flat{built.csr, opts_with(8, 1)};
+  Bfs1D hybrid{built.csr, opts_with(2, 4)};
   EXPECT_EQ(flat.run(0).level, hybrid.run(0).level);
 }
 
@@ -81,9 +87,8 @@ TEST(Bfs1D, HybridReducesCommTime) {
   // Same core count, fewer ranks: smaller collective groups => the hybrid
   // code's communication advantage (paper Fig 6/8).
   const auto built = test::rmat_graph(11, 16);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D flat{built.edges, n, opts_with(64, 1)};
-  Bfs1D hybrid{built.edges, n, opts_with(16, 4)};
+  Bfs1D flat{built.csr, opts_with(64, 1)};
+  Bfs1D hybrid{built.csr, opts_with(16, 4)};
   const vid_t source = test::hub_source(built.csr);
   const auto flat_out = flat.run(source);
   const auto hybrid_out = hybrid.run(source);
@@ -93,8 +98,7 @@ TEST(Bfs1D, HybridReducesCommTime) {
 
 TEST(Bfs1D, ReportAccountingConsistent) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D bfs{built.edges, n, opts_with(8)};
+  Bfs1D bfs{built.csr, opts_with(8)};
   const auto out = bfs.run(test::hub_source(built.csr));
   const auto& r = out.report;
   EXPECT_EQ(r.ranks, 8);
@@ -116,17 +120,16 @@ TEST(Bfs1D, ReportAccountingConsistent) {
 
 TEST(Bfs1D, EdgesScannedIsTwiceUndirectedEdges) {
   // Every adjacency of the connected component is scanned exactly once.
-  const auto edges = test::path_edges(32);
-  Bfs1D bfs{edges, 32, opts_with(4)};
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(32));
+  Bfs1D bfs{g, opts_with(4)};
   const auto out = bfs.run(0);
   EXPECT_EQ(out.report.edges_traversed, 2 * 31);
 }
 
 TEST(Bfs1D, MoreRanksShiftTimeTowardComm) {
   const auto built = test::rmat_graph(10, 16);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D small{built.edges, n, opts_with(4)};
-  Bfs1D large{built.edges, n, opts_with(64)};
+  Bfs1D small{built.csr, opts_with(4)};
+  Bfs1D large{built.csr, opts_with(64)};
   const vid_t source = test::hub_source(built.csr);
   const double frac_small = small.run(source).report.comm_fraction();
   const double frac_large = large.run(source).report.comm_fraction();
@@ -137,11 +140,10 @@ TEST(Bfs1D, ChunkedModeSameAnswerHigherCost) {
   // The Graph 500 reference code moves the same candidates as flat 1D,
   // priced as 4 KiB messages instead of one aggregated Alltoallv.
   const auto built = test::rmat_graph(11, 16);
-  const vid_t n = built.csr.num_vertices();
   auto chunked_opts = opts_with(8);
   chunked_opts.algorithm = core::Algorithm::kGraph500Ref;
-  Bfs1D aggregated{built.edges, n, opts_with(8)};
-  Bfs1D chunked{built.edges, n, chunked_opts};
+  Bfs1D aggregated{built.csr, opts_with(8)};
+  Bfs1D chunked{built.csr, chunked_opts};
   const vid_t source = test::hub_source(built.csr);
   const auto agg_out = aggregated.run(source);
   const auto chk_out = chunked.run(source);
@@ -158,11 +160,11 @@ TEST(Bfs1D, ChunkedPricingSurvivesMoreRanksThanMessages) {
   // graph on many ranks ships exactly one 16-byte candidate per level;
   // with alpha_net zeroed the only surviving term is the (truncatable)
   // byte term, which must still come out positive.
-  const auto edges = test::path_edges(64);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(64));
   auto opts = opts_with(48);
   opts.algorithm = core::Algorithm::kGraph500Ref;
   opts.machine.alpha_net = 0.0;
-  Bfs1D bfs{edges, 64, opts};
+  Bfs1D bfs{g, opts};
   const auto out = bfs.run(0);
   EXPECT_GT(out.report.alltoall_seconds, 0.0);
 }
@@ -173,13 +175,12 @@ TEST(Bfs1D, PerEdgeSendsCostMoreThanChunked) {
   // candidate and was indistinguishable from the chunked baseline. PBGL
   // sends one message per candidate, the reference code one per 4 KiB.
   const auto built = test::rmat_graph(10, 16);
-  const vid_t n = built.csr.num_vertices();
   auto chunked_opts = opts_with(8);
   chunked_opts.algorithm = core::Algorithm::kGraph500Ref;
   auto per_edge_opts = opts_with(8);
   per_edge_opts.algorithm = core::Algorithm::kPbglLike;
-  Bfs1D chunked{built.edges, n, chunked_opts};
-  Bfs1D per_edge{built.edges, n, per_edge_opts};
+  Bfs1D chunked{built.csr, chunked_opts};
+  Bfs1D per_edge{built.csr, per_edge_opts};
   const vid_t source = test::hub_source(built.csr);
   const auto chk_out = chunked.run(source);
   const auto pe_out = per_edge.run(source);
@@ -190,8 +191,7 @@ TEST(Bfs1D, PerEdgeSendsCostMoreThanChunked) {
 
 TEST(Bfs1D, RepeatedRunsAreIndependent) {
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
-  Bfs1D bfs{built.edges, n, opts_with(4)};
+  Bfs1D bfs{built.csr, opts_with(4)};
   const auto first = bfs.run(0);
   const auto second = bfs.run(0);
   EXPECT_EQ(first.level, second.level);
@@ -200,8 +200,8 @@ TEST(Bfs1D, RepeatedRunsAreIndependent) {
 }
 
 TEST(Bfs1D, RejectsBadInput) {
-  const auto edges = test::path_edges(4);
-  Bfs1D bfs{edges, 4, opts_with(2)};
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(4));
+  Bfs1D bfs{g, opts_with(2)};
   EXPECT_THROW(bfs.run(-1), std::out_of_range);
   EXPECT_THROW(bfs.run(4), std::out_of_range);
 }

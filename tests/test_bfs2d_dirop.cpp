@@ -30,8 +30,7 @@ class DiropCoreSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DiropCoreSweep, HybridMatchesSerial) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(GetParam(), DirectionMode::kHybrid)};
+  Bfs2D bfs{built.csr, dirop_opts(GetParam(), DirectionMode::kHybrid)};
   const auto src = test::hub_source(built.csr);
   const auto out = bfs.run(src);
   const auto serial = serial_bfs(built.csr, src);
@@ -40,8 +39,7 @@ TEST_P(DiropCoreSweep, HybridMatchesSerial) {
 
 TEST_P(DiropCoreSweep, ForcedBottomUpMatchesSerial) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(GetParam(), DirectionMode::kBottomUp)};
+  Bfs2D bfs{built.csr, dirop_opts(GetParam(), DirectionMode::kBottomUp)};
   const auto src = test::hub_source(built.csr);
   const auto out = bfs.run(src);
   const auto serial = serial_bfs(built.csr, src);
@@ -53,8 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Cores, DiropCoreSweep,
 
 TEST(Bfs2DDirop, HybridParentsPassValidation) {
   const auto built = test::rmat_graph(11, 8, 5);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(16, DirectionMode::kHybrid)};
+  Bfs2D bfs{built.csr, dirop_opts(16, DirectionMode::kHybrid)};
   const auto src = test::hub_source(built.csr);
   const auto out = bfs.run(src);
   const auto v = graph::validate_bfs_tree(
@@ -68,8 +65,7 @@ TEST(Bfs2DDirop, HybridEngagesAndDisengages) {
   // narrow tail. Both switch directions must appear, with their
   // rationales recorded per level.
   const auto built = test::rmat_graph(12, 16);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(16, DirectionMode::kHybrid)};
+  Bfs2D bfs{built.csr, dirop_opts(16, DirectionMode::kHybrid)};
   const auto src = test::hub_source(built.csr);
   const auto out = bfs.run(src);
   const auto serial = serial_bfs(built.csr, src);
@@ -106,10 +102,9 @@ TEST(Bfs2DDirop, HybridEngagesAndDisengages) {
 
 TEST(Bfs2DDirop, HybridExaminesFewerEdgesThanTopDown) {
   const auto built = test::rmat_graph(12, 16);
-  const vid_t n = built.csr.num_vertices();
   const auto src = test::hub_source(built.csr);
-  Bfs2D td{built.edges, n, dirop_opts(16, DirectionMode::kTopDown)};
-  Bfs2D hy{built.edges, n, dirop_opts(16, DirectionMode::kHybrid)};
+  Bfs2D td{built.csr, dirop_opts(16, DirectionMode::kTopDown)};
+  Bfs2D hy{built.csr, dirop_opts(16, DirectionMode::kHybrid)};
   const auto td_out = td.run(src);
   const auto hy_out = hy.run(src);
   ASSERT_EQ(td_out.level, hy_out.level);
@@ -120,10 +115,9 @@ class DiropWireSweep : public ::testing::TestWithParam<comm::WireFormat> {};
 
 TEST_P(DiropWireSweep, HybridAgreesAcrossWireFormats) {
   const auto built = test::rmat_graph(11);
-  const vid_t n = built.csr.num_vertices();
   auto opts = dirop_opts(16, DirectionMode::kHybrid);
   opts.wire_format = GetParam();
-  Bfs2D bfs{built.edges, n, opts};
+  Bfs2D bfs{built.csr, opts};
   const auto src = test::hub_source(built.csr);
   const auto out = bfs.run(src);
   const auto serial = serial_bfs(built.csr, src);
@@ -156,7 +150,6 @@ TEST(Bfs2DDirop, PullParentsEqualTopDownParents) {
       {"rmat11-ef4", test::rmat_graph(11, 4)},
   };
   for (const auto& [name, built] : graphs) {
-    const vid_t n = built.csr.num_vertices();
     const auto src = test::hub_source(built.csr);
     for (int cores : {9, 25, 49, 121}) {
       for (comm::WireFormat format :
@@ -169,7 +162,7 @@ TEST(Bfs2DDirop, PullParentsEqualTopDownParents) {
         const auto run = [&](DirectionMode mode) {
           auto opts = dirop_opts(cores, mode);
           opts.wire_format = format;
-          Bfs2D bfs{built.edges, n, opts};
+          Bfs2D bfs{built.csr, opts};
           return bfs.run(src);
         };
         const auto top_down = run(DirectionMode::kTopDown);
@@ -189,10 +182,9 @@ TEST(Bfs2DDirop, BottomUpWireCompressesAtLeastAsWellAsTopDown) {
   // frontier/completeness exchanges must ship at a bytes-per-raw-byte
   // ratio no worse than the top-down levels of the same run.
   const auto built = test::rmat_graph(12, 16);
-  const vid_t n = built.csr.num_vertices();
   auto opts = dirop_opts(16, DirectionMode::kHybrid);
   opts.wire_format = comm::WireFormat::kAuto;
-  Bfs2D bfs{built.edges, n, opts};
+  Bfs2D bfs{built.csr, opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   const auto& d = out.report.dirop;
   ASSERT_GT(d.bottom_up_wire_raw_bytes, 0u);
@@ -208,8 +200,7 @@ TEST(Bfs2DDirop, TopDownReportHasNoDiropBlock) {
   // The default mode's JSON must stay byte-identical to the pre-hybrid
   // engine: no dirop key, no per-level direction fields.
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(16, DirectionMode::kTopDown)};
+  Bfs2D bfs{built.csr, dirop_opts(16, DirectionMode::kTopDown)};
   const auto out = bfs.run(test::hub_source(built.csr));
   EXPECT_FALSE(out.report.dirop.enabled);
   const std::string json = report_to_json(out.report);
@@ -219,8 +210,7 @@ TEST(Bfs2DDirop, TopDownReportHasNoDiropBlock) {
 
 TEST(Bfs2DDirop, HybridReportCarriesDiropJson) {
   const auto built = test::rmat_graph(12, 16);
-  const vid_t n = built.csr.num_vertices();
-  Bfs2D bfs{built.edges, n, dirop_opts(16, DirectionMode::kHybrid)};
+  Bfs2D bfs{built.csr, dirop_opts(16, DirectionMode::kHybrid)};
   const auto out = bfs.run(test::hub_source(built.csr));
   const std::string json = report_to_json(out.report);
   EXPECT_NE(json.find("\"dirop\""), std::string::npos);
@@ -230,23 +220,21 @@ TEST(Bfs2DDirop, HybridReportCarriesDiropJson) {
 
 TEST(Bfs2DDirop, ThreadedHybridMatchesFlat) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const auto src = test::hub_source(built.csr);
-  Bfs2D flat{built.edges, n, dirop_opts(16, DirectionMode::kHybrid, 1)};
-  Bfs2D hybrid{built.edges, n, dirop_opts(64, DirectionMode::kHybrid, 4)};
+  Bfs2D flat{built.csr, dirop_opts(16, DirectionMode::kHybrid, 1)};
+  Bfs2D hybrid{built.csr, dirop_opts(64, DirectionMode::kHybrid, 4)};
   EXPECT_EQ(flat.run(src).level, hybrid.run(src).level);
 }
 
 TEST(Bfs2DDirop, AlphaBetaExtremesPinTheDirection) {
   const auto built = test::rmat_graph(10, 16);
-  const vid_t n = built.csr.num_vertices();
   const auto src = test::hub_source(built.csr);
   // Tiny alpha: m_u / alpha is astronomically large, so the engage
   // condition m_f > m_u / alpha never fires (Beamer's rule — larger
   // alpha engages *earlier*).
   auto never = dirop_opts(16, DirectionMode::kHybrid);
   never.alpha = 1e-9;
-  Bfs2D bfs_never{built.edges, n, never};
+  Bfs2D bfs_never{built.csr, never};
   const auto out_never = bfs_never.run(src);
   EXPECT_EQ(out_never.report.dirop.bottom_up_levels, 0);
   // Huge alpha and beta: engages as soon as there is any frontier and
@@ -254,7 +242,7 @@ TEST(Bfs2DDirop, AlphaBetaExtremesPinTheDirection) {
   auto eager = dirop_opts(16, DirectionMode::kHybrid);
   eager.alpha = 1e18;
   eager.beta = 1e18;
-  Bfs2D bfs_eager{built.edges, n, eager};
+  Bfs2D bfs_eager{built.csr, eager};
   const auto out_eager = bfs_eager.run(src);
   EXPECT_GE(out_eager.report.dirop.bottom_up_levels, 1);
   const auto serial = serial_bfs(built.csr, src);
@@ -264,11 +252,10 @@ TEST(Bfs2DDirop, AlphaBetaExtremesPinTheDirection) {
 
 TEST(Bfs2DDirop, ModelDerivedThresholdsWhenNonPositive) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   auto opts = dirop_opts(16, DirectionMode::kHybrid);
   opts.alpha = 0.0;
   opts.beta = -1.0;
-  Bfs2D bfs{built.edges, n, opts};
+  Bfs2D bfs{built.csr, opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   EXPECT_GT(out.report.dirop.alpha, 0.0);
   EXPECT_GT(out.report.dirop.beta, 0.0);
@@ -277,17 +264,17 @@ TEST(Bfs2DDirop, ModelDerivedThresholdsWhenNonPositive) {
 }
 
 TEST(Bfs2DDirop, RejectsTriangularStorage) {
-  const auto edges = test::path_edges(16);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(16));
   auto opts = dirop_opts(16, DirectionMode::kHybrid);
   opts.triangular_storage = true;
-  EXPECT_THROW((Bfs2D{edges, 16, opts}), std::invalid_argument);
+  EXPECT_THROW((Bfs2D{g, opts}), std::invalid_argument);
 }
 
 TEST(Bfs2DDirop, RejectsDiagonalVectorDistribution) {
-  const auto edges = test::path_edges(16);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(16));
   auto opts = dirop_opts(16, DirectionMode::kBottomUp);
   opts.vector_dist = dist::VectorDistKind::kDiagonal;
-  EXPECT_THROW((Bfs2D{edges, 16, opts}), std::invalid_argument);
+  EXPECT_THROW((Bfs2D{g, opts}), std::invalid_argument);
 }
 
 TEST(Bfs2DDirop, ParseAndPrintDirectionModes) {
@@ -305,11 +292,10 @@ class DiropRecoverSweep : public ::testing::TestWithParam<recover::Policy> {};
 
 TEST_P(DiropRecoverSweep, KillMidBottomUpReplaysSameDirections) {
   const auto built = test::rmat_graph(12, 16);
-  const vid_t n = built.csr.num_vertices();
   const auto src = test::hub_source(built.csr);
 
   auto base = dirop_opts(16, DirectionMode::kHybrid);
-  Bfs2D ref{built.edges, n, base};
+  Bfs2D ref{built.csr, base};
   const auto expected = ref.run(src);
 
   // Find a level that actually ran bottom-up and kill inside it.
@@ -329,7 +315,7 @@ TEST_P(DiropRecoverSweep, KillMidBottomUpReplaysSameDirections) {
   opts.faults.rank_kills = {kill};
   opts.recover.policy = GetParam();
   opts.recover.checkpoint_every = 1;
-  Bfs2D bfs{built.edges, n, opts};
+  Bfs2D bfs{built.csr, opts};
   const auto out = bfs.run(src);
 
   EXPECT_EQ(out.level, expected.level);

@@ -72,7 +72,7 @@ TEST_P(AlgoSweep, Bfs2DAnswerUnchanged) {
   core::EngineOptions opts;
   opts.cores = 16;
   opts.allgather_algo = GetParam();
-  bfs::Bfs2D run{built.edges, built.csr.num_vertices(), opts};
+  bfs::Bfs2D run{built.csr, opts};
   const vid_t source = test::hub_source(built.csr);
   const auto serial = bfs::serial_bfs(built.csr, source);
   EXPECT_EQ(run.run(source).level, serial.level);
@@ -93,14 +93,14 @@ INSTANTIATE_TEST_SUITE_P(All, AlgoSweep,
 
 TEST(AllgatherAlgo, AutoNeverSlowerEndToEnd) {
   // High-diameter graph: many tiny expands, where the switcher helps.
-  const auto edges = test::path_edges(300);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(300));
   core::EngineOptions ring;
   ring.cores = 64;
   ring.machine = model::hopper();
   core::EngineOptions autoalgo = ring;
   autoalgo.allgather_algo = AllgatherAlgo::kAuto;
-  bfs::Bfs2D a{edges, 300, ring};
-  bfs::Bfs2D b{edges, 300, autoalgo};
+  bfs::Bfs2D a{g, ring};
+  bfs::Bfs2D b{g, autoalgo};
   const double ring_t = a.run(0).report.total_seconds;
   const double auto_t = b.run(0).report.total_seconds;
   EXPECT_LE(auto_t, ring_t * (1 + 1e-9));

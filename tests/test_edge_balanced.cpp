@@ -4,7 +4,6 @@
 
 #include "bfs/bfs1d.hpp"
 #include "bfs/serial.hpp"
-#include "dist/local_graph1d.hpp"
 #include "dist/partition1d.hpp"
 #include "test_helpers.hpp"
 #include "util/stats.hpp"
@@ -98,28 +97,13 @@ TEST(EdgeBalanced, BalancesNaturalOrderRmat) {
   EXPECT_LT(balanced, 1.5);   // boundaries fix it
 }
 
-TEST(EdgeBalanced, LocalGraphBuildsWithCustomPartition) {
-  const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
-  std::vector<eid_t> degrees(static_cast<std::size_t>(n), 0);
-  for (const graph::Edge& e : built.edges.edges()) {
-    ++degrees[static_cast<std::size_t>(e.u)];
-  }
-  const auto lg = LocalGraph1D::build_with_partition(
-      built.edges, BlockPartition::edge_balanced(degrees, 8));
-  eid_t total = 0;
-  for (int r = 0; r < 8; ++r) total += lg.local_edges(r);
-  EXPECT_EQ(total, built.edges.num_edges());
-}
-
 TEST(EdgeBalanced, BfsStillCorrect) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions opts;
   opts.algorithm = core::Algorithm::kOneDFlat;
   opts.cores = 8;
   opts.partition_mode = bfs::PartitionMode::kEdgeBalanced;
-  bfs::Bfs1D bfs{built.edges, n, opts};
+  bfs::Bfs1D bfs{built.csr, opts};
   const vid_t source = test::hub_source(built.csr);
   const auto serial = bfs::serial_bfs(built.csr, source);
   const auto out = bfs.run(source);
@@ -140,7 +124,8 @@ TEST(EdgeBalanced, CountsBothEndpointsOnUnsymmetrizedInput) {
   opts.algorithm = core::Algorithm::kOneDFlat;
   opts.cores = 4;
   opts.partition_mode = bfs::PartitionMode::kEdgeBalanced;
-  bfs::Bfs1D bfs{edges, n, opts};
+  const auto g = graph::CsrGraph::from_edges(edges);
+  bfs::Bfs1D bfs{g, opts};
   const auto& p = bfs.partition();
   EXPECT_FALSE(p.uniform());
   // The hub carries half of all endpoint work (63 of 126), so its block

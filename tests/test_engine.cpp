@@ -208,5 +208,44 @@ TEST(Engine, RejectsEmptyGraph) {
   EXPECT_THROW(Engine(empty, 0, EngineOptions{}), std::invalid_argument);
 }
 
+TEST(Engine, RejectsAVertexCountOtherThanTheLists) {
+  const auto edges = test::path_edges(8);
+  EXPECT_THROW(Engine(edges, 9, EngineOptions{}), std::invalid_argument);
+  EXPECT_THROW(Engine(edges, 7, EngineOptions{}), std::invalid_argument);
+}
+
+TEST(Engine, TraversesTheDeduplicatedLoopFreeGraph) {
+  // An edge list handed straight to the engine may repeat edges and carry
+  // self-loops. Every algorithm traverses its deduplicated, loop-free
+  // CSR, the graph run_batch validates against, so a run on it matches a
+  // run on the cleaned list byte for byte.
+  const auto built = test::rmat_graph(9);
+  const vid_t n = built.csr.num_vertices();
+  graph::EdgeList messy{n};
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const graph::Edge& e : built.edges.edges()) messy.add(e.u, e.v);
+  }
+  for (vid_t v = 0; v < n; v += 3) messy.add(v, v);
+  graph::EdgeList clean = messy;
+  clean.sort_and_dedup();
+  const vid_t source = test::hub_source(built.csr);
+  for (Algorithm a : {Algorithm::kOneDFlat, Algorithm::kOneDHybrid,
+                      Algorithm::kTwoDFlat, Algorithm::kTwoDHybrid,
+                      Algorithm::kGraph500Ref, Algorithm::kPbglLike}) {
+    EngineOptions opts;
+    opts.algorithm = a;
+    opts.cores = 16;
+    opts.machine = model::franklin();
+    Engine on_messy{messy, n, opts};
+    Engine on_clean{clean, n, opts};
+    const auto got = on_messy.run(source);
+    const auto want = on_clean.run(source);
+    EXPECT_EQ(got.parent, want.parent) << to_string(a);
+    EXPECT_EQ(bfs::report_to_json(got.report),
+              bfs::report_to_json(want.report))
+        << to_string(a);
+  }
+}
+
 }  // namespace
 }  // namespace dbfs::core

@@ -120,15 +120,6 @@ TEST(ErdosRenyi, NearUniformDegrees) {
   EXPECT_LT(stats.max_degree, 5 * static_cast<eid_t>(stats.mean_degree));
 }
 
-TEST(Uniform, ExactEdgeCount) {
-  UniformParams p;
-  p.num_vertices = 500;
-  p.num_edges = 4321;
-  const EdgeList e = generate_uniform(p);
-  EXPECT_EQ(e.num_edges(), 4321);
-  EXPECT_TRUE(e.endpoints_in_range());
-}
-
 TEST(Webcrawl, HitsTargetDiameterRegime) {
   WebcrawlParams p;
   p.num_vertices = 1 << 14;

@@ -1,7 +1,7 @@
 // Host-thread independence of graph set-up. R-MAT generation, build_graph,
-// the engine's CSR and the 1D and 2D partitions all run on the host
-// threads (util::for_each_slot); none of their outputs may depend on how
-// many there are. Each is checked at 1..kMaxHostThreads threads against
+// the engine's CSR and the 2D partition all run on the host threads
+// (util::for_each_slot); none of their outputs may depend on how many
+// there are. Each is checked at 1..kMaxHostThreads threads against
 // a serial oracle kept here: the single-stream R-MAT loop, and the
 // symmetrize + sort_and_dedup pipeline with a CSR read off its list.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "dist/local_graph1d.hpp"
 #include "dist/partition2d.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -158,11 +157,11 @@ std::vector<Input> build_inputs() {
   inputs.push_back({"isolated vertices", std::move(isolated)});
 
   // A prime vertex count: no slot count divides it.
-  graph::UniformParams uniform;
-  uniform.num_vertices = 1009;
-  uniform.num_edges = 8 * 1009;
-  uniform.seed = 11;
-  inputs.push_back({"n=1009", graph::generate_uniform(uniform)});
+  graph::ErdosRenyiParams prime;
+  prime.num_vertices = 1009;
+  prime.edge_probability = 8.0 / 1009;
+  prime.seed = 11;
+  inputs.push_back({"n=1009", graph::generate_erdos_renyi(prime)});
   return inputs;
 }
 
@@ -216,37 +215,6 @@ std::vector<Block> oracle_blocks(const EdgeList& edges, vid_t n,
   return out;
 }
 
-using Adjacency = std::vector<std::vector<vid_t>>;
-
-Adjacency adjacency_of(const dist::LocalGraph1D& lg) {
-  Adjacency out;
-  const dist::BlockPartition& part = lg.partition();
-  for (int r = 0; r < part.parts(); ++r) {
-    for (vid_t local = 0; local < lg.local_vertices(r); ++local) {
-      const auto nb = lg.neighbors(r, local);
-      out.emplace_back(nb.begin(), nb.end());
-    }
-  }
-  return out;
-}
-
-/// Out-neighbours of every vertex in the order the edges list them.
-Adjacency input_order_adjacency(const EdgeList& edges) {
-  Adjacency out(static_cast<std::size_t>(edges.num_vertices()));
-  for (const Edge& e : edges.edges()) {
-    out[static_cast<std::size_t>(e.u)].push_back(e.v);
-  }
-  return out;
-}
-
-dist::BlockPartition edge_balanced(const EdgeList& edges, int ranks) {
-  std::vector<eid_t> degrees(static_cast<std::size_t>(edges.num_vertices()));
-  for (const Edge& e : edges.edges()) {
-    ++degrees[static_cast<std::size_t>(e.u)];
-  }
-  return dist::BlockPartition::edge_balanced(degrees, ranks);
-}
-
 TEST(GraphSetUp, MatchesSerialOracleAtEveryHostThreadCount) {
   std::vector<std::pair<graph::RmatParams, std::vector<Edge>>> rmats;
   for (int scale : {4, 12, 15}) {
@@ -271,19 +239,13 @@ TEST(GraphSetUp, MatchesSerialOracleAtEveryHostThreadCount) {
     }
   }
 
-  // Partitions of a symmetric graph (the triangular form needs one) and,
-  // for LocalGraph1D, of an unsorted list whose input order must survive.
+  // Partitions of a symmetric graph (the triangular form needs one).
   const graph::BuiltGraph built = test::rmat_graph(11, 8, 9);
   const vid_t n = built.csr.num_vertices();
-  graph::RmatParams raw;
-  raw.scale = 11;
-  raw.edge_factor = 4;
-  const EdgeList unsorted = graph::generate_rmat(raw);
   const std::vector<simmpi::ProcessGrid> grids = {
       simmpi::ProcessGrid::closest_square(16, 1),
       simmpi::ProcessGrid::closest_square(9, 1)};
   std::vector<std::vector<Block>> blocks_1t;
-  std::vector<Adjacency> local_1t;
 
   for (int threads = 1; threads <= test::kMaxHostThreads; ++threads) {
     test::HostThreads scope(threads);
@@ -326,7 +288,7 @@ TEST(GraphSetUp, MatchesSerialOracleAtEveryHostThreadCount) {
       for (bool triangular : {false, true}) {
         SCOPED_TRACE("grid " + std::to_string(grid.ranks()) +
                      (triangular ? " triangular" : " plain"));
-        const dist::Partition2D part(built.edges, n, grid, triangular);
+        const dist::Partition2D part(built.csr, grid, triangular);
         std::vector<Block> got = blocks_of(part, grid.ranks());
         if (threads == 1) {
           std::vector<Block> without_bytes = got;
@@ -336,26 +298,6 @@ TEST(GraphSetUp, MatchesSerialOracleAtEveryHostThreadCount) {
           blocks_1t.push_back(std::move(got));
         } else {
           EXPECT_EQ(got, blocks_1t[k]);
-        }
-        ++k;
-      }
-    }
-
-    k = 0;
-    for (const EdgeList* edges : {&built.edges, &unsorted}) {
-      for (bool balanced : {false, true}) {
-        SCOPED_TRACE(std::string(edges == &unsorted ? "unsorted" : "built") +
-                     (balanced ? " edge-balanced" : " even"));
-        const auto lg =
-            balanced ? dist::LocalGraph1D::build_with_partition(
-                           *edges, edge_balanced(*edges, 7))
-                     : dist::LocalGraph1D::build(*edges, n, 7);
-        Adjacency got = adjacency_of(lg);
-        if (threads == 1) {
-          EXPECT_EQ(got, input_order_adjacency(*edges));
-          local_1t.push_back(std::move(got));
-        } else {
-          EXPECT_EQ(got, local_1t[k]);
         }
         ++k;
       }

@@ -72,7 +72,6 @@ bfs::BfsOutput run_once(const graph::BuiltGraph& built, vid_t source,
   recover.policy = recover::Policy::kShrink;
   recover.audit_every = f.audit_every;
   recover.checkpoint_every = f.checkpoint_every;
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions o;
   o.algorithm =
       e.two_d ? core::Algorithm::kTwoDFlat : core::Algorithm::kOneDFlat;
@@ -81,8 +80,8 @@ bfs::BfsOutput run_once(const graph::BuiltGraph& built, vid_t source,
   o.direction = e.direction;
   o.faults = faults;
   o.recover = recover;
-  if (e.two_d) return bfs::Bfs2D{built.edges, n, o, observers}.run(source);
-  return bfs::Bfs1D{built.edges, n, o, observers}.run(source);
+  if (e.two_d) return bfs::Bfs2D{built.csr, o, observers}.run(source);
+  return bfs::Bfs1D{built.csr, o, observers}.run(source);
 }
 
 /// Runs every engine × fault plan once unobserved and once per observer

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "dist/local_graph1d.hpp"
 #include "dist/partition1d.hpp"
 #include "dist/partition2d.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 
 namespace dbfs::dist {
@@ -57,45 +57,14 @@ TEST(BlockPartition, RejectsInvalid) {
   EXPECT_THROW(BlockPartition(10, 0), std::invalid_argument);
 }
 
-TEST(LocalGraph1D, PreservesAllEdges) {
-  graph::RmatParams params;
-  params.scale = 8;
-  params.edge_factor = 8;
-  const auto edges = graph::generate_rmat(params);
-  const int ranks = 5;
-  const auto lg = LocalGraph1D::build(edges, edges.num_vertices(), ranks);
-
-  eid_t total = 0;
-  for (int r = 0; r < ranks; ++r) total += lg.local_edges(r);
-  EXPECT_EQ(total, edges.num_edges());
-}
-
-TEST(LocalGraph1D, NeighborsMatchEdgeList) {
-  graph::EdgeList e{10};
-  e.add(3, 7);
-  e.add(3, 1);
-  e.add(9, 0);
-  const auto lg = LocalGraph1D::build(e, 10, 3);
-  const auto& part = lg.partition();
-  const int owner3 = part.owner(3);
-  const auto nbrs = lg.neighbors(owner3, 3 - part.begin(owner3));
-  ASSERT_EQ(nbrs.size(), 2u);
-  // Insertion order preserved (no sorting required for the 1D scan).
-  EXPECT_EQ(nbrs[0], 7);
-  EXPECT_EQ(nbrs[1], 1);
-
-  const int owner9 = part.owner(9);
-  EXPECT_EQ(lg.neighbors(owner9, 9 - part.begin(owner9))[0], 0);
-}
-
 TEST(Partition2D, TotalNnzMatchesDedupedEdges) {
   graph::RmatParams params;
   params.scale = 8;
   params.edge_factor = 8;
   auto edges = graph::generate_rmat(params);
-  edges.sort_and_dedup();
   const simmpi::ProcessGrid grid{3};
-  const Partition2D part{edges, edges.num_vertices(), grid};
+  const Partition2D part{graph::CsrGraph::from_edges(edges), grid};
+  edges.sort_and_dedup();
   EXPECT_EQ(part.total_nnz(), edges.num_edges());
 }
 
@@ -104,7 +73,7 @@ TEST(Partition2D, EntriesLandInCorrectBlocks) {
   e.add(1, 10);   // matrix entry (row 10, col 1) -> block (2, 0) on 3x3/4
   e.add(11, 2);   // entry (row 2, col 11) -> block (0, 2)
   const simmpi::ProcessGrid grid{3};
-  const Partition2D part{e, 12, grid};
+  const Partition2D part{graph::CsrGraph::from_edges(e), grid};
   const auto& blocks = part.blocks();
   EXPECT_EQ(blocks.block_size(), 4);
 
@@ -120,8 +89,24 @@ TEST(Partition2D, EntriesLandInCorrectBlocks) {
 }
 
 TEST(Partition2D, RequiresSquareGrid) {
-  graph::EdgeList e{4};
-  EXPECT_THROW(Partition2D(e, 4, simmpi::ProcessGrid(2, 3)),
+  const auto g = graph::CsrGraph::from_edges(graph::EdgeList{4});
+  EXPECT_THROW(Partition2D(g, simmpi::ProcessGrid(2, 3)),
+               std::invalid_argument);
+}
+
+TEST(Partition2D, EdgeListFormCutsTheListsCsr) {
+  graph::RmatParams params;
+  params.scale = 7;
+  const auto edges = graph::generate_rmat(params);  // duplicates, loops
+  const simmpi::ProcessGrid grid{3};
+  const Partition2D want{graph::CsrGraph::from_edges(edges), grid};
+  const Partition2D got{edges, edges.num_vertices(), grid};
+  for (int r = 0; r < grid.ranks(); ++r) {
+    EXPECT_EQ(got.block(r).jc(), want.block(r).jc());
+    EXPECT_EQ(got.block(r).cp(), want.block(r).cp());
+    EXPECT_EQ(got.block(r).ir(), want.block(r).ir());
+  }
+  EXPECT_THROW(Partition2D(edges, edges.num_vertices() + 1, grid),
                std::invalid_argument);
 }
 

@@ -21,14 +21,14 @@ class GridSweep : public ::testing::TestWithParam<int> {};
 TEST_P(GridSweep, Partition2DConservesNnz) {
   auto built = test::rmat_graph(9, 8, 17);
   const simmpi::ProcessGrid grid{GetParam()};
-  const dist::Partition2D part{built.edges, built.csr.num_vertices(), grid};
+  const dist::Partition2D part{built.csr, grid};
   EXPECT_EQ(part.total_nnz(), built.edges.num_edges());
 }
 
 TEST_P(GridSweep, Partition2DBlocksCoverDisjointRanges) {
   auto built = test::rmat_graph(8, 4, 3);
   const simmpi::ProcessGrid grid{GetParam()};
-  const dist::Partition2D part{built.edges, built.csr.num_vertices(), grid};
+  const dist::Partition2D part{built.csr, grid};
   const auto& blocks = part.blocks();
   // Every block's dimensions match its (row, col) ranges.
   for (int rank = 0; rank < grid.ranks(); ++rank) {

@@ -92,7 +92,7 @@ TEST(ReportJson, BalancedBracesAndBrackets) {
   const auto built = test::rmat_graph(9);
   core::EngineOptions opts;
   opts.cores = 16;
-  Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  Bfs2D bfs{built.csr, opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   const std::string json = report_to_json(out.report, true);
 
@@ -121,7 +121,7 @@ TEST(ReportJson, LevelsArrayMatchesReport) {
   const auto built = test::rmat_graph(9);
   core::EngineOptions opts;
   opts.cores = 16;
-  Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  Bfs2D bfs{built.csr, opts};
   const auto out = bfs.run(test::hub_source(built.csr));
   const std::string json = report_to_json(out.report);
   std::size_t count = 0;

@@ -151,7 +151,7 @@ TEST(Trace, SpansReconcileWithRunReportClocks) {
   obs::MetricsRegistry metrics;
   core::EngineOptions opts;
   opts.cores = 16;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+  bfs::Bfs2D bfs{built.csr, opts,
                  {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
   const bfs::RunReport& r = out.report;
@@ -195,7 +195,7 @@ TEST(CriticalPath, DecompositionMatchesReportCollectiveSeconds) {
     core::EngineOptions opts;
     opts.cores = 16;
     opts.vector_dist = layout;
-    bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts, {&tracer}};
+    bfs::Bfs2D bfs{built.csr, opts, {&tracer}};
     const auto out = bfs.run(test::hub_source(built.csr));
     const bfs::RunReport& r = out.report;
 
@@ -244,7 +244,7 @@ TEST(CriticalPath, FindsThePlantedStraggler) {
   opts.cores = 8;
   opts.load_smoothing = 0.0;  // price real volumes so the slowdown shows
   opts.faults.compute_stragglers = {{3, 16.0}};
-  bfs::Bfs1D bfs{built.edges, built.csr.num_vertices(), opts, {&tracer}};
+  bfs::Bfs1D bfs{built.csr, opts, {&tracer}};
   const auto out = bfs.run(test::hub_source(built.csr));
 
   const obs::CriticalPathReport cp =
@@ -288,7 +288,7 @@ TEST(Trace, FaultEventsAreRecorded) {
   opts.cores = 16;
   opts.faults.seed = 7;
   opts.faults.collective_fail_rate = 0.05;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+  bfs::Bfs2D bfs{built.csr, opts,
                  {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
 
@@ -315,7 +315,7 @@ TEST(Trace, ReportJsonEmbedsObserverSections) {
   obs::MetricsRegistry metrics;
   core::EngineOptions opts;
   opts.cores = 16;
-  bfs::Bfs2D bfs{built.edges, built.csr.num_vertices(), opts,
+  bfs::Bfs2D bfs{built.csr, opts,
                  {&tracer, &metrics}};
   const auto out = bfs.run(test::hub_source(built.csr));
 

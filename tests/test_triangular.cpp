@@ -16,8 +16,8 @@ namespace {
 TEST(TriangularPartition, StoresHalfTheEntries) {
   const auto built = test::rmat_graph(10);
   const simmpi::ProcessGrid grid{4};
-  const dist::Partition2D full{built.edges, built.csr.num_vertices(), grid};
-  const dist::Partition2D tri{built.edges, built.csr.num_vertices(), grid,
+  const dist::Partition2D full{built.csr, grid};
+  const dist::Partition2D tri{built.csr, grid,
                               /*triangular=*/true};
   // Symmetric, loop-free input: exactly half the entries survive.
   EXPECT_EQ(tri.total_nnz() * 2, full.total_nnz());
@@ -29,7 +29,7 @@ TEST(TriangularPartition, StoresHalfTheEntries) {
 TEST(TriangularPartition, KeepsOnlyUpperWedge) {
   const auto built = test::rmat_graph(8);
   const simmpi::ProcessGrid grid{3};
-  const dist::Partition2D tri{built.edges, built.csr.num_vertices(), grid,
+  const dist::Partition2D tri{built.csr, grid,
                               true};
   const auto& blocks = tri.blocks();
   for (int rank = 0; rank < grid.ranks(); ++rank) {
@@ -109,12 +109,11 @@ class TriangularBfsSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TriangularBfsSweep, MatchesSerial) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions opts;
   opts.cores = GetParam();
   opts.machine = model::franklin();
   opts.triangular_storage = true;
-  bfs::Bfs2D bfs{built.edges, n, opts};
+  bfs::Bfs2D bfs{built.csr, opts};
   const vid_t source = test::hub_source(built.csr);
   const auto out = bfs.run(source);
   const auto serial = bfs::serial_bfs(built.csr, source);
@@ -123,12 +122,11 @@ TEST_P(TriangularBfsSweep, MatchesSerial) {
 
 TEST_P(TriangularBfsSweep, PassesValidation) {
   const auto built = test::rmat_graph(9, 8, 13);
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions opts;
   opts.cores = GetParam();
   opts.machine = model::hopper();
   opts.triangular_storage = true;
-  bfs::Bfs2D bfs{built.edges, n, opts};
+  bfs::Bfs2D bfs{built.csr, opts};
   const vid_t source = test::hub_source(built.csr);
   const auto out = bfs.run(source);
   const auto v = graph::validate_bfs_tree(
@@ -141,50 +139,48 @@ INSTANTIATE_TEST_SUITE_P(Cores, TriangularBfsSweep,
                          ::testing::Values(1, 4, 16, 64));
 
 TEST(TriangularBfs, HighDiameterGraph) {
-  const auto edges = test::path_edges(40);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(40));
   core::EngineOptions opts;
   opts.cores = 9;
   opts.triangular_storage = true;
-  bfs::Bfs2D bfs{edges, 40, opts};
+  bfs::Bfs2D bfs{g, opts};
   const auto out = bfs.run(0);
   for (vid_t v = 0; v < 40; ++v) EXPECT_EQ(out.level[v], v);
 }
 
 TEST(TriangularBfs, HybridMode) {
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions opts;
   opts.algorithm = core::Algorithm::kTwoDHybrid;
   opts.cores = 64;
   opts.threads_per_rank = 4;
   opts.triangular_storage = true;
-  bfs::Bfs2D bfs{built.edges, n, opts};
+  bfs::Bfs2D bfs{built.csr, opts};
   const vid_t source = test::hub_source(built.csr);
   const auto serial = bfs::serial_bfs(built.csr, source);
   EXPECT_EQ(bfs.run(source).level, serial.level);
 }
 
 TEST(TriangularBfs, RejectsDiagonalDistribution) {
-  const auto edges = test::path_edges(8);
+  const auto g = graph::CsrGraph::from_edges(test::path_edges(8));
   core::EngineOptions opts;
   opts.cores = 4;
   opts.triangular_storage = true;
   opts.vector_dist = dist::VectorDistKind::kDiagonal;
-  EXPECT_THROW(bfs::Bfs2D(edges, 8, opts), std::invalid_argument);
+  EXPECT_THROW(bfs::Bfs2D(g, opts), std::invalid_argument);
 }
 
 TEST(TriangularBfs, SlowerButSameTrafficOrder) {
   // The space optimization costs compute (the per-level scan), and adds
   // pairwise transpose traffic; it must not explode communication.
   const auto built = test::rmat_graph(11, 16);
-  const vid_t n = built.csr.num_vertices();
   core::EngineOptions full;
   full.cores = 64;
   full.machine = model::franklin();
   core::EngineOptions tri = full;
   tri.triangular_storage = true;
-  bfs::Bfs2D bf{built.edges, n, full};
-  bfs::Bfs2D bt{built.edges, n, tri};
+  bfs::Bfs2D bf{built.csr, full};
+  bfs::Bfs2D bt{built.csr, tri};
   const vid_t source = test::hub_source(built.csr);
   const auto rf = bf.run(source).report;
   const auto rt = bt.run(source).report;

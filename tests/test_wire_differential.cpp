@@ -52,10 +52,9 @@ class WireDifferential
 
 TEST_P(WireDifferential, OneDMatchesRawOnRmat) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  Bfs1D raw{built.edges, n, opts_1d(comm::WireFormat::kRaw)};
-  Bfs1D wired{built.edges, n, opts_1d(GetParam())};
+  Bfs1D raw{built.csr, opts_1d(comm::WireFormat::kRaw)};
+  Bfs1D wired{built.csr, opts_1d(GetParam())};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -71,10 +70,9 @@ TEST_P(WireDifferential, OneDMatchesRawOnRmat) {
 
 TEST_P(WireDifferential, OneDMatchesRawOnWebcrawl) {
   const auto built = webcrawl_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  Bfs1D raw{built.edges, n, opts_1d(comm::WireFormat::kRaw, 4)};
-  Bfs1D wired{built.edges, n, opts_1d(GetParam(), 4)};
+  Bfs1D raw{built.csr, opts_1d(comm::WireFormat::kRaw, 4)};
+  Bfs1D wired{built.csr, opts_1d(GetParam(), 4)};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -87,10 +85,9 @@ TEST_P(WireDifferential, OneDMatchesRawOnWebcrawl) {
 
 TEST_P(WireDifferential, TwoDMatchesRawOnRmat) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  Bfs2D raw{built.edges, n, opts_2d(comm::WireFormat::kRaw)};
-  Bfs2D wired{built.edges, n, opts_2d(GetParam())};
+  Bfs2D raw{built.csr, opts_2d(comm::WireFormat::kRaw)};
+  Bfs2D wired{built.csr, opts_2d(GetParam())};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -104,10 +101,9 @@ TEST_P(WireDifferential, TwoDMatchesRawOnRmat) {
 
 TEST_P(WireDifferential, TwoDMatchesRawOnWebcrawl) {
   const auto built = webcrawl_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  Bfs2D raw{built.edges, n, opts_2d(comm::WireFormat::kRaw)};
-  Bfs2D wired{built.edges, n, opts_2d(GetParam())};
+  Bfs2D raw{built.csr, opts_2d(comm::WireFormat::kRaw)};
+  Bfs2D wired{built.csr, opts_2d(GetParam())};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -123,7 +119,6 @@ TEST_P(WireDifferential, OneDSurvivesFaultPlan) {
   // checked collectives must repair them and the outputs must still match
   // the raw run under the identical plan.
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   simmpi::FaultPlan plan;
   plan.seed = 99;
@@ -133,8 +128,8 @@ TEST_P(WireDifferential, OneDSurvivesFaultPlan) {
   raw_opts.faults = plan;
   auto wire_opts = opts_1d(GetParam());
   wire_opts.faults = plan;
-  Bfs1D raw{built.edges, n, raw_opts};
-  Bfs1D wired{built.edges, n, wire_opts};
+  Bfs1D raw{built.csr, raw_opts};
+  Bfs1D wired{built.csr, wire_opts};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -147,7 +142,6 @@ TEST_P(WireDifferential, OneDSurvivesFaultPlan) {
 
 TEST_P(WireDifferential, TwoDSurvivesFaultPlan) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   simmpi::FaultPlan plan;
   plan.seed = 123;
@@ -157,8 +151,8 @@ TEST_P(WireDifferential, TwoDSurvivesFaultPlan) {
   raw_opts.faults = plan;
   auto wire_opts = opts_2d(GetParam());
   wire_opts.faults = plan;
-  Bfs2D raw{built.edges, n, raw_opts};
-  Bfs2D wired{built.edges, n, wire_opts};
+  Bfs2D raw{built.csr, raw_opts};
+  Bfs2D wired{built.csr, wire_opts};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -175,7 +169,6 @@ TEST(WireDifferential2D, TriangularHybridAutoMatchesRaw) {
   // The hardest configuration: triangular storage mirrors candidates
   // into the fold, hybrid threads the ranks, auto mixes encodings.
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   auto raw_opts = opts_2d(comm::WireFormat::kRaw, 36);
   raw_opts.algorithm = core::Algorithm::kTwoDHybrid;
@@ -183,8 +176,8 @@ TEST(WireDifferential2D, TriangularHybridAutoMatchesRaw) {
   raw_opts.triangular_storage = true;
   auto wire_opts = raw_opts;
   wire_opts.wire_format = comm::WireFormat::kAuto;
-  Bfs2D raw{built.edges, n, raw_opts};
-  Bfs2D wired{built.edges, n, wire_opts};
+  Bfs2D raw{built.csr, raw_opts};
+  Bfs2D wired{built.csr, wire_opts};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -194,15 +187,14 @@ TEST(WireDifferential2D, TriangularHybridAutoMatchesRaw) {
 
 TEST(WireDifferential1D, HybridAutoMatchesRaw) {
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   auto raw_opts = opts_1d(comm::WireFormat::kRaw, 16);
   raw_opts.algorithm = core::Algorithm::kOneDHybrid;
   raw_opts.threads_per_rank = 4;  // 4 ranks of 4 threads
   auto wire_opts = raw_opts;
   wire_opts.wire_format = comm::WireFormat::kAuto;
-  Bfs1D raw{built.edges, n, raw_opts};
-  Bfs1D wired{built.edges, n, wire_opts};
+  Bfs1D raw{built.csr, raw_opts};
+  Bfs1D wired{built.csr, wire_opts};
   const auto raw_out = raw.run(source);
   const auto out = wired.run(source);
   EXPECT_EQ(out.parent, raw_out.parent);
@@ -214,9 +206,8 @@ TEST(WireDifferential1D, RepeatedWireRunsAreDeterministic) {
   // The sieve must be fully reset between runs — a leaked bitmap would
   // drop first-level candidates on the second run.
   const auto built = test::rmat_graph(9);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
-  Bfs1D bfs{built.edges, n, opts_1d(comm::WireFormat::kAuto, 4)};
+  Bfs1D bfs{built.csr, opts_1d(comm::WireFormat::kAuto, 4)};
   const auto first = bfs.run(source);
   const auto second = bfs.run(source);
   EXPECT_EQ(first.parent, second.parent);
@@ -229,10 +220,9 @@ TEST(WireDifferential1D, SieveOrderingIsByteMonotone) {
   // format ships no more than plain sieve, which ships less than raw; and
   // auto is the per-block minimum so it lower-bounds bitmap and varint.
   const auto built = test::rmat_graph(10);
-  const vid_t n = built.csr.num_vertices();
   const vid_t source = test::hub_source(built.csr);
   auto run_bytes = [&](comm::WireFormat f) {
-    Bfs1D bfs{built.edges, n, opts_1d(f)};
+    Bfs1D bfs{built.csr, opts_1d(f)};
     return bfs.run(source).report.alltoall_bytes;
   };
   const auto raw = run_bytes(comm::WireFormat::kRaw);
