@@ -1,7 +1,6 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/prng.hpp"
 
@@ -13,7 +12,6 @@ Components connected_components(const CsrGraph& g) {
   out.label.assign(static_cast<std::size_t>(n), kNoVertex);
 
   std::vector<vid_t> queue;
-  std::unordered_map<vid_t, vid_t> sizes;
   for (vid_t root = 0; root < n; ++root) {
     if (out.label[root] != kNoVertex) continue;
     ++out.count;
@@ -32,7 +30,6 @@ Components connected_components(const CsrGraph& g) {
         }
       }
     }
-    sizes[root] = size;
     if (size > out.largest_size) {
       out.largest_size = size;
       out.largest_label = root;

@@ -11,6 +11,13 @@
 //     their BFS levels differ by at most one.
 //  5. If reference distances are supplied, levels derived from the parent
 //     tree must equal them exactly (parents give *shortest* paths).
+//
+// Checks 2-4 run on the host threads (util::for_each_slot) in two phases:
+// one over vertex ranges (checks 2 and 3), one over vertex ranges cut at
+// equal arc shares (check 4). The verdict, levels and counts do not depend
+// on the number of threads, and a failure reported is the one a serial
+// scan of the checks in order, each over the vertices in id order, meets
+// first.
 #pragma once
 
 #include <string>
@@ -34,7 +41,9 @@ struct ValidationResult {
   /// Levels derived from the parent tree (kUnreached for unvisited).
   std::vector<level_t> levels;
   vid_t visited_count = 0;
-  eid_t traversed_edges = 0;  ///< edges with at least one visited endpoint
+  /// Arcs whose endpoints are both visited: each undirected edge of the
+  /// traversed component counts twice, once per direction.
+  eid_t traversed_edges = 0;
 };
 
 /// Validate a BFS parent array against a symmetric graph.
