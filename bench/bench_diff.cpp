@@ -34,30 +34,6 @@ namespace {
 namespace fs = std::filesystem;
 using dbfs::obs::BenchRecord;
 
-/// A path names either one record file or a directory of BENCH_*.json.
-std::vector<BenchRecord> load_set(const std::string& path) {
-  std::vector<BenchRecord> records;
-  if (fs::is_directory(path)) {
-    std::vector<std::string> files;
-    for (const auto& entry : fs::directory_iterator(path)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("BENCH_", 0) == 0 &&
-          name.size() > 11 /* BENCH_ + .json */ &&
-          name.compare(name.size() - 5, 5, ".json") == 0) {
-        files.push_back(entry.path().string());
-      }
-    }
-    std::sort(files.begin(), files.end());
-    for (const std::string& file : files) {
-      records.push_back(dbfs::obs::load_bench_record(file));
-    }
-  } else {
-    records.push_back(dbfs::obs::load_bench_record(path));
-  }
-  return records;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,8 +73,8 @@ int main(int argc, char** argv) {
   std::vector<BenchRecord> baseline;
   std::vector<BenchRecord> current;
   try {
-    baseline = load_set(positional[0]);
-    current = load_set(positional[1]);
+    baseline = dbfs::obs::load_bench_records(positional[0]);
+    current = dbfs::obs::load_bench_records(positional[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_diff: %s\n", e.what());
     return 2;

@@ -44,11 +44,6 @@ struct Bfs2D::Impl final : LevelEngine {
   simmpi::Cluster cluster;
   std::vector<int> world;
   std::vector<sparse::Spa<vid_t>> spa;  // per-rank persistent workspace
-  // Hybrid mode: each rank's block split row-wise into t thread-local
-  // DCSC pieces, exactly as the paper's Fig 2 describes. The simulator
-  // executes the pieces sequentially (threading is priced by the model),
-  // but the data structure and merge path are the real ones.
-  std::vector<std::vector<sparse::DcscMatrix>> thread_pieces;
   // Sender-side visited sieve for the fold exchanges (kRaw leaves every
   // exchange on the legacy path).
   comm::Sieve sieve;
@@ -133,16 +128,6 @@ struct Bfs2D::Impl final : LevelEngine {
     // The pr×pc grid lets the atlas classify expand/fold bytes as
     // row/column-subcommunicator traffic (the 2D locality split).
     cluster.attach(observers, grid.pr(), grid.pc());
-    rebuild_thread_pieces();
-  }
-
-  void rebuild_thread_pieces() {
-    if (opts.threads_per_rank <= 1) return;
-    thread_pieces.assign(static_cast<std::size_t>(grid.ranks()), {});
-    for (int r = 0; r < grid.ranks(); ++r) {
-      thread_pieces[static_cast<std::size_t>(r)] =
-          part.block(r).split_rowwise(opts.threads_per_rank);
-    }
   }
 
   bool sieving() const {
@@ -186,7 +171,6 @@ struct Bfs2D::Impl final : LevelEngine {
     part = dist::Partition2D(csr, grid, opts.triangular_storage);
     vdist = dist::VectorDist(n, grid, opts.vector_dist);
     spa.assign(static_cast<std::size_t>(grid.ranks()), {});
-    rebuild_thread_pieces();
     return true;
   }
 
@@ -504,55 +488,28 @@ vid_t Bfs2D::Impl::step(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
 
       auto mul = sparse::BfsParentSemiring{col_base}.multiply();
       auto comb = sparse::BfsParentSemiring::combine();
-      sparse::SpmsvStats st;
-      if (t > 1) {
-        // Fig 2: one SpMSV per thread-local row piece; the pieces cover
-        // disjoint ascending row ranges, so concatenation (with re-based
-        // row ids) reassembles the rank's sorted output.
-        const auto& pieces = im.thread_pieces[ri];
-        const vid_t rows_per =
-            std::max<vid_t>(1, im.part.block(r).nrows() / t);
-        std::vector<sparse::SvEntry<vid_t>> merged;
-        st.flops = 0;
-        for (std::size_t piece = 0; piece < pieces.size(); ++piece) {
-          sparse::SpmsvStats piece_st;
-          auto y = sparse::spmsv<vid_t>(pieces[piece], x, mul, comb,
-                                        im.opts.backend, &im.spa[ri],
-                                        &piece_st);
-          const vid_t base = static_cast<vid_t>(piece) * rows_per;
-          for (const auto& e : y.entries()) {
-            merged.push_back(
-                sparse::SvEntry<vid_t>{base + e.index, e.value});
-          }
-          st.flops += piece_st.flops;
-          if (piece_st.used == sparse::SpmsvBackend::kSpa) {
-            ++spa_calls[ri];
-          } else {
-            ++heap_calls[ri];
-          }
-        }
-        st.output_nnz = static_cast<vid_t>(merged.size());
-        partials[ri] = sparse::SparseVector<vid_t>::from_sorted(
-            im.part.block(r).nrows(), std::move(merged));
-      } else {
-        partials[ri] = sparse::spmsv<vid_t>(im.part.block(r), x, mul,
-                                            comb, im.opts.backend,
-                                            &im.spa[ri], &st);
-        if (st.used == sparse::SpmsvBackend::kSpa) {
-          ++spa_calls[ri];
-        } else {
-          ++heap_calls[ri];
-        }
+      // Fig 2: each of the rank's t threads multiplies its own row window
+      // of the block, and a flat rank is the one-window case. The windows
+      // ascend, so their outputs concatenate into the rank's sorted t_i.
+      std::vector<sparse::SpmsvStats> windows(static_cast<std::size_t>(t));
+      partials[ri] = sparse::spmsv_windows<vid_t>(
+          im.part.block(r), x, t, mul, comb, im.opts.backend, &im.spa[ri],
+          windows);
+      for (const sparse::SpmsvStats& w : windows) {
+        flops[ri] += w.flops;
+        ++(w.used == sparse::SpmsvBackend::kSpa ? spa_calls : heap_calls)[ri];
       }
-      flops[ri] = st.flops;
 
       model::Work2D work;
-      work.spmsv_flops = st.flops;
+      work.spmsv_flops = flops[ri];
       work.x_nnz = x.nnz();
-      work.output_nnz = st.output_nnz;
+      work.output_nnz = partials[ri].nnz();
       work.x_dim = blocks.size(j);
       work.out_dim = blocks.size(i);
-      work.heap_backend = st.used == sparse::SpmsvBackend::kHeap;
+      // A hybrid rank is priced with the SPA formula whatever its windows
+      // ran (ROADMAP item 2 records the gap).
+      work.heap_backend =
+          t == 1 && windows[0].used == sparse::SpmsvBackend::kHeap;
       work.threads = t;
       spmsv_costs[ri] =
           model::cost_2d_local(im.cluster.machine(), work) +

@@ -5,7 +5,8 @@
 // (select, max) semiring, realized as:
 //   TransposeVector  -> pairwise exchange of frontier pieces
 //   Allgatherv       -> "expand" over processor columns (pr participants)
-//   local SpMSV      -> DCSC blocks, SPA or heap back end (§4.2)
+//   local SpMSV      -> DCSC blocks, SPA or heap back end (§4.2); a
+//                       hybrid rank's t threads take row windows (Fig 2)
 //   Alltoallv        -> "fold" over processor rows (pc participants)
 // followed by element-wise filtering against the parents array and the
 // parents update (lines 9-10).

@@ -1,6 +1,8 @@
 #include "obs/bench_record.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -331,6 +333,25 @@ BenchRecord load_bench_record(const std::string& path) {
   } catch (const BenchSchemaError& e) {
     throw BenchSchemaError(path + ": " + e.what());
   }
+}
+
+std::vector<BenchRecord> load_bench_records(const std::string& path) {
+  namespace fs = std::filesystem;
+  if (!fs::is_directory(path)) return {load_bench_record(path)};
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(path)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.size() > 11 /* BENCH_ + .json */ &&
+        name.starts_with("BENCH_") && name.ends_with(".json")) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<BenchRecord> records;
+  for (const std::string& file : files) {
+    records.push_back(load_bench_record(file));
+  }
+  return records;
 }
 
 void save_bench_record(const std::string& path, const BenchRecord& record) {

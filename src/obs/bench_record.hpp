@@ -172,6 +172,11 @@ BenchRecord parse_bench_record(const std::string& json);
 /// path in the message on any failure.
 BenchRecord load_bench_record(const std::string& path);
 
+/// A record set: `path` names one record file, or a directory whose
+/// BENCH_*.json files load in sorted file-name order (other files are
+/// skipped).
+std::vector<BenchRecord> load_bench_records(const std::string& path);
+
 /// Write `record` to `path` (canonical name: dir + "/BENCH_<name>.json").
 void save_bench_record(const std::string& path, const BenchRecord& record);
 

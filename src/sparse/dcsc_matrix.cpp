@@ -71,31 +71,6 @@ std::span<const vid_t> DcscMatrix::column(vid_t col) const noexcept {
   return {};
 }
 
-std::vector<DcscMatrix> DcscMatrix::split_rowwise(int pieces) const {
-  if (pieces < 1) throw std::invalid_argument("split_rowwise: pieces < 1");
-  const vid_t rows_per = std::max<vid_t>(1, nrows_ / pieces);
-  std::vector<std::vector<Triple>> buckets(static_cast<std::size_t>(pieces));
-  for (vid_t k = 0; k < nzc(); ++k) {
-    const vid_t col = jc_[k];
-    for (vid_t row : nonzero_column(k)) {
-      const auto piece = static_cast<std::size_t>(
-          std::min<vid_t>(row / rows_per, pieces - 1));
-      const vid_t base = static_cast<vid_t>(piece) * rows_per;
-      buckets[piece].push_back(Triple{row - base, col});
-    }
-  }
-  std::vector<DcscMatrix> out;
-  out.reserve(static_cast<std::size_t>(pieces));
-  for (int piece = 0; piece < pieces; ++piece) {
-    const vid_t base = static_cast<vid_t>(piece) * rows_per;
-    const vid_t piece_rows =
-        (piece == pieces - 1) ? nrows_ - base : rows_per;
-    out.push_back(from_triples(std::max<vid_t>(piece_rows, 0), ncols_,
-                               std::move(buckets[static_cast<std::size_t>(piece)])));
-  }
-  return out;
-}
-
 std::size_t DcscMatrix::memory_bytes() const noexcept {
   return jc_.capacity() * sizeof(vid_t) + cp_.capacity() * sizeof(eid_t) +
          ir_.capacity() * sizeof(vid_t) + aux_.capacity() * sizeof(vid_t);

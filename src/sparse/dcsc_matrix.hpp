@@ -2,7 +2,8 @@
 // format (paper §4.1, Fig 2): storage is O(nnz + nzc), independent of the
 // matrix dimension — exactly what a 2D-partitioned sub-matrix needs, since
 // after a p-way 2D split each block has far fewer nonzero columns than
-// total columns.
+// total columns. Fig 2's per-thread pieces of a block are row windows of
+// it, cut during the multiply (spmsv_windows in spmsv.hpp).
 //
 // Arrays:
 //   jc[0..nzc)   — ids of columns that have at least one nonzero, sorted
@@ -42,11 +43,6 @@ class DcscMatrix {
   std::span<const vid_t> nonzero_column(vid_t k) const noexcept {
     return {ir_.data() + cp_[k], static_cast<std::size_t>(cp_[k + 1] - cp_[k])};
   }
-
-  /// Split row-wise into `pieces` DCSC blocks covering contiguous row
-  /// ranges (paper Fig 2: per-thread sub-matrices for the hybrid code).
-  /// Row ids in each piece are re-based to the piece's range.
-  std::vector<DcscMatrix> split_rowwise(int pieces) const;
 
   /// Actual resident bytes — compared against CSC in tests to verify the
   /// O(nnz + nzc) claim.

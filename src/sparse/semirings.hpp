@@ -1,9 +1,7 @@
 // Named semirings for SpMSV. The paper casts one BFS level as a multiply
-// on a (select, max) semiring (§3.2); other graph kernels arise from the
-// same multiply under different semirings, which is the Combinatorial-
-// BLAS viewpoint the paper builds on. These structs package the
-// (multiply, combine) pair so call sites say what they mean instead of
-// re-deriving lambdas.
+// on a (select, max) semiring (§3.2). A struct packages the (multiply,
+// combine) pair so call sites say what they mean instead of re-deriving
+// lambdas.
 //
 //   auto y = spmsv<vid_t>(a, x, BfsParentSemiring{col_base}.multiply(),
 //                         BfsParentSemiring::combine(), ...);
@@ -31,30 +29,6 @@ struct BfsParentSemiring {
 
   static auto combine() {
     return [](vid_t a, vid_t b) { return std::max(a, b); };
-  }
-};
-
-/// (+, pass-through): counts how many selected columns hit each row —
-/// one step of sparse counting (e.g. common-neighbor counts, triangle
-/// counting building block).
-struct CountingSemiring {
-  static auto multiply() {
-    return [](vid_t /*row*/, vid_t /*col*/, vid_t xval) { return xval; };
-  }
-  static auto combine() {
-    return [](vid_t a, vid_t b) { return a + b; };
-  }
-};
-
-/// (min, pass-through) over values: propagates the minimum label of
-/// contributing columns — one round of label-propagation connected
-/// components in matrix form.
-struct MinLabelSemiring {
-  static auto multiply() {
-    return [](vid_t /*row*/, vid_t /*col*/, vid_t xval) { return xval; };
-  }
-  static auto combine() {
-    return [](vid_t a, vid_t b) { return std::min(a, b); };
   }
 };
 

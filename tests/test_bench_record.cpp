@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -171,6 +173,40 @@ TEST(BenchRecord, SaveLoadRoundTrip) {
   EXPECT_EQ(back.name, r.name);
   EXPECT_EQ(back.harmonic_mean_teps, r.harmonic_mean_teps);
   std::remove(path.c_str());
+}
+
+TEST(BenchRecord, LoadRecordsReadsOneFileOrASortedDirectory) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bench_record_set";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  BenchRecord r = sample_record();
+  for (const char* name : {"rmat12_1d_raw_c16", "rmat10_2d_auto_c16",
+                           "rmat11_2d_raw_c16"}) {
+    r.name = name;
+    save_bench_record((dir / bench_record_filename(r.name)).string(), r);
+  }
+  // None of these is a record file, and loading any would throw: a doctor
+  // report, a BENCH_ name that is not JSON, and a directory.
+  std::ofstream(dir / "DOCTOR_rmat10_2d_auto_c16.json") << "{}";
+  std::ofstream(dir / "BENCH_notes.txt") << "not a record";
+  fs::create_directories(dir / "BENCH_subdir.json");
+
+  const auto set = load_bench_records(dir.string());
+  ASSERT_EQ(set.size(), 3u);
+  EXPECT_EQ(set[0].name, "rmat10_2d_auto_c16");
+  EXPECT_EQ(set[1].name, "rmat11_2d_raw_c16");
+  EXPECT_EQ(set[2].name, "rmat12_1d_raw_c16");
+
+  const auto one = load_bench_records(
+      (dir / bench_record_filename("rmat11_2d_raw_c16")).string());
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].name, "rmat11_2d_raw_c16");
+  EXPECT_EQ(one[0].harmonic_mean_teps, r.harmonic_mean_teps);
+
+  EXPECT_THROW(load_bench_records((dir / "BENCH_notes.txt").string()),
+               BenchSchemaError);
+  fs::remove_all(dir);
 }
 
 bfs::RunReport fake_report(double total, double comm, double comp) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <type_traits>
 
 #include "bfs/serial.hpp"
@@ -109,7 +110,27 @@ TEST(Bfs2D, HybridMatchesFlat) {
   const auto built = test::rmat_graph(9);
   Bfs2D flat{built.csr, opts_with(16, 1)};
   Bfs2D hybrid{built.csr, opts_with(64, 4)};  // same 4x4 grid
-  EXPECT_EQ(flat.run(0).level, hybrid.run(0).level);
+  const auto f = flat.run(0);
+  const auto h = hybrid.run(0);
+  EXPECT_EQ(f.level, h.level);
+  // The max-parent merge makes parents independent of how a rank's rows
+  // are split among its threads.
+  EXPECT_EQ(f.parent, h.parent);
+}
+
+TEST(Bfs2D, HybridRanksMultiplyOncePerThreadWindow) {
+  // Fig 2: every top-down level, each of a hybrid rank's t threads runs
+  // one SpMSV over its row window; a flat rank runs one.
+  const auto built = test::rmat_graph(9);
+  for (int t : {1, 4}) {
+    Bfs2D bfs{built.csr, opts_with(16 * t, t)};
+    const auto out = bfs.run(test::hub_source(built.csr));
+    const auto levels = static_cast<std::int64_t>(out.report.levels.size());
+    ASSERT_GT(levels, 1);
+    EXPECT_EQ(out.report.spmsv_spa_calls + out.report.spmsv_heap_calls,
+              std::int64_t{t} * bfs.grid().ranks() * levels)
+        << out.report.algorithm;
+  }
 }
 
 TEST(Bfs2D, DiagonalVectorDistributionSameAnswer) {

@@ -100,47 +100,5 @@ TEST(DcscMatrix, ColumnLookupOutOfRangeIsEmpty) {
   EXPECT_EQ(m.column(4).size(), 0u);
 }
 
-TEST(DcscMatrix, SplitRowwisePreservesEntries) {
-  const auto triples = random_triples(100, 40, 500, 21);
-  const auto whole = DcscMatrix::from_triples(100, 40, triples);
-  const auto pieces = whole.split_rowwise(3);
-  ASSERT_EQ(pieces.size(), 3u);
-  // Piece row counts: 33, 33, 34.
-  EXPECT_EQ(pieces[0].nrows(), 33);
-  EXPECT_EQ(pieces[1].nrows(), 33);
-  EXPECT_EQ(pieces[2].nrows(), 34);
-  eid_t total = 0;
-  for (const auto& piece : pieces) total += piece.nnz();
-  EXPECT_EQ(total, whole.nnz());
-
-  // Reassemble every column from the re-based pieces and compare.
-  for (vid_t c = 0; c < 40; ++c) {
-    std::vector<vid_t> reassembled;
-    for (std::size_t piece = 0; piece < pieces.size(); ++piece) {
-      const vid_t base = static_cast<vid_t>(piece) * 33;
-      for (vid_t r : pieces[piece].column(c)) {
-        reassembled.push_back(base + r);
-      }
-    }
-    const auto original = whole.column(c);
-    ASSERT_EQ(reassembled.size(), original.size()) << "column " << c;
-    EXPECT_TRUE(
-        std::equal(reassembled.begin(), reassembled.end(), original.begin()));
-  }
-}
-
-TEST(DcscMatrix, SplitRowwiseSinglePieceIsIdentity) {
-  const auto triples = random_triples(20, 20, 50, 4);
-  const auto whole = DcscMatrix::from_triples(20, 20, triples);
-  const auto pieces = whole.split_rowwise(1);
-  ASSERT_EQ(pieces.size(), 1u);
-  EXPECT_EQ(pieces[0].nnz(), whole.nnz());
-}
-
-TEST(DcscMatrix, SplitRejectsBadCount) {
-  const auto m = DcscMatrix::from_triples(4, 4, {});
-  EXPECT_THROW(m.split_rowwise(0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dbfs::sparse

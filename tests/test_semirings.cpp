@@ -24,30 +24,6 @@ TEST(Semirings, BfsParentSelectsMaxGlobalColumn) {
   EXPECT_EQ(*y.find(3), 102);
 }
 
-TEST(Semirings, CountingCountsContributions) {
-  const auto a = tiny();
-  auto x = SparseVector<vid_t>::from_sorted(4, {{0, 1}, {2, 1}});
-  Spa<vid_t> spa{4};
-  const auto y = spmsv<vid_t>(a, x, CountingSemiring::multiply(),
-                              CountingSemiring::combine(),
-                              SpmsvBackend::kAuto, &spa);
-  EXPECT_EQ(*y.find(1), 2);
-  EXPECT_EQ(*y.find(2), 1);
-  EXPECT_EQ(*y.find(3), 1);
-}
-
-TEST(Semirings, MinLabelPropagatesMinimum) {
-  const auto a = tiny();
-  auto x = SparseVector<vid_t>::from_sorted(4, {{0, 50}, {2, 7}});
-  Spa<vid_t> spa{4};
-  const auto y = spmsv<vid_t>(a, x, MinLabelSemiring::multiply(),
-                              MinLabelSemiring::combine(),
-                              SpmsvBackend::kAuto, &spa);
-  EXPECT_EQ(*y.find(1), 7);   // min(50, 7)
-  EXPECT_EQ(*y.find(2), 50);
-  EXPECT_EQ(*y.find(3), 7);
-}
-
 TEST(Semirings, BackendsAgreeUnderEverySemiring) {
   const auto a = tiny();
   auto x = SparseVector<vid_t>::from_sorted(4, {{0, 3}, {2, 9}});
@@ -58,13 +34,6 @@ TEST(Semirings, BackendsAgreeUnderEverySemiring) {
   const auto heap_y = spmsv<vid_t>(a, x, sr.multiply(), sr.combine(),
                                    SpmsvBackend::kHeap, nullptr);
   EXPECT_EQ(spa_y.entries(), heap_y.entries());
-  const auto spa_c = spmsv<vid_t>(a, x, CountingSemiring::multiply(),
-                                  CountingSemiring::combine(),
-                                  SpmsvBackend::kSpa, &spa);
-  const auto heap_c = spmsv<vid_t>(a, x, CountingSemiring::multiply(),
-                                   CountingSemiring::combine(),
-                                   SpmsvBackend::kHeap, nullptr);
-  EXPECT_EQ(spa_c.entries(), heap_c.entries());
 }
 
 }  // namespace

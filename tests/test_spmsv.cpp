@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "util/prng.hpp"
 
@@ -144,6 +146,154 @@ TEST(ChooseBackend, DenseSelectsSpaSparsePicksHeap) {
   EXPECT_EQ(choose_backend(1000, 1000), SpmsvBackend::kSpa);
   EXPECT_EQ(choose_backend(10, 100000), SpmsvBackend::kHeap);
   EXPECT_EQ(choose_backend(0, 0), SpmsvBackend::kHeap);
+}
+
+/// Fig 2's thread pieces as separate blocks, the reference for the row
+/// windows: rows_per = max(1, nrows / t) rows each, the last piece takes
+/// the rest, and pieces past the last row are empty.
+struct Piece {
+  vid_t base;
+  DcscMatrix block;
+};
+
+std::vector<Piece> reference_pieces(vid_t nrows, vid_t ncols,
+                                    const std::vector<Triple>& triples,
+                                    int t) {
+  const vid_t rows_per = std::max<vid_t>(1, nrows / t);
+  std::vector<std::vector<Triple>> buckets(static_cast<std::size_t>(t));
+  for (const Triple& e : triples) {
+    const vid_t piece = std::min<vid_t>(e.row / rows_per, t - 1);
+    buckets[static_cast<std::size_t>(piece)].push_back(
+        Triple{e.row - piece * rows_per, e.col});
+  }
+  std::vector<Piece> pieces;
+  for (int k = 0; k < t; ++k) {
+    const vid_t base = static_cast<vid_t>(k) * rows_per;
+    const vid_t rows = k == t - 1 ? nrows - base : rows_per;
+    pieces.push_back(Piece{
+        base, DcscMatrix::from_triples(
+                  std::max<vid_t>(rows, 0), ncols,
+                  std::move(buckets[static_cast<std::size_t>(k)]))});
+  }
+  return pieces;
+}
+
+/// Runs t windows over the whole block and checks each window's entries
+/// and stats against plain spmsv on the matching piece. Returns the back
+/// ends the windows ran.
+std::vector<SpmsvBackend> expect_windows_match_pieces(
+    vid_t nrows, vid_t ncols, const std::vector<Triple>& triples,
+    const SparseVector<vid_t>& x, int t, SpmsvBackend backend,
+    bool with_workspace) {
+  const auto block = DcscMatrix::from_triples(nrows, ncols, triples);
+  const auto pieces = reference_pieces(nrows, ncols, triples, t);
+  Spa<vid_t> spa;
+  std::vector<SpmsvStats> stats(static_cast<std::size_t>(t));
+  const auto y = spmsv_windows<vid_t>(block, x, t, col_id_mul, max_combine,
+                                      backend,
+                                      with_workspace ? &spa : nullptr, stats);
+  EXPECT_EQ(y.dim(), nrows);
+  EXPECT_TRUE(y.invariants_hold());
+
+  std::vector<SpmsvBackend> used;
+  std::size_t next = 0;
+  for (int w = 0; w < t; ++w) {
+    const Piece& piece = pieces[static_cast<std::size_t>(w)];
+    Spa<vid_t> piece_spa;
+    SpmsvStats want;
+    const auto expected =
+        spmsv<vid_t>(piece.block, x, col_id_mul, max_combine, backend,
+                     with_workspace ? &piece_spa : nullptr, &want);
+    std::vector<SvEntry<vid_t>> got;
+    const vid_t end = piece.base + piece.block.nrows();
+    for (; next < y.entries().size() && y.entries()[next].index < end;
+         ++next) {
+      const SvEntry<vid_t>& e = y.entries()[next];
+      got.push_back(SvEntry<vid_t>{e.index - piece.base, e.value});
+    }
+    const SpmsvStats& st = stats[static_cast<std::size_t>(w)];
+    EXPECT_EQ(got, expected.entries()) << "window " << w << " of " << t;
+    EXPECT_EQ(st.flops, want.flops) << "window " << w << " of " << t;
+    EXPECT_EQ(st.output_nnz, want.output_nnz) << "window " << w;
+    EXPECT_EQ(st.used, want.used) << "window " << w << " of " << t;
+    used.push_back(st.used);
+  }
+  EXPECT_EQ(next, y.entries().size()) << "entries past the last window";
+  return used;
+}
+
+TEST(Spmsv, WindowsMatchThePieces) {
+  util::Xoshiro256 rng{59};
+  struct Shape {
+    vid_t nrows;
+    vid_t ncols;
+    int nnz;
+  };
+  // Square, tall and hypersparse (kAuto picks the heap there), and fewer
+  // rows than most thread counts.
+  const Shape shapes[] = {{100, 40, 500}, {37, 64, 90}, {3000, 64, 60},
+                          {4, 12, 20}};
+  std::vector<SpmsvBackend> auto_used;
+  for (const Shape& shape : shapes) {
+    std::vector<Triple> triples;
+    for (int k = 0; k < shape.nnz; ++k) {
+      triples.push_back(Triple{
+          static_cast<vid_t>(
+              rng.next_below(static_cast<std::uint64_t>(shape.nrows))),
+          static_cast<vid_t>(
+              rng.next_below(static_cast<std::uint64_t>(shape.ncols)))});
+    }
+    // x selects about a third of the columns, empty ones included.
+    std::vector<SvEntry<vid_t>> xe;
+    for (vid_t c = 0; c < shape.ncols; ++c) {
+      if (rng.next_double() < 0.35) xe.push_back({c, c});
+    }
+    const auto x = SparseVector<vid_t>::from_sorted(shape.ncols, xe);
+    const SparseVector<vid_t> empty_x{shape.ncols};
+    for (int t : {1, 2, 3, 6, 9}) {
+      for (auto backend : {SpmsvBackend::kAuto, SpmsvBackend::kSpa,
+                           SpmsvBackend::kHeap}) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.nrows << "x" << shape.ncols << " t=" << t
+                     << " backend=" << to_string(backend));
+        const auto used = expect_windows_match_pieces(
+            shape.nrows, shape.ncols, triples, x, t, backend, true);
+        if (backend == SpmsvBackend::kAuto) {
+          auto_used.insert(auto_used.end(), used.begin(), used.end());
+        }
+        expect_windows_match_pieces(shape.nrows, shape.ncols, triples,
+                                    empty_x, t, backend, true);
+      }
+      SCOPED_TRACE(::testing::Message() << shape.nrows << "x" << shape.ncols
+                                        << " t=" << t << " spa, no workspace");
+      expect_windows_match_pieces(shape.nrows, shape.ncols, triples, x, t,
+                                  SpmsvBackend::kSpa, false);
+    }
+  }
+  // kAuto chose each back end somewhere, so both window paths ran.
+  EXPECT_NE(std::count(auto_used.begin(), auto_used.end(), SpmsvBackend::kSpa),
+            0);
+  EXPECT_NE(
+      std::count(auto_used.begin(), auto_used.end(), SpmsvBackend::kHeap), 0);
+
+  // The multiply sees rows of the whole block, not of its window.
+  const auto a = tiny_matrix();
+  const auto all = SparseVector<vid_t>::from_sorted(
+      4, {{0, 0}, {1, 1}, {2, 2}, {3, 3}});
+  for (int t : {1, 3}) {
+    for (auto backend : {SpmsvBackend::kSpa, SpmsvBackend::kHeap}) {
+      Spa<vid_t> spa;
+      const auto y = spmsv_windows<vid_t>(
+          a, all, t, [](vid_t row, vid_t, vid_t) { return row; },
+          max_combine, backend, &spa, {});
+      ASSERT_EQ(y.nnz(), 4);
+      for (const auto& e : y.entries()) EXPECT_EQ(e.value, e.index);
+    }
+  }
+
+  EXPECT_THROW(spmsv_windows<vid_t>(a, all, 0, col_id_mul, max_combine,
+                                    SpmsvBackend::kAuto, nullptr, {}),
+               std::invalid_argument);
 }
 
 TEST(Spmsv, WorkspaceGrowsOnDemand) {
